@@ -127,7 +127,7 @@ fn main() {
             for &clients in family_grid_sizes(algorithm, quick) {
                 let seed = 0xE6 ^ (clients as u64).rotate_left(17) ^ u64::from(dmax);
                 let inst = instance_for(algorithm, clients, dmax, seed);
-                // Release DP slab / scope-cache capacity retained from the
+                // Release sparse-DP slab capacity retained from the
                 // previous cell: peak tracking restarts at the current live
                 // count, so capacity a past cell grew (and this one never
                 // touches) would otherwise inflate this cell's reading.
@@ -164,8 +164,6 @@ fn main() {
                         commit_skipped: stage.commit_skipped,
                         router_carry_merges: stage.router_carry_merges,
                         router_carried_peak: stage.router_carried_peak,
-                        scope_cache_hits: stage.scope_cache_hits,
-                        warm_seeds_used: stage.warm_seeds_used,
                         peak_alloc_bytes,
                     },
                 ));
@@ -249,8 +247,6 @@ fn main() {
                     commit_skipped: stage.commit_skipped,
                     router_carry_merges: stage.router_carry_merges,
                     router_carried_peak: stage.router_carried_peak,
-                    scope_cache_hits: stage.scope_cache_hits,
-                    warm_seeds_used: stage.warm_seeds_used,
                     peak_alloc_bytes,
                 },
             ));

@@ -66,14 +66,6 @@ pub struct ScalingCell {
     /// Largest carried list the router ever materialised in one stage —
     /// the live-set bound behind the merge argument.
     pub router_carried_peak: u64,
-    /// Stage collections that replayed the previous stage's scope summary
-    /// wholesale instead of re-absorbing it entry by entry (the shared
-    /// scope collection of the stage-scope PR). The handle on
-    /// stage-chain-dense cells: spines keep this close to the stage count.
-    pub scope_cache_hits: u64,
-    /// Stages whose DP fallback seeded its widening schedule from the
-    /// previous overlapping stage's committed size (same PR).
-    pub warm_seeds_used: u64,
     /// High-water mark of live heap bytes during the reference solve, as
     /// tracked by [`crate::alloc_track`] (zero in reports written before
     /// the million-client tier, and in processes that never registered the
@@ -128,8 +120,9 @@ pub fn family_grid_sizes(algorithm: &str, quick: bool) -> &'static [usize] {
 /// [`rp_tree::Tree`]) and solved once per cell through the frontier-parallel
 /// entry points. Quick mode (CI smoke) runs the 65536- and 262144-client
 /// rows — the 262144 `multiple-bin` dmax cell joined the smoke grid (and
-/// gained its own gate) once warm-started stage search and the shared scope
-/// cache brought it from ~53 s down to a couple of seconds — while the full
+/// gained its own gate) once the stage engine stopped re-collecting whole
+/// subtrees per stage and it came down from ~53 s to a couple of seconds
+/// — while the full
 /// grid goes on to 2²⁰ clients (~2.1 M tree nodes).
 pub fn huge_grid_sizes(quick: bool) -> &'static [usize] {
     if quick {
@@ -156,7 +149,6 @@ impl ScalingReport {
                  \"dp_node_visits\": {}, \"dp_fallbacks\": {}, \
                  \"commit_touched\": {}, \"commit_skipped\": {}, \
                  \"router_carry_merges\": {}, \"router_carried_peak\": {}, \
-                 \"scope_cache_hits\": {}, \"warm_seeds_used\": {}, \
                  \"peak_alloc_bytes\": {}}}{comma}\n",
                 c.algorithm,
                 c.dmax,
@@ -175,8 +167,6 @@ impl ScalingReport {
                 c.commit_skipped,
                 c.router_carry_merges,
                 c.router_carried_peak,
-                c.scope_cache_hits,
-                c.warm_seeds_used,
                 c.peak_alloc_bytes
             ));
         }
@@ -230,11 +220,11 @@ impl ScalingReport {
                 // …and the PR 8 router-aggregation counters.
                 router_carry_merges: num_field_or(line, "router_carry_merges", 0)?,
                 router_carried_peak: num_field_or(line, "router_carried_peak", 0)?,
-                // …and the stage-scope PR's warm-start / scope-cache
-                // counters…
-                scope_cache_hits: num_field_or(line, "scope_cache_hits", 0)?,
-                warm_seeds_used: num_field_or(line, "warm_seeds_used", 0)?,
-                // …and the million-client tier's memory column.
+                // …and the million-client tier's memory column. (Reports
+                // written before the stage engine lost its scope cache and
+                // warm start also carry `scope_cache_hits` /
+                // `warm_seeds_used`; lookups are by key, so those are
+                // simply ignored.)
                 peak_alloc_bytes: num_field_or(line, "peak_alloc_bytes", 0)?,
             });
         }
@@ -320,8 +310,6 @@ mod tests {
                     commit_skipped: 4100,
                     router_carry_merges: 7000,
                     router_carried_peak: 512,
-                    scope_cache_hits: 34,
-                    warm_seeds_used: 2,
                     peak_alloc_bytes: 1_500_000,
                 },
                 ScalingCell {
@@ -342,8 +330,6 @@ mod tests {
                     commit_skipped: 0,
                     router_carry_merges: 0,
                     router_carried_peak: 0,
-                    scope_cache_hits: 0,
-                    warm_seeds_used: 0,
                     peak_alloc_bytes: 0,
                 },
             ],
@@ -395,8 +381,6 @@ mod tests {
             .replace(", \"commit_touched\": 0, \"commit_skipped\": 0", "")
             .replace(", \"router_carry_merges\": 7000, \"router_carried_peak\": 512", "")
             .replace(", \"router_carry_merges\": 0, \"router_carried_peak\": 0", "")
-            .replace(", \"scope_cache_hits\": 34, \"warm_seeds_used\": 2", "")
-            .replace(", \"scope_cache_hits\": 0, \"warm_seeds_used\": 0", "")
             .replace(", \"peak_alloc_bytes\": 1500000", "")
             .replace(", \"peak_alloc_bytes\": 0", "");
         assert!(
@@ -404,7 +388,6 @@ mod tests {
                 && !old.contains("dp_node_visits")
                 && !old.contains("commit_touched")
                 && !old.contains("router_carry_merges")
-                && !old.contains("scope_cache_hits")
                 && !old.contains("peak_alloc_bytes")
         );
         let parsed = ScalingReport::parse(&old).expect("old schema parses");
@@ -416,11 +399,25 @@ mod tests {
                 && c.commit_skipped == 0
                 && c.router_carry_merges == 0
                 && c.router_carried_peak == 0
-                && c.scope_cache_hits == 0
-                && c.warm_seeds_used == 0
                 && c.peak_alloc_bytes == 0
         }));
         assert_eq!(parsed.median_of("multiple-bin", true, 1024), Some(6_500_000));
+    }
+
+    #[test]
+    fn parse_ignores_retired_stage_counters() {
+        // Reports written while the stage engine still had its scope cache
+        // and warm start (the checked-in baseline among them) carry two
+        // counters the schema no longer has; they must parse to the same
+        // cells, the retired keys ignored.
+        let report = sample();
+        let old = report.to_json().replace(
+            ", \"peak_alloc_bytes\": 1500000",
+            ", \"scope_cache_hits\": 34, \"warm_seeds_used\": 2, \"peak_alloc_bytes\": 1500000",
+        );
+        assert!(old.contains("\"scope_cache_hits\": 34"));
+        let parsed = ScalingReport::parse(&old).expect("retired keys are ignored");
+        assert_eq!(parsed, report);
     }
 
     #[test]

@@ -169,8 +169,7 @@ fn cmd_solve(args: &Args) -> Result<String, String> {
              subsets pruned: {}\n  shared-prefix routes: {}\n  dp sizes skipped: {}\n  \
              dp bound skips: {}\n  dp fallbacks: {}\n  dp node visits: {}\n  \
              commit volume touched: {}\n  commit volume skipped: {}\n  \
-             router carry merges: {}\n  router carried peak: {}\n  \
-             scope cache hits: {}\n  warm seeds used: {}\n  repairs: {}\n",
+             router carry merges: {}\n  router carried peak: {}\n  repairs: {}\n",
             s.stages,
             s.subsets_enumerated,
             s.subsets_routed,
@@ -184,8 +183,6 @@ fn cmd_solve(args: &Args) -> Result<String, String> {
             s.commit_skipped,
             s.router_carry_merges,
             s.router_carried_peak,
-            s.scope_cache_hits,
-            s.warm_seeds_used,
             s.repairs,
         ));
     }
@@ -622,8 +619,6 @@ mod tests {
             commit_skipped: 0,
             router_carry_merges: 0,
             router_carried_peak: 0,
-            scope_cache_hits: 0,
-            warm_seeds_used: 0,
             peak_alloc_bytes: 0,
         };
         ScalingReport { quick: true, cells: vec![cell(true, median_dmax), cell(false, median_nod)] }
@@ -797,8 +792,6 @@ mod tests {
                 commit_skipped: 0,
                 router_carry_merges: 0,
                 router_carried_peak: 0,
-                scope_cache_hits: 0,
-                warm_seeds_used: 0,
                 peak_alloc_bytes,
             };
             ScalingReport { quick: true, cells: vec![cell(true, peak), cell(false, 0)] }.to_json()

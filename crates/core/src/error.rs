@@ -59,7 +59,8 @@ pub enum SolveError {
     StageDpExhausted {
         /// Root of the stage subtree whose stuck volume stayed unserved.
         node: NodeId,
-        /// The widest replica budget the dynamic program tried.
+        /// The replica budget the dynamic program tried: the free-node count
+        /// of the stage's stuck forest.
         rmax: u64,
     },
     /// The solve ran past its per-solve deadline budget and was abandoned

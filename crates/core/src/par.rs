@@ -3,7 +3,7 @@
 //! upper nodes — results are **bit-identical to the serial sweeps** (pinned
 //! by `tests/parallel_determinism.rs`). For `multiple-bin` the finish pass
 //! is itself parallel: it re-applies the frontier split to the upper
-//! region (see [`finish_mb`]) instead of draining it on one thread.
+//! region (see `finish_mb`) instead of draining it on one thread.
 //!
 //! ## The frontier
 //!
@@ -41,9 +41,9 @@
 //! ## The parallel finish pass (`multiple-bin`)
 //!
 //! After the chunk workers merge back, the upper region is an
-//! upward-closed connected set rooted at the global root. [`finish_mb`]
+//! upward-closed connected set rooted at the global root. `finish_mb`
 //! repeatedly carves a deterministic antichain of *region subtrees* out of
-//! it (same largest-first policy as [`build_frontier`], but sized by the
+//! it (same largest-first policy as `build_frontier`, but sized by the
 //! number of **region** nodes under each root) and dispatches each to a
 //! worker over the *full* global subtree below its root, seeded with the
 //! already-committed state and sweeping only its region nodes. Merging a

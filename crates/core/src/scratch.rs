@@ -35,7 +35,7 @@
 //! (or a signed delta of one), and volumes are globally bounded: the
 //! `multiple-bin` entry points reject instances whose **summed** demand
 //! exceeds [`Tree::MAX_REQUESTS`] (`u64::MAX / 4 ≈ 2⁶²`) via
-//! [`check_total_fits`], and [`crate::serve::ServeEngine`] maintains the
+//! `check_total_fits`, and [`crate::serve::ServeEngine`] maintains the
 //! same bound across demand deltas. From that single invariant:
 //!
 //! * any genuine volume (a demand row, a routed load, a DP `m`-value, a
@@ -45,14 +45,10 @@
 //!   sums the solvers form: sibling DP parts, a node's own demand plus its
 //!   children's) is again ≤ the instance total — still ≤ 2⁶², so `u64`
 //!   additions of genuine values can never wrap;
-//! * the stage DP's infeasibility sentinel is `u64::MAX / 2 ≈ 2⁶³`:
-//!   strictly above every genuine value (the feasibility tests cannot
-//!   confuse them), and `genuine + sentinel ≤ 2⁶² + 2⁶³ < u64::MAX`, so
-//!   the min-plus convolution's `saturating_add(..).min(SENTINEL)` clamp
-//!   keeps sentinel-tainted cells exactly at the sentinel without
-//!   overflow (debug builds additionally cross-check each genuine cell
-//!   against 128-bit arithmetic; `tests/proptest_stage_dp.rs` pins the
-//!   narrowed pass against a `u128` reference near the bound).
+//! * the sparse stage DP (`crate::stage::chain_dp`) stores only genuine
+//!   values — a vector's value at `r = 0` and its positive steps — so it
+//!   needs no infeasibility sentinel at all (`tests/proptest_stage_dp.rs`
+//!   pins the 64-bit pass against a 128-bit reference near the bound).
 //!
 //! The bound is enforced only where the narrowed slabs are: `multiple-bin`
 //! (serial, parallel and serving entry points) and the stage machinery.
@@ -138,138 +134,6 @@ pub(crate) struct Group {
     pub node: u32,
     pub total: Requests,
     pub clients: Vec<AssignPair>,
-}
-
-/// One generation of the stage DP's pooled storage (`stage::dp`): every
-/// per-node vector of the former `StageNode`/`mstore` design lives here as
-/// a slice of a contiguous slab, addressed through per-position offsets.
-/// Slabs are cleared (capacity kept) per DP pass, so a steady-state pass
-/// performs no heap allocation; the previous generation is retained by
-/// [`DpPool`] so an `rmax` widening can copy its unchanged prefix cells
-/// instead of re-running the min-plus convolutions.
-#[derive(Debug, Default)]
-pub(crate) struct DpSlabs {
-    /// Concatenated per-node `m_v(r)` vectors (minimal pass-up volume).
-    pub(crate) m: Vec<u64>,
-    /// Parallel to `m`: the `r` actually used after the monotonicity
-    /// fix-up (it may redirect to a smaller value), with the
-    /// placed-a-replica flag packed into [`crate::stage::dp::PLACED_BIT`]
-    /// (bit 31; `rmax` is capped far below 2³¹). Packing the flag here
-    /// instead of a parallel `Vec<bool>` saves a byte per DP cell — at
-    /// the 2²⁰-client tier that slab is gigabytes.
-    pub(crate) used_r: Vec<u32>,
-    /// Start of each node's `m` slice, indexed by order position; entry
-    /// `p + 1` is pushed when node `p` completes, so `m_off[p]..m_off[p+1]`
-    /// is valid for every processed node.
-    pub(crate) m_off: Vec<u32>,
-    /// Concatenated min-plus convolution layers: the running values after
-    /// each participating child…
-    pub(crate) layer_m: Vec<u64>,
-    /// …and the argmin split per `r` (replicas given to that child).
-    pub(crate) layer_arg: Vec<u32>,
-    /// Start of each node's layer block, same offset discipline as
-    /// [`DpSlabs::m_off`]. Per-layer lengths are recomputed from the
-    /// children's `m` lengths, so one offset per node suffices.
-    pub(crate) layer_off: Vec<u32>,
-}
-
-impl DpSlabs {
-    /// Releases every slab's backing storage (capacity included) — the
-    /// bulk-memory half of [`SolverScratch::shrink_to_fit_slabs`].
-    pub(crate) fn release(&mut self) {
-        self.m = Vec::new();
-        self.used_r = Vec::new();
-        self.m_off = Vec::new();
-        self.layer_m = Vec::new();
-        self.layer_arg = Vec::new();
-        self.layer_off = Vec::new();
-    }
-
-    /// Empties every slab while keeping its capacity, and seeds the offset
-    /// sentinels. O(1) amortised — nothing is dropped or allocated.
-    pub(crate) fn reset(&mut self) {
-        self.m.clear();
-        self.used_r.clear();
-        self.m_off.clear();
-        self.m_off.push(0);
-        self.layer_m.clear();
-        self.layer_arg.clear();
-        self.layer_off.clear();
-        self.layer_off.push(0);
-    }
-
-    /// The `m` slice of the node at order position `p`.
-    pub(crate) fn m_slice(&self, p: usize) -> &[u64] {
-        &self.m[self.m_off[p] as usize..self.m_off[p + 1] as usize]
-    }
-
-    /// Length of the `m` slice of the node at order position `p`.
-    pub(crate) fn m_len(&self, p: usize) -> usize {
-        (self.m_off[p + 1] - self.m_off[p]) as usize
-    }
-}
-
-/// The stage DP's reusable storage: the current and previous slab
-/// generations (swapped when an `rmax` widening extends the capped
-/// vectors in place) plus the small working rows of one convolution layer
-/// and of the backtracking walk. All buffers survive across stages and
-/// solves, so steady-state fallback stages allocate nothing.
-#[derive(Debug, Default)]
-pub(crate) struct DpPool {
-    /// Slabs of the pass being computed.
-    pub(crate) cur: DpSlabs,
-    /// Slabs of the previous pass over the same stage (read when
-    /// widening; garbage otherwise).
-    pub(crate) prev: DpSlabs,
-    /// Working values row of the convolution layer under construction.
-    pub(crate) conv_m: Vec<u64>,
-    /// Working argmin row of the convolution layer under construction.
-    pub(crate) conv_arg: Vec<u32>,
-    /// Participating-children buffer of the backtracking walk.
-    pub(crate) kids: Vec<u32>,
-    /// Per-layer length buffer of the backtracking walk.
-    pub(crate) layer_lens: Vec<usize>,
-    /// Backtracking stack of `(node, replicas)` frames.
-    pub(crate) stack: Vec<(u32, usize)>,
-    /// Per-child split buffer of the backtracking walk.
-    pub(crate) splits: Vec<usize>,
-}
-
-/// Summary of the most recently committed stage's collected scope — the
-/// shared-scope-collection cache of `crate::stage` (see the "warm-started
-/// stages" notes in that module's docs). When the *next* stage's closure
-/// walk first touches any node of the cached forest, and the strict
-/// validity guards hold (consecutive stage stamp, no cached client's
-/// deadline escaping above the cached root, assignment graph spanning the
-/// whole scope), the walk absorbs the entire summary in one linear replay
-/// instead of re-crossing every replica and re-walking every client path.
-/// Invalidation is stamp-based: any intervening stage bumps
-/// [`SolverScratch::stage_id`], so the consecutive-stamp guard fails and
-/// the entry is dead — no explicit clearing needed beyond the per-solve
-/// reset.
-#[derive(Debug, Default)]
-pub(crate) struct ScopeCache {
-    /// Root of the cached stage (`u32::MAX` = empty slot).
-    pub(crate) root: u32,
-    /// [`SolverScratch::stage_id`] under which the cached forest was last
-    /// sealed — both the consecutive-stage validity guard (`stamp + 1 ==`
-    /// the collecting stage's id) and the membership test (a node belongs
-    /// to the cached forest iff its `active_mark` still equals `stamp`).
-    pub(crate) stamp: u32,
-    /// The cached pool: every client the stage's commit routed, with its
-    /// total committed volume (what a re-collection would absorb).
-    pub(crate) clients: Vec<(u32, u64)>,
-    /// Every replica of the cached scope — the stage's collected
-    /// `existing` plus the placements it committed — sorted by node id
-    /// (the collection's membership test is a binary search).
-    pub(crate) replicas: Vec<u32>,
-    /// Total committed volume (Σ over `clients`) — the collected-volume
-    /// contribution of a replay, priced against the commit counters.
-    pub(crate) collected: u64,
-    /// Build-time work buffer: the commit log sorted by client.
-    pub(crate) log_buf: Vec<CommitEntry>,
-    /// Build-time work buffer: DSU parents for the spanning check.
-    pub(crate) dsu: Vec<u32>,
 }
 
 /// Reusable state for all three algorithms (see the module docs).
@@ -393,36 +257,9 @@ pub struct SolverScratch {
     pub(crate) dp_demand: Vec<u64>,
     /// Clients with non-zero [`SolverScratch::dp_demand`].
     pub(crate) dp_clients: Vec<u32>,
-    /// Pooled slab storage of every stage-DP pass (see [`DpPool`]).
-    pub(crate) dp_pool: DpPool,
-    /// Pooled storage of the sparse (chain-specialised) stage-DP pass
-    /// (see [`crate::stage::chain_dp`]).
+    /// Pooled storage of the sparse stage-DP pass (see
+    /// [`crate::stage::chain_dp`]).
     pub(crate) sdp: crate::stage::chain_dp::SparseDp,
-
-    // --- warm-started stage search (see `crate::stage`) ---
-    /// Root of the most recently committed stage (`u32::MAX` when none) —
-    /// the warm slot consulted by the next stage's search.
-    pub(crate) warm_root: u32,
-    /// New replicas the warm slot's stage committed — the seed for the DP
-    /// fallback's widening schedule when the scopes overlap.
-    pub(crate) warm_rmax: u32,
-    /// Whether the *current* stage's scope absorbed the warm slot's root
-    /// (computed once per stage, right after scope collection).
-    pub(crate) warm_hit: bool,
-    /// Test-only switch: the warm-overlap predicate is recomputed by a
-    /// linear membership scan of the active forest instead of the O(1)
-    /// stamp test. Same value by construction (pinned by
-    /// `tests/proptest_warm_start.rs`); survives
-    /// [`SolverScratch::prepare_multiple_bin`] like
-    /// [`SolverScratch::naive_stage_commit`].
-    pub(crate) naive_warm_start: bool,
-    /// Test-only switch: drop the warm slot after every stage, so warm
-    /// seeding never fires (the reference trajectory the warm-start
-    /// differential proptests compare against).
-    pub(crate) warm_start_disabled: bool,
-    /// Shared scope collection: the last committed stage's scope summary
-    /// (see [`ScopeCache`]).
-    pub(crate) scope_cache: ScopeCache,
 
     // --- single-gen state ---
     /// Pending `(client, requests)` fragments per node.
@@ -462,32 +299,20 @@ impl SolverScratch {
         self.naive_stage_commit = naive;
     }
 
-    /// Test-only window on the warm-started stage search: with `naive` set,
-    /// the warm-overlap predicate is recomputed by a linear membership scan
-    /// of the active forest instead of the O(1) stamp test, and the two are
-    /// asserted equal in debug builds. The search trajectory — and hence
-    /// every placement, assignment and [`StageStats`] counter — is
-    /// identical by construction; `tests/proptest_warm_start.rs` pins that
-    /// equivalence. Hidden: not part of the crate's API surface.
+    /// No-op kept so the benchmark harness keeps building: its only
+    /// caller is `reference_replicas` in `perfbench/src/cold.rs`.
+    /// Hidden: not part of the crate's API surface.
     #[doc(hidden)]
-    pub fn set_naive_warm_start(&mut self, naive: bool) {
-        self.naive_warm_start = naive;
-    }
+    pub fn set_naive_warm_start(&mut self, _naive: bool) {}
 
-    /// Test-only window: drops the warm slot after every stage, so warm
-    /// seeding never fires. Solutions are unchanged (the widening schedule
-    /// is result-independent — see the cap-independence notes in
-    /// `stage/dp.rs`); only the pass counters move. The warm-start
-    /// differential proptests compare against this reference. Hidden: not
-    /// part of the crate's API surface.
+    /// No-op kept so the benchmark harness keeps building: its only
+    /// caller is `reference_replicas` in `perfbench/src/cold.rs`.
+    /// Hidden: not part of the crate's API surface.
     #[doc(hidden)]
-    pub fn set_warm_start_disabled(&mut self, disabled: bool) {
-        self.warm_start_disabled = disabled;
-    }
+    pub fn set_warm_start_disabled(&mut self, _disabled: bool) {}
 
-    /// Releases the bulk pooled slabs a solve can leave behind — the dense
-    /// stage-DP generations, the sparse-DP segment slabs and the scope
-    /// cache — returning their memory to the allocator. The per-node sweep
+    /// Releases the sparse stage-DP segment slabs a solve can leave
+    /// behind, returning their memory to the allocator. The per-node sweep
     /// slabs (pending lists, assignment rows, router rows) are kept: they
     /// are sized by the loaded arena and the next solve needs them at full
     /// size anyway. Callers that solve instances of wildly different sizes
@@ -495,20 +320,7 @@ impl SolverScratch {
     /// this between cells so a small cell is not billed for the peak
     /// footprint of a huge one.
     pub fn shrink_to_fit_slabs(&mut self) {
-        self.dp_pool.cur.release();
-        self.dp_pool.prev.release();
-        self.dp_pool.conv_m = Vec::new();
-        self.dp_pool.conv_arg = Vec::new();
-        self.dp_pool.kids = Vec::new();
-        self.dp_pool.layer_lens = Vec::new();
-        self.dp_pool.stack = Vec::new();
-        self.dp_pool.splits = Vec::new();
         self.sdp.shrink_to_fit();
-        self.scope_cache.clients = Vec::new();
-        self.scope_cache.replicas = Vec::new();
-        self.scope_cache.log_buf = Vec::new();
-        self.scope_cache.dsu = Vec::new();
-        self.scope_cache.root = u32::MAX;
     }
 
     /// Read-only view of the instance arena currently loaded in this
@@ -566,7 +378,7 @@ impl SolverScratch {
     }
 
     /// Sizes and resets every Multiple-policy slab (sweep state, stage
-    /// state, router rows, DP pool bookkeeping) for the loaded arena.
+    /// state, router rows) for the loaded arena.
     /// Called once per solve; deadlines are computed separately by
     /// [`SolverScratch::prepare_deadlines`].
     pub(crate) fn prepare_multiple_bin(&mut self) {
@@ -603,10 +415,6 @@ impl SolverScratch {
         self.spare_nodes.clear();
         self.breakdown.clear();
         self.dp_clients.clear();
-        self.warm_root = u32::MAX;
-        self.warm_rmax = 0;
-        self.warm_hit = false;
-        self.scope_cache.root = u32::MAX;
     }
 
     /// Builds the stage's *active forest* — the union of the `sources`

@@ -535,10 +535,6 @@ pub(crate) fn try_replay(s: &mut SolverScratch, ctx: &mut ServeCtx, j: u32) -> b
         demand_clients.clear();
     }
     s.stats.absorb(&rec.stats);
-    // The replayed commit is a commit like any other: hand the warm slot
-    // and the scope-cache summary to the next stage, exactly as the cold
-    // search path does after its flush.
-    crate::stage::note_stage_committed_parts(s, j, &rec.best_set, &rec.commit_log);
     ctx.next.insert(j, rec);
     ctx.reused += 1;
     true
@@ -590,8 +586,8 @@ pub(crate) fn record_stage(
     }
     let mut stats = stats_delta(&s.stats, pre);
     debug_assert_eq!(
-        (stats.stages, stats.commit_touched, stats.commit_skipped, stats.scope_cache_hits),
-        (0, 0, 0, 0),
+        (stats.stages, stats.commit_touched, stats.commit_skipped),
+        (0, 0, 0),
         "live-recomputed counters precede the search phase"
     );
     stats.router_carried_peak = stage_peak;
@@ -642,8 +638,7 @@ fn stats_delta(post: &StageStats, pre: &StageStats) -> StageStats {
         commit_skipped: post.commit_skipped - pre.commit_skipped,
         router_carry_merges: post.router_carry_merges - pre.router_carry_merges,
         router_carried_peak: 0,
-        scope_cache_hits: post.scope_cache_hits - pre.scope_cache_hits,
-        warm_seeds_used: post.warm_seeds_used - pre.warm_seeds_used,
+        scope_cache_hits: 0,
     }
 }
 

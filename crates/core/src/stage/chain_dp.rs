@@ -1,6 +1,7 @@
-//! Sparse (chain-specialised) form of the stage dynamic program.
+//! The stage dynamic program as a sparse convex pass.
 //!
-//! Every per-node vector `m_v(r)` that [`super::dp`]'s dense pass builds is
+//! Every per-node vector `m_v(r)` of the stage DP ([`super::dp`]) — the
+//! table a dense min-plus pass over the active forest would build — is
 //! **convex, non-increasing, and drops by at most `W` per step**:
 //!
 //! * a client singleton `[own]` has no steps;
@@ -21,8 +22,7 @@
 //! step `W`, which merges into one segment, while clamp residuals are cut
 //! away as soon as the value floors at zero. The whole pass is then
 //! O(|active| · segments) instead of the dense O(|active| · rmax), with a
-//! per-node slab of a few words instead of `rmax` cells — this is what
-//! turns the spine NoD family's multi-GB dense slab into kilobytes.
+//! per-node slab of a few words instead of `rmax` cells.
 //!
 //! **Exactness.** The sparse pass reproduces the dense table *bit for bit*
 //! (pinned by `proptest_stage_dp`): values by the convex-merge argument
@@ -43,18 +43,11 @@
 //!   the first `rp` where `ΔG(rp) ≥ 0` — found by binary search over the
 //!   two step sequences.
 //!
-//! When a node's merged segment list outgrows [`SEG_CAP`] (only reachable
-//! on forests dense with distinct replica spares), the pass bails out and
-//! the caller runs the dense slab pass instead — the switch is a
-//! deterministic function of the stage, so solves stay reproducible.
+//! The pass is total: a node's segment count is bounded by its strict-step
+//! count, which never exceeds the dense vector's length, so the sparse
+//! form is never asymptotically worse than a dense table.
 
 use rp_tree::Requests;
-
-/// Bail-out bound on the per-node segment count. Generous: the families
-/// the sparse pass targets stay under a dozen segments, while anything
-/// that genuinely needs hundreds of distinct steps is better served by the
-/// dense slabs (its vectors are then not materially sparse anyway).
-pub(crate) const SEG_CAP: usize = 96;
 
 /// One convex vector: `m(r) = v0 − Σ` of the first `min(r, strict)` steps,
 /// for `r` in `0..len`, where the steps are `cnt[i]` copies of `step[i]`
@@ -198,14 +191,12 @@ fn clamp_total(cnt: &mut Vec<u32>, step: &mut Vec<u64>, budget: u64) {
     }
 }
 
-/// The sparse stage DP: identical inputs and outputs to one *uncapped*
-/// dense pass (`rmax` = free nodes of the forest). Returns `None` when a
-/// segment list outgrows [`SEG_CAP`] — the caller must then run the dense
-/// pass. Otherwise `Some(Ok(rmin))` with the placement in `best_set`
-/// (computed only when `rmin ≤ r_budget`, mirroring a dense pass capped at
-/// `r_budget` that leaves `best_set` untouched on failure), or
-/// `Some(Err(leftover))` with the flat tail value when even a replica on
-/// every free node leaves volume unserved.
+/// The sparse stage DP: identical outputs to one *uncapped* dense pass
+/// (`rmax` = free nodes of the forest). Returns `Ok(rmin)` with the
+/// placement in `best_set` (computed only when `rmin ≤ r_budget`, mirroring
+/// a dense pass capped at `r_budget` that leaves `best_set` untouched on
+/// failure), or `Err(leftover)` with `m_j(r_budget)` — the flat tail value
+/// when even a replica on every free node leaves volume unserved.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sparse_dp(
     arena: &rp_tree::arena::TreeArena,
@@ -222,7 +213,7 @@ pub(crate) fn sparse_dp(
     node_visits: &mut u64,
     pos: &impl Fn(u32) -> usize,
     child_ok: &impl Fn(u32) -> bool,
-) -> Option<Result<usize, u64>> {
+) -> Result<usize, u64> {
     sp.reset(order.len());
     for &v in order {
         *node_visits += 1;
@@ -269,9 +260,6 @@ pub(crate) fn sparse_dp(
             }
             std::mem::swap(&mut sp.wcnt, &mut sp.tcnt);
             std::mem::swap(&mut sp.wstep, &mut sp.tstep);
-            if sp.wcnt.len() > SEG_CAP {
-                return None;
-            }
         }
 
         // --- apply the node itself ---
@@ -309,13 +297,13 @@ pub(crate) fn sparse_dp(
     let strict = root.strict();
     let floor = root.value_at(strict);
     if floor != 0 {
-        return Some(Err(floor));
+        return Err(floor);
     }
     let rmin = strict;
     if rmin > r_budget {
         // A dense pass capped at `r_budget` would report the leftover at
         // its horizon and leave `best_set` untouched.
-        return Some(Err(root.value_at(r_budget)));
+        return Err(root.value_at(r_budget));
     }
 
     // --- backtrack: replay the dense tie-breaks in closed form ---
@@ -395,12 +383,12 @@ pub(crate) fn sparse_dp(
         }
         debug_assert_eq!(rest, 0);
     }
-    Some(Ok(rmin))
+    Ok(rmin)
 }
 
 /// Test-support: the dense table of the node at order position `p`,
 /// reconstructed entry by entry from its segment rep (the shape
-/// `proptest_stage_dp` compares against the dense slabs).
+/// `proptest_stage_dp` compares against its dense reference DP).
 #[doc(hidden)]
 pub(crate) fn root_table(sp: &SparseDp, p: usize) -> Vec<u64> {
     let rep = sp.rep(p);

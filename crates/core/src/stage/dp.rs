@@ -15,53 +15,29 @@
 //!   assignments kept fixed, exactly as in the paper's oversized-stage
 //!   regime.
 //!
-//! Both modes run the same size-capped min-plus convolution ([`dp_core`])
-//! over the stage's **active forest** — the union of the demand clients'
-//! paths to the stage root, computed once per stage in `stage/mod.rs` —
-//! never the whole subtree. The restriction is exact: a free node whose
-//! subtree holds no stage demand can never reduce pass-up volume (its
-//! `m ≡ 0` already), and an off-forest existing replica is an ancestor of
-//! no demanding client, so its spare is unusable under the Multiple
-//! policy. A pass is therefore O(|active| · rmax), not O(|subtree| · rmax).
+//! Both modes run one sparse convex pass (`super::chain_dp`) over the
+//! stage's **active forest** — the union of the demand clients' paths to
+//! the stage root, computed once per stage in `stage/mod.rs` — never the
+//! whole subtree. The restriction is exact: a free node whose subtree holds
+//! no stage demand can never reduce pass-up volume (its `m ≡ 0` already),
+//! and an off-forest existing replica is an ancestor of no demanding
+//! client, so its spare is unusable under the Multiple policy.
 //!
-//! All DP state lives in the pooled slabs of
-//! [`DpPool`](crate::scratch::DpPool) inside [`SolverScratch`]: one
-//! contiguous `u64` slab holds every per-node `m` vector (volumes are
-//! bounded by the tree-wide total — see the width-narrowing notes in
-//! `crate::scratch`), flat `u32` slabs hold the argmin split layers and
-//! the backtrack `used_r` redirects with the placed-a-replica flag packed
-//! into [`PLACED_BIT`], all addressed by per-position offsets and reset by
-//! truncation — a steady-state pass performs **zero heap allocation**.
-//! When the fallback has to widen `rmax`
-//! (existing full replicas can push the optimum past the volume bound), the
-//! slab generations are swapped and the capped vectors are **extended in
-//! place**: cells below the old cap are exact untruncated values, so they
-//! are copied over and only the new cells pay for min-plus work.
+//! The pass is uncapped and total, so there is no replica budget to guess
+//! and no widening schedule: one pass per call decides the optimum and its
+//! tie-broken placement. Its state lives in the pooled segment slabs of
+//! [`SolverScratch`], so a steady-state pass allocates nothing.
 
 use crate::error::SolveError;
-use crate::scratch::{DpPool, SolverScratch};
+use crate::scratch::SolverScratch;
 use crate::stage::PendingRequest;
 use rp_tree::{NodeId, Requests};
-
-/// Large-but-safe sentinel for infeasible dynamic-program states: ≈ 2⁶³,
-/// strictly above every genuine volume (≤ the tree-wide total ≤ 2⁶², see
-/// the width-narrowing notes in `crate::scratch`), with enough headroom
-/// that `genuine + INFEASIBLE < u64::MAX` never wraps before the clamp.
-const INFEASIBLE: u64 = u64::MAX / 2;
-
-/// Flag bit packed into the high bit of each [`DpSlabs`](crate::scratch::DpSlabs)
-/// `used_r` cell: set when that `r` opens a replica at the node. Packing the
-/// flag saves a parallel byte-per-cell slab; sound because `rmax` is capped
-/// by the free-node count of the active forest, far below 2³¹ (asserted per
-/// pass).
-pub(crate) const PLACED_BIT: u32 = 1 << 31;
 
 /// Runs the relaxed dynamic program as a lower bound on the enumeration:
 /// the smallest `r ≤ rmax` for which the full stage demand fits `r` new
 /// replicas plus the existing ones at full capacity, ignoring deadlines.
 /// Runs over the stage's active forest — the enumeration only ever places
-/// on active nodes, so the bound stays valid (and tighter) while the pass
-/// is O(|active| · rmax) instead of O(|subtree| · rmax). The minimising
+/// on active nodes, so the bound stays valid (and tighter). The minimising
 /// placement is left in `scratch.best_set` (a seed for the incumbent).
 /// `None` when every `r ≤ rmax` leaves volume unserved.
 pub(crate) fn lower_bound(
@@ -70,63 +46,7 @@ pub(crate) fn lower_bound(
     j: u32,
     rmax: usize,
 ) -> Option<usize> {
-    let SolverScratch {
-        arena,
-        in_r,
-        load,
-        demand,
-        best_set,
-        active_nodes,
-        active_pos,
-        active_mark,
-        stage_id,
-        dp_pool,
-        sdp,
-        stats,
-        ..
-    } = scratch;
-    let stamp = *stage_id;
-    let pos = |v: u32| active_pos[v as usize] as usize;
-    let child_ok = |c: u32| active_mark[c as usize] == stamp;
-    // The sparse convex pass computes the same table (and the same seed
-    // placement when `rmin ≤ rmax`) in O(|active| · segments); it declines
-    // only when a segment list outgrows `chain_dp::SEG_CAP`.
-    if let Some(res) = super::chain_dp::sparse_dp(
-        arena,
-        in_r,
-        load,
-        demand,
-        best_set,
-        sdp,
-        active_nodes,
-        j,
-        cap,
-        true,
-        rmax,
-        &mut stats.dp_node_visits,
-        &pos,
-        &child_ok,
-    ) {
-        return res.ok();
-    }
-    dp_core(
-        arena,
-        in_r,
-        load,
-        demand,
-        best_set,
-        dp_pool,
-        active_nodes,
-        j,
-        rmax,
-        cap,
-        true,
-        None,
-        &mut stats.dp_node_visits,
-        &pos,
-        &child_ok,
-    )
-    .ok()
+    sparse_pass(scratch, cap, j, false, rmax).ok()
 }
 
 /// Reassignment-free fallback for oversized stages: dynamic program over the
@@ -145,7 +65,6 @@ pub(crate) fn fallback_placement(
     j: u32,
     stuck: &[PendingRequest],
 ) -> Result<(), SolveError> {
-    let cap = w;
     {
         let s = &mut *scratch;
         s.dp_clients.clear();
@@ -156,447 +75,98 @@ pub(crate) fn fallback_placement(
             s.dp_demand[t.client as usize] += t.w;
         }
     }
-    // Narrow the forest to the *stuck* clients' paths for the DP passes:
-    // a free node off every stuck path has `m ≡ 0` and an off-path
-    // existing replica's spare absorbs no stuck volume, so neither can be
-    // part of a minimum placement (handing either a replica share would
-    // make the stage feasible with fewer — contradicting `rmin`'s
-    // first-zero minimality). The DP therefore returns the same `rmin`
-    // and the same placement as over the stage's full scope forest, at a
-    // fraction of the O(|forest| · rmax) pass cost. The caller restores
-    // the scope forest before the commit route.
-    scratch.stage_id += 1;
-    let dp_clients = std::mem::take(&mut scratch.dp_clients);
-    scratch.build_active_forest(j, &dp_clients);
-    scratch.dp_clients = dp_clients;
-    let total: u64 = scratch.dp_clients.iter().map(|&c| scratch.dp_demand[c as usize]).sum();
-    // No `r` beyond the active forest's free-node count can help: the DP's
-    // vectors are truncated there (a subtree cannot host more new replicas
-    // than it has free nodes), so `m_j` is flat past it.
-    let free_active = scratch.active_nodes.iter().filter(|&&u| !scratch.in_r[u as usize]).count();
-    // The sparse convex pass needs no size cap (its per-node storage is a
-    // few segments, not `rmax` cells), so it runs uncapped once — no
-    // widening schedule, no slab growth — and is exact whenever it
-    // completes. It declines (`None`) only when a segment list outgrows
-    // `chain_dp::SEG_CAP`; the dense capped-and-widened loop below is then
-    // the fallback's fallback.
-    let sparse = {
-        let SolverScratch {
-            arena,
-            in_r,
-            load,
-            dp_demand,
-            best_set,
-            active_nodes,
-            active_pos,
-            active_mark,
-            stage_id,
-            sdp,
-            stats,
-            ..
-        } = &mut *scratch;
-        let stamp = *stage_id;
-        super::chain_dp::sparse_dp(
-            arena,
-            in_r,
-            load,
-            dp_demand,
-            best_set,
-            sdp,
-            active_nodes,
-            j,
-            cap,
-            false,
-            free_active,
-            &mut stats.dp_node_visits,
-            &|v| active_pos[v as usize] as usize,
-            &|c| active_mark[c as usize] == stamp,
-        )
-    };
-    let mut rmax = free_active;
-    let found = if let Some(res) = sparse {
-        res.is_ok()
-    } else {
-        // ⌈V/W⌉ is usually enough; obstructions by existing full replicas
-        // can push the optimum higher, so widen on demand.
-        rmax = ((total.div_ceil(cap) as usize) + 2).min(free_active);
-        // Warm start (see the module docs of `stage`): when the previous
-        // committed stage's root sits inside this stage's scope, its
-        // committed size is an informed guess at the capacity obstruction
-        // the volume bound cannot see — seed the schedule there and skip
-        // the widening rounds that would rediscover it. Result-safe by
-        // cap-independence: the initial `rmax` only shapes the widening
-        // schedule, never the surviving placement.
-        if scratch.warm_hit {
-            let warm = (scratch.warm_rmax as usize).min(free_active);
-            if warm > rmax {
-                rmax = warm;
-                scratch.stats.warm_seeds_used += 1;
-            }
-        }
-        let mut widen_from = None;
-        loop {
-            match run_strict_dp(scratch, cap, j, rmax, widen_from) {
-                Ok(_) => break true,
-                Err(leftover) => {
-                    if rmax >= free_active {
-                        break false;
-                    }
-                    // Informed widening: one extra replica absorbs at most
-                    // `W` of the leftover, so `rmin ≥ rmax + ⌈leftover/W⌉`
-                    // — jump straight there instead of doubling (the jump
-                    // is usually exact, and overshooting is what makes
-                    // widening passes expensive). A 9/8 geometric floor
-                    // guarantees progress towards `free_active` when the
-                    // bound increments slowly.
-                    let informed = rmax + (leftover.div_ceil(cap) as usize).max(1);
-                    widen_from = Some(rmax);
-                    rmax = informed.max(rmax + rmax / 8).min(free_active);
-                }
-            }
-        }
-    };
+    let (rmin, free_active) = strict_pass(scratch, w, j);
     let s = &mut *scratch;
     for &c in s.dp_clients.iter() {
         s.dp_demand[c as usize] = 0;
     }
     s.dp_clients.clear();
-    if found {
-        Ok(())
-    } else {
-        Err(SolveError::StageDpExhausted { node: NodeId(j), rmax: rmax as u64 })
+    match rmin {
+        Some(_) => Ok(()),
+        None => Err(SolveError::StageDpExhausted { node: NodeId(j), rmax: free_active as u64 }),
     }
 }
 
-/// The strict (fallback) configuration of [`dp_core`]: demand is the stuck
-/// volume, existing replicas contribute only their spare, and the pass
-/// walks the stage's active forest. `widen_from` carries the previous
-/// pass's `rmax` when the capped vectors are being extended in place.
-fn run_strict_dp(
+/// Builds the stuck forest and runs the strict pass over it: demand is the
+/// `dp_demand` rows of `dp_clients`, existing replicas contribute only
+/// their spare. Returns the minimum replica count (placement in
+/// `best_set`), if any, and the forest's free-node count — the pass is
+/// uncapped, since no `r` beyond that count can help.
+///
+/// The forest is narrowed to the *stuck* clients' paths: a free node off
+/// every stuck path has `m ≡ 0` and an off-path existing replica's spare
+/// absorbs no stuck volume, so neither can be part of a minimum placement
+/// (handing either a replica share would make the stage feasible with
+/// fewer — contradicting `rmin`'s first-zero minimality). The pass
+/// therefore returns the same `rmin` and placement as over the stage's
+/// full scope forest, which the caller restores before the commit route.
+fn strict_pass(scratch: &mut SolverScratch, cap: u64, j: u32) -> (Option<usize>, usize) {
+    scratch.stage_id += 1;
+    let dp_clients = std::mem::take(&mut scratch.dp_clients);
+    scratch.build_active_forest(j, &dp_clients);
+    scratch.dp_clients = dp_clients;
+    let free_active = scratch.active_nodes.iter().filter(|&&u| !scratch.in_r[u as usize]).count();
+    (sparse_pass(scratch, cap, j, true, free_active).ok(), free_active)
+}
+
+/// One sparse pass over the current active forest. Relaxed mode reads the
+/// stage `demand` rows with existing replicas at full capacity; strict
+/// mode reads the stuck `dp_demand` rows with existing replicas at their
+/// spare.
+fn sparse_pass(
     scratch: &mut SolverScratch,
     cap: u64,
     j: u32,
-    rmax: usize,
-    widen_from: Option<usize>,
+    strict: bool,
+    r_budget: usize,
 ) -> Result<usize, u64> {
     let SolverScratch {
         arena,
         in_r,
         load,
+        demand,
         dp_demand,
         best_set,
         active_nodes,
         active_pos,
         active_mark,
         stage_id,
-        dp_pool,
+        sdp,
         stats,
         ..
     } = scratch;
     let stamp = *stage_id;
-    dp_core(
+    super::chain_dp::sparse_dp(
         arena,
         in_r,
         load,
-        dp_demand,
+        if strict { dp_demand } else { demand },
         best_set,
-        dp_pool,
+        sdp,
         active_nodes,
         j,
-        rmax,
         cap,
-        false,
-        widen_from,
+        !strict,
+        r_budget,
         &mut stats.dp_node_visits,
         &|v| active_pos[v as usize] as usize,
         &|c| active_mark[c as usize] == stamp,
     )
 }
 
-/// One pass of the stage dynamic program over `order` (a post-order node
-/// sequence; `pos` maps a node to its index, `child_ok` filters the
-/// children that participate): `m_u(r)` is the minimal volume that must
-/// leave `u`'s part of the forest when `r` new replicas are opened inside
-/// it, given the replicas already placed. Children combine by min-plus
-/// convolution; a free node may spend one replica to subtract `W`; an
-/// existing replica contributes for free — its spare capacity in strict
-/// mode (`full_cap_existing = false`), its whole capacity in the
-/// re-routing relaxation. Exact for the fungible volume because distances
-/// never bind moving towards a client.
-///
-/// Every vector is truncated to min(free nodes of its part, `rmax`) + 1
-/// entries — the classic size-capped tree-knapsack bound, which keeps the
-/// whole pass at O(|order| · rmax) instead of O(|order| · rmax²). Entries
-/// below the cap are exactly the untruncated values, which is what makes
-/// the `widen_from` extension sound: when the caller re-runs the pass with
-/// a larger `rmax`, cells below the old cap are copied from the previous
-/// slab generation (left in `pool.prev` by the caller's swap — see
-/// [`DpPool`]) and only the newly uncovered cells run the convolution.
-///
-/// Returns the smallest `r ≤ rmax` reaching `m_j(r) = 0` (placement
-/// written to `best_set`), or the leftover volume `m_j(rmax)` — the
-/// fallback turns it into the informed widening bound
-/// `rmin ≥ rmax + ⌈leftover / W⌉` (one replica absorbs at most `W`).
-#[allow(clippy::too_many_arguments)]
-fn dp_core(
-    arena: &rp_tree::arena::TreeArena,
-    in_r: &[bool],
-    load: &[Requests],
-    demand: &[u64],
-    best_set: &mut Vec<u32>,
-    pool: &mut DpPool,
-    order: &[u32],
-    j: u32,
-    rmax: usize,
-    cap: u64,
-    full_cap_existing: bool,
-    widen_from: Option<usize>,
-    node_visits: &mut u64,
-    pos: &impl Fn(u32) -> usize,
-    child_ok: &impl Fn(u32) -> bool,
-) -> Result<usize, u64> {
-    assert!(rmax < PLACED_BIT as usize, "replica budgets fit below the packed placed flag");
-    if widen_from.is_some() {
-        // The previous pass's slabs become the copy source; its buffers are
-        // recycled as the new current generation.
-        std::mem::swap(&mut pool.cur, &mut pool.prev);
-    }
-    let DpPool { cur, prev, conv_m, conv_arg, .. } = pool;
-    cur.reset();
-    let cap_r = rmax + 1;
-    let old_cap_r = widen_from.map(|r| r + 1);
-
-    for (p, &v) in order.iter().enumerate() {
-        *node_visits += 1;
-        let vi = v as usize;
-        let own = demand[vi];
-
-        // --- min-plus convolution over the participating children ---
-        // The running "base" vector is the previous layer written into the
-        // layer slab (`prev_start`), or the `[own]` singleton before the
-        // first child. Each layer's values are needed again both by the
-        // next layer and by a later widening pass, so they are stored, not
-        // just the argmins.
-        let own_row = [own];
-        let mut prev_len = 1usize;
-        let mut prev_start = usize::MAX; // MAX = base is the `[own]` singleton
-        let mut old_prev_len = 1usize;
-        let mut old_layer_at = old_cap_r.map(|_| prev.layer_off[p] as usize);
-        for &c in arena.children(v) {
-            if !child_ok(c) {
-                continue;
-            }
-            let cp = pos(c);
-            let mc_start = cur.m_off[cp] as usize;
-            let mc = &cur.m[mc_start..cur.m_off[cp + 1] as usize];
-            let len = (prev_len + mc.len() - 1).min(cap_r);
-            conv_m.clear();
-            conv_m.resize(len, INFEASIBLE);
-            conv_arg.clear();
-            conv_arg.resize(len, 0);
-
-            // Copy the cells the previous (smaller-cap) pass already
-            // computed: below its cap they are exact, argmins included.
-            let mut computed_from = 0usize;
-            if let (Some(oc), Some(at)) = (old_cap_r, old_layer_at.as_mut()) {
-                let old_mc_len = (prev.m_off[cp + 1] - prev.m_off[cp]) as usize;
-                let old_len = (old_prev_len + old_mc_len - 1).min(oc);
-                let copy = old_len.min(len);
-                conv_m[..copy].copy_from_slice(&prev.layer_m[*at..*at + copy]);
-                conv_arg[..copy].copy_from_slice(&prev.layer_arg[*at..*at + copy]);
-                *at += old_len;
-                old_prev_len = old_len;
-                computed_from = copy;
-            }
-            // Min-plus over the remaining cells, `rp` ascending then `sc`
-            // ascending (the historical pair order — argmin ties keep the
-            // largest child share). Cells `< computed_from` are skipped by
-            // starting each row at the first `sc` reaching them.
-            let base: &[u64] = if prev_start == usize::MAX {
-                &own_row
-            } else {
-                &cur.layer_m[prev_start..prev_start + prev_len]
-            };
-            for (rp, &vp) in base.iter().enumerate() {
-                if rp >= len {
-                    break;
-                }
-                let sc0 = computed_from.saturating_sub(rp);
-                if sc0 >= mc.len() {
-                    continue; // this row cannot reach any cell ≥ computed_from
-                }
-                for (i, &vc) in mc[sc0..(len - rp).min(mc.len())].iter().enumerate() {
-                    let r = rp + sc0 + i;
-                    // Clamp to the sentinel: a sum with an INFEASIBLE side
-                    // must stay exactly INFEASIBLE, never a larger value the
-                    // feasibility tests below would misread. Two genuine
-                    // sides sum over disjoint demand, so their sum is ≤ the
-                    // tree-wide total ≤ 2⁶² — below the 2⁶³ sentinel — and
-                    // the clamp never distorts a feasible cell (debug-checked
-                    // in 128-bit below).
-                    let val = vp.saturating_add(vc).min(INFEASIBLE);
-                    debug_assert!(
-                        vp >= INFEASIBLE
-                            || vc >= INFEASIBLE
-                            || (vp as u128 + vc as u128) < INFEASIBLE as u128,
-                        "genuine volumes must stay below the narrowed sentinel"
-                    );
-                    if val < conv_m[r] {
-                        conv_m[r] = val;
-                        conv_arg[r] = (sc0 + i) as u32;
-                    }
-                }
-            }
-            prev_start = cur.layer_m.len();
-            prev_len = len;
-            cur.layer_m.extend_from_slice(conv_m);
-            cur.layer_arg.extend_from_slice(conv_arg);
-        }
-        cur.layer_off.push(cur.layer_m.len() as u32);
-
-        // --- apply the node itself; a free node adds one more useful slot ---
-        let own_slot = usize::from(!in_r[vi]);
-        let mlen = (prev_len + own_slot).min(cap_r);
-        let m_start = cur.m.len();
-        let mut computed_from = 0usize;
-        if old_cap_r.is_some() {
-            let old_mlen = (prev.m_off[p + 1] - prev.m_off[p]) as usize;
-            let copy = old_mlen.min(mlen);
-            let o = prev.m_off[p] as usize;
-            cur.m.extend_from_slice(&prev.m[o..o + copy]);
-            cur.used_r.extend_from_slice(&prev.used_r[o..o + copy]);
-            computed_from = copy;
-        }
-        let base = |r: usize| -> u64 {
-            if r >= prev_len {
-                return INFEASIBLE;
-            }
-            if prev_start == usize::MAX {
-                own
-            } else {
-                cur.layer_m[prev_start + r]
-            }
-        };
-        for r in computed_from..mlen {
-            let mut slot = INFEASIBLE;
-            let mut was_placed = false;
-            if in_r[vi] {
-                // Existing replica: spare capacity in strict mode, full
-                // capacity in the re-routing relaxation.
-                let spare = if full_cap_existing { cap } else { cap - load[vi] };
-                if r < prev_len {
-                    // An INFEASIBLE base must stay INFEASIBLE: subtracting
-                    // the spare from the sentinel would *lower* it below the
-                    // sentinel and fabricate a feasible-looking cell.
-                    let b = base(r);
-                    slot = if b < INFEASIBLE { b.saturating_sub(spare) } else { INFEASIBLE };
-                }
-            } else {
-                let keep = base(r);
-                let place = if r >= 1 {
-                    // Same sentinel guard as the existing-replica branch.
-                    let b = base(r - 1);
-                    if b < INFEASIBLE {
-                        b.saturating_sub(cap)
-                    } else {
-                        INFEASIBLE
-                    }
-                } else {
-                    INFEASIBLE
-                };
-                // Prefer placing on ties: capacity high in the subtree can
-                // also serve travelling requests later.
-                if place <= keep && place < INFEASIBLE {
-                    slot = place;
-                    was_placed = true;
-                } else {
-                    slot = keep;
-                }
-            }
-            cur.m.push(slot);
-            cur.used_r.push(r as u32 | if was_placed { PLACED_BIT } else { 0 });
-        }
-        // Monotonicity: extra replicas never hurt (leave them unused). The
-        // copied prefix is already monotone, so the sweep is a no-op there.
-        for r in 1..mlen {
-            let (i, h) = (m_start + r, m_start + r - 1);
-            if cur.m[i] > cur.m[h] {
-                cur.m[i] = cur.m[h];
-                cur.used_r[i] = cur.used_r[h];
-            }
-        }
-        cur.m_off.push(cur.m.len() as u32);
-    }
-
-    let m_root = cur.m_slice(order.len() - 1);
-    let Some(rmin) = (0..m_root.len()).find(|&r| m_root[r] == 0) else {
-        // Monotone, so the last entry is the best the cap allows.
-        return Err(*m_root.last().expect("the forest is non-empty"));
-    };
-
-    // Collect the nodes where the chosen solution opens new replicas:
-    // unwind the node layer, then the child convolution layers in reverse.
-    // Layer lengths are recomputed from the children's `m` lengths (the
-    // slabs store one offset per node, not per layer).
-    best_set.clear();
-    let DpPool { cur, kids, layer_lens, stack, splits, .. } = pool;
-    stack.clear();
-    stack.push((j, rmin));
-    while let Some((v, r)) = stack.pop() {
-        let p = pos(v);
-        let m_start = cur.m_off[p] as usize;
-        // The monotonicity sweep copies `used_r` cells whole, so the
-        // packed cell already carries the realized `r` *and* its placed
-        // flag (historically read at the redirected index — identical, as
-        // the copy propagates both together).
-        let packed = cur.used_r[m_start + r];
-        let r = (packed & !PLACED_BIT) as usize;
-        let placed = packed & PLACED_BIT != 0;
-        if placed {
-            best_set.push(v);
-        }
-        let mut rest = r - usize::from(placed);
-        kids.clear();
-        kids.extend(arena.children(v).iter().copied().filter(|&c| child_ok(c)));
-        layer_lens.clear();
-        let mut base_len = 1usize;
-        for &c in kids.iter() {
-            base_len = (base_len + cur.m_len(pos(c)) - 1).min(rmax + 1);
-            layer_lens.push(base_len);
-        }
-        debug_assert_eq!(
-            cur.layer_off[p] as usize + layer_lens.iter().sum::<usize>(),
-            cur.layer_off[p + 1] as usize
-        );
-        splits.clear();
-        let mut layer_start = cur.layer_off[p + 1] as usize;
-        for k in (0..kids.len()).rev() {
-            layer_start -= layer_lens[k];
-            let sc = cur.layer_arg[layer_start + rest] as usize;
-            rest -= sc;
-            splits.push(sc);
-        }
-        for (i, &c) in kids.iter().enumerate() {
-            stack.push((c, splits[kids.len() - 1 - i]));
-        }
-    }
-    Ok(rmin)
-}
-
 /// Test-only window into the strict stage DP, so the integration proptests
-/// in `crates/core/tests/` can pin the pooled, forest-restricted pass (and
-/// its in-place `rmax` widening) against a naive full-subtree reference.
-/// Hidden: not part of the crate's API surface.
+/// in `crates/core/tests/` can pin the sparse pass against a dense
+/// reference. Hidden: not part of the crate's API surface.
 #[doc(hidden)]
 pub mod testing {
     use super::*;
     use rp_tree::Tree;
 
-    /// Result of one [`strict_dp`] run.
+    /// Result of one [`sparse_strict_dp`] run.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct StrictDpRun {
-        /// The stage root's `m_j(r)` table (size-capped; entries are exact
-        /// untruncated values, and the table is flat beyond the cap).
+        /// The stage root's full `m_j(r)` table (`free + 1` entries, where
+        /// `free` counts the active forest's free nodes).
         pub m_root: Vec<u64>,
         /// Smallest `r` with `m_j(r) = 0`, if any reaches zero.
         pub rmin: Option<usize>,
@@ -608,72 +178,15 @@ pub mod testing {
 
     /// Runs the strict stage DP exactly as the oversized-stage fallback
     /// drives it: active forest built from the demand rows, existing
-    /// `replicas` (node, load) contributing their spare, then one DP pass
-    /// per entry of `rmax_steps` — the first from scratch, each further
-    /// one widening the previous pass's capped vectors in place.
-    pub fn strict_dp(
-        tree: &Tree,
-        j: u32,
-        cap: u64,
-        replicas: &[(u32, u64)],
-        demand: &[(u32, u64)],
-        rmax_steps: &[usize],
-    ) -> StrictDpRun {
-        assert!(!rmax_steps.is_empty(), "at least one rmax step is required");
-        let injected: u128 = demand.iter().map(|&(_, w)| w as u128).sum();
-        assert!(
-            injected <= Tree::MAX_REQUESTS as u128,
-            "harness demand must respect the tree-wide volume bound the u64 slabs rest on"
-        );
-        let mut scratch = SolverScratch::new();
-        scratch.load_arena(tree);
-        scratch.prepare_multiple_bin();
-        for &(u, l) in replicas {
-            scratch.in_r[u as usize] = true;
-            scratch.load[u as usize] = l;
-        }
-        for &(c, w) in demand {
-            if scratch.dp_demand[c as usize] == 0 {
-                scratch.dp_clients.push(c);
-            }
-            scratch.dp_demand[c as usize] += w;
-        }
-        // Active forest: the same `SolverScratch::build_active_forest`
-        // the stage engine uses, so the harness cannot drift from the
-        // production forest shape.
-        scratch.stage_id = 1;
-        let dp_clients = std::mem::take(&mut scratch.dp_clients);
-        scratch.build_active_forest(j, &dp_clients);
-        scratch.dp_clients = dp_clients;
-
-        let mut rmin = None;
-        let mut widen_from = None;
-        for &rmax in rmax_steps {
-            rmin = run_strict_dp(&mut scratch, cap, j, rmax, widen_from).ok();
-            widen_from = Some(rmax);
-        }
-        let active_len = scratch.active_nodes.len();
-        StrictDpRun {
-            m_root: scratch.dp_pool.cur.m_slice(active_len - 1).to_vec(),
-            rmin,
-            chosen: if rmin.is_some() { scratch.best_set.clone() } else { Vec::new() },
-            active_len,
-        }
-    }
-
-    /// Runs the *sparse* (chain-specialised) strict stage DP over the same
-    /// harness as [`strict_dp`], uncapped (`rmax` = the forest's free-node
-    /// count). `None` when the pass declines (a segment list outgrew
-    /// `chain_dp::SEG_CAP` and production would run the dense slabs);
-    /// otherwise the same [`StrictDpRun`] shape with `m_root` the full
-    /// `free + 1`-entry table reconstructed from the root's segments.
+    /// `replicas` (node, load) contributing their spare, one uncapped
+    /// sparse pass.
     pub fn sparse_strict_dp(
         tree: &Tree,
         j: u32,
         cap: u64,
         replicas: &[(u32, u64)],
         demand: &[(u32, u64)],
-    ) -> Option<StrictDpRun> {
+    ) -> StrictDpRun {
         let injected: u128 = demand.iter().map(|&(_, w)| w as u128).sum();
         assert!(
             injected <= Tree::MAX_REQUESTS as u128,
@@ -692,53 +205,13 @@ pub mod testing {
             }
             scratch.dp_demand[c as usize] += w;
         }
-        scratch.stage_id = 1;
-        let dp_clients = std::mem::take(&mut scratch.dp_clients);
-        scratch.build_active_forest(j, &dp_clients);
-        scratch.dp_clients = dp_clients;
-        let free_active =
-            scratch.active_nodes.iter().filter(|&&u| !scratch.in_r[u as usize]).count();
-
-        let result = {
-            let SolverScratch {
-                arena,
-                in_r,
-                load,
-                dp_demand,
-                best_set,
-                active_nodes,
-                active_pos,
-                active_mark,
-                stage_id,
-                sdp,
-                stats,
-                ..
-            } = &mut scratch;
-            let stamp = *stage_id;
-            super::super::chain_dp::sparse_dp(
-                arena,
-                in_r,
-                load,
-                dp_demand,
-                best_set,
-                sdp,
-                active_nodes,
-                j,
-                cap,
-                false,
-                free_active,
-                &mut stats.dp_node_visits,
-                &|v| active_pos[v as usize] as usize,
-                &|c| active_mark[c as usize] == stamp,
-            )?
-        };
+        let (rmin, _) = strict_pass(&mut scratch, cap, j);
         let active_len = scratch.active_nodes.len();
-        let rmin = result.ok();
-        Some(StrictDpRun {
+        StrictDpRun {
             m_root: super::super::chain_dp::root_table(&scratch.sdp, active_len - 1),
             rmin,
             chosen: if rmin.is_some() { scratch.best_set.clone() } else { Vec::new() },
             active_len,
-        })
+        }
     }
 }

@@ -20,9 +20,9 @@
 //!   minimum-size placement;
 //! * `dp` — the fungible stage dynamic program, serving both as the
 //!   enumeration's lower bound / incumbent seed and as the exact
-//!   reassignment-free fallback for oversized stages; both modes run over
-//!   the stage's active forest on pooled slab storage
-//!   (O(|active| · rmax) per pass, no steady-state allocation).
+//!   reassignment-free fallback for oversized stages; both modes run one
+//!   uncapped sparse pass (`chain_dp`) over the stage's active forest on
+//!   pooled segment slabs (no steady-state allocation).
 //!
 //! # Incremental stage commits: the affected scope
 //!
@@ -74,74 +74,9 @@
 //! [`StageStats::commit_skipped`] counters split the subtree's assigned
 //! volume into re-routed scope volume and untouched off-scope volume.
 //!
-//! # Shared scope collection
-//!
-//! Consecutive stages climb overlapping service paths: stage `j+1`'s
-//! closure walk typically re-crosses most of what stage `j` just
-//! committed. Rather than re-absorbing that scope entry by entry, the
-//! engine caches a **summary** of each committed stage in
-//! [`SolverScratch`]'s scope cache: the committed replica set (pre-stage
-//! scope replicas ∪ the new placement, sorted by node id), every pool
-//! client's committed total, and the collected volume. The *next* stage's
-//! collection then replays the whole summary at the first organic
-//! crossing of any cached replica, and skips per-entry absorption for
-//! every cached replica it crosses afterwards; the counter is
-//! [`StageStats::scope_cache_hits`].
-//!
-//! Replay is exact because absorbing the summary early only reorders the
-//! fixpoint — it can neither add nor lose scope members. Any cached
-//! replica serving pool client `c` sits on `c`'s service path at or below
-//! `min(dl_c, q)` for the cached root `q ≤ j'`, i.e. on the segment `c`'s
-//! walk covers in the *current* stage too; so once one cached replica is
-//! crossed organically, the ordinary closure would pull in its clients,
-//! their other replicas, and so on across the cached stage's whole
-//! assignment graph. The cache builder verifies that graph is one spanning
-//! component (a DSU pass over the commit log) and refuses to cache
-//! otherwise — an idle committed replica would be an island the organic
-//! closure might legitimately never reach. Crucially the summary carries
-//! **no forest marks**: the realized walk forest depends on queue order
-//! (stuck clients must walk their full `j`-paths before collected clients
-//! truncate theirs), so replay contributes demand and replicas only and
-//! lets every walk mark nodes organically.
-//!
-//! Invalidation is by construction rather than by tracking: a summary is
-//! replayable only into the *immediately following* collection (stamp
-//! `+1`), and nothing between two consecutive stages mutates a committed
-//! scope — the sweep's only out-of-stage `assigned` write serves a too-far
-//! client locally at its own node, post-order-after every earlier stage
-//! root and hence disjoint from any cached forest. The cache is reset per
-//! solve, and the naive whole-subtree reference
-//! (`set_naive_stage_commit`) never builds or replays it;
-//! `tests/proptest_warm_start.rs` pins the equivalence.
-//!
-//! # Warm-started search
-//!
-//! The same stage-to-stage overlap pays a second time in the oversized
-//! fallback. After every committed stage the engine records a **warm
-//! slot**: the stage root and the size of the surviving placement. The
-//! next stage answers "does my active forest contain the previous root?"
-//! with an O(1) stamp test (`warm_hit`; the `set_naive_warm_start` switch
-//! recomputes it by a linear forest scan and asserts agreement), and a
-//! DP fallback whose sparse chain pass declines seeds its dense widening
-//! schedule from the previous committed size instead of re-deriving the
-//! horizon from the volume bound alone — counted by
-//! [`StageStats::warm_seeds_used`].
-//!
-//! The seed is exact because the widening schedule is
-//! **result-independent**: a strict-DP pass either proves its `rmin`
-//! below the current cap — in which case the capped table's genuine
-//! entries equal the uncapped table's entry for entry, so the optimum and
-//! its argmin placement are already final — or comes back infeasible-flat
-//! and forces another widening round. The loop therefore terminates at
-//! the same `rmin`, the same table, and the same tie-broken placement
-//! from *any* starting cap; a stale or oversized seed can only skip
-//! widening rounds (prune re-passes), never steer which placement wins.
-//! Disabling the seed outright (`set_warm_start_disabled`) must — and
-//! does, by the same proptests — reproduce every solution bit for bit
-//! with only the effort counters moving.
-//!
-//! Everything runs on the dense slabs of [`SolverScratch`]; the engine owns
-//! no state of its own.
+//! Every stage starts from the committed state alone: nothing is carried
+//! from one stage to the next. Everything runs on the dense slabs of
+//! [`SolverScratch`]; the engine owns no state of its own.
 
 pub(crate) mod chain_dp;
 pub(crate) mod dp;
@@ -153,7 +88,7 @@ pub use dp::testing as dp_testing;
 pub use router::testing as router_testing;
 
 use crate::error::SolveError;
-use crate::scratch::{CommitEntry, SolverScratch};
+use crate::scratch::SolverScratch;
 use router::RouteEnv;
 use rp_tree::arena::NO_PARENT;
 use rp_tree::{Dist, NodeId, Requests};
@@ -192,10 +127,10 @@ pub struct StageStats {
     /// Stages solved by the reassignment-free DP fallback.
     pub dp_fallbacks: u64,
     /// Nodes processed by the stage DP across all its passes (lower-bound
-    /// probes, fallback runs and `rmax` widenings alike) — the
-    /// observability handle on the fallback-dominated cells: since the DP
-    /// walks the stage's active forest, this stays proportional to
-    /// |active| · passes, not to the subtree sizes.
+    /// probes and fallback runs alike) — the observability handle on the
+    /// fallback-dominated cells: since the DP walks the stage's active
+    /// forest, this stays proportional to |active| · passes, not to the
+    /// subtree sizes.
     pub dp_node_visits: u64,
     /// Stage commits whose placement failed to route (each aborts the
     /// solve with [`SolveError::StageRepair`]; always 0 in a valid build).
@@ -222,28 +157,21 @@ pub struct StageStats {
     /// not a sum (merged with `max`, journaled per stage by the serve
     /// engine).
     pub router_carried_peak: u64,
-    /// Scope collections that absorbed the previous stage's whole summary
-    /// in one cached replay instead of re-crossing its replicas and
-    /// re-walking its client paths (see the shared-scope-collection notes
-    /// in the module docs) — the observability handle on stage-chain
-    /// overlap: nested stage sequences (tight-`dmax` caterpillars, the
-    /// huge-tier hotspots) should keep this close to `stages`.
+    /// Always 0. Kept so the benchmark harness keeps parsing its traced
+    /// runs: its only reader is `add_stage_counts` in
+    /// `perfbench/src/report.rs`, which reads the counter out of this
+    /// struct's `Debug` text.
     pub scope_cache_hits: u64,
-    /// Stages whose DP fallback seeded its widening schedule from the
-    /// previous overlapping stage's committed size (see the warm-started
-    /// search notes in the module docs) — each one skips the widening
-    /// rounds the informed schedule would have paid to rediscover a
-    /// comparable `rmax`.
-    pub warm_seeds_used: u64,
 }
 
 impl StageStats {
     /// Adds every counter of `other` into `self` — the merge step of the
     /// frontier-parallel `multiple-bin` driver (`crate::par`), which sums
-    /// the workers' per-subtree counters into the session scratch. All
-    /// fields but one are plain event counts, so summation is exact and
+    /// the workers' per-subtree counters into the session scratch. The
+    /// counters are plain event counts, so summation is exact and
     /// order-independent; `router_carried_peak` is a running maximum and
-    /// merges with `max`, which is just as order-independent.
+    /// merges with `max`, which is just as order-independent, and
+    /// `scope_cache_hits` stays 0.
     pub(crate) fn absorb(&mut self, other: &StageStats) {
         let StageStats {
             stages,
@@ -260,8 +188,7 @@ impl StageStats {
             commit_skipped,
             router_carry_merges,
             router_carried_peak,
-            scope_cache_hits,
-            warm_seeds_used,
+            scope_cache_hits: _,
         } = other;
         self.stages += stages;
         self.subsets_enumerated += subsets_enumerated;
@@ -277,8 +204,6 @@ impl StageStats {
         self.commit_skipped += commit_skipped;
         self.router_carry_merges += router_carry_merges;
         self.router_carried_peak = self.router_carried_peak.max(*router_carried_peak);
-        self.scope_cache_hits += scope_cache_hits;
-        self.warm_seeds_used += warm_seeds_used;
     }
 }
 
@@ -310,8 +235,8 @@ impl<'a> StageEngine<'a> {
     ///
     /// [`SolveError::StageRepair`] if the chosen placement fails to route
     /// at commit time, and [`SolveError::StageDpExhausted`] if the DP
-    /// fallback cannot serve the stuck volume even with its widest replica
-    /// budget — solver invariant violations that release builds surface
+    /// fallback cannot serve the stuck volume even with a replica on every
+    /// free node — solver invariant violations that release builds surface
     /// instead of silently degrading.
     pub(crate) fn serve_stuck(
         &mut self,
@@ -346,26 +271,6 @@ impl<'a> StageEngine<'a> {
             debug_assert!(subtree_vol >= collected, "scope volume is part of the subtree volume");
             s.stats.commit_touched += collected;
             s.stats.commit_skipped += subtree_vol - collected;
-
-            // Warm-start handshake (see the module docs): the DP fallback
-            // may seed its widening schedule from the previous committed
-            // stage's size, but only when that stage's root landed inside
-            // the scope just collected. Decided here, right after
-            // collection, because the fallback re-stamps the forest
-            // before it could test membership itself.
-            s.warm_hit = s.warm_root != u32::MAX && {
-                let fast = s.active_mark[s.warm_root as usize] == s.stage_id;
-                if s.naive_warm_start {
-                    // Naive reference (test-only): recompute the overlap
-                    // by scanning the sealed forest instead of trusting
-                    // the stamp.
-                    let naive = s.active_nodes.contains(&s.warm_root);
-                    debug_assert_eq!(naive, fast, "stamp test must agree with the forest scan");
-                    naive
-                } else {
-                    fast
-                }
-            };
         }
 
         // Serve-mode memo gate (`crate::serve`): with a journal installed,
@@ -398,7 +303,6 @@ impl<'a> StageEngine<'a> {
             if stage_peak > scratch.stats.router_carried_peak {
                 scratch.stats.router_carried_peak = stage_peak;
             }
-            note_stage_committed(scratch, j);
             if let Some(ctx) = serve_ctx.as_deref_mut() {
                 crate::serve::record_stage(scratch, ctx, j, &pre_stats, stage_peak);
             }
@@ -460,9 +364,9 @@ fn serve_stuck_search(
         // Candidate space too large for the enumeration cost model, or
         // every affordable subset size is provably infeasible: fall
         // back to the reassignment-free dynamic program over the stuck
-        // volume (pooled, stuck-forest restricted — see `dp`). The
-        // fallback narrows the active forest to the stuck paths for
-        // its passes; rebuild the stage's scope forest for the commit
+        // volume (stuck-forest restricted — see `dp`). The fallback
+        // narrows the active forest to the stuck paths for its pass;
+        // rebuild the stage's scope forest for the commit
         // route below.
         scratch.stats.dp_fallbacks += 1;
         dp::fallback_placement(scratch, w, j, stuck)?;
@@ -556,20 +460,6 @@ fn collect_scope(s: &mut SolverScratch, j: u32, stuck: &[PendingRequest]) -> u64
         );
     }
     let mut collected = 0u64;
-    // Shared-scope replay (see the module docs): when the previous
-    // committed stage's summary is still valid here — consecutive stamp,
-    // plus the build-time guards of `build_scope_cache` — the first
-    // crossing of a cached replica absorbs the whole summary at once
-    // (its pool clients with their committed volumes, all its replicas),
-    // and every cached replica's per-entry absorption is skipped: the
-    // organic fixpoint is guaranteed to re-collect exactly the summary,
-    // so only the path walking (O(|forest|) regardless) remains. Walks
-    // mark the forest organically — the replay deliberately replays no
-    // marks, because the realized forest is sensitive to walk order
-    // (stuck clients must extend their full `j`-paths first).
-    let cache_valid =
-        s.scope_cache.root != u32::MAX && s.scope_cache.stamp.wrapping_add(1) == stamp;
-    let mut cache_absorbed = false;
     let mut next = 0;
     while next < s.demand_clients.len() {
         let c = s.demand_clients[next];
@@ -584,26 +474,14 @@ fn collect_scope(s: &mut SolverScratch, j: u32, stuck: &[PendingRequest]) -> u64
             s.active_mark[at as usize] = stamp;
             s.active_nodes.push(at);
             if s.in_r[at as usize] {
-                if cache_valid && s.scope_cache.replicas.binary_search(&at).is_ok() {
-                    // A cached replica: its clients and volume are (or are
-                    // about to be) covered by the summary replay, so the
-                    // per-entry absorption is skipped. The first such
-                    // crossing fires the replay for the whole component.
-                    if !cache_absorbed {
-                        cache_absorbed = true;
-                        s.stats.scope_cache_hits += 1;
-                        replay_scope_cache(s, &mut collected);
+                s.existing.push(at);
+                for k in 0..s.assigned[at as usize].len() {
+                    let (x, amount) = s.assigned[at as usize][k];
+                    if s.demand[x as usize] == 0 {
+                        s.demand_clients.push(x);
                     }
-                } else {
-                    s.existing.push(at);
-                    for k in 0..s.assigned[at as usize].len() {
-                        let (x, amount) = s.assigned[at as usize][k];
-                        if s.demand[x as usize] == 0 {
-                            s.demand_clients.push(x);
-                        }
-                        s.demand[x as usize] += amount;
-                        collected += amount;
-                    }
+                    s.demand[x as usize] += amount;
+                    collected += amount;
                 }
             }
             if at == j || at == dl {
@@ -628,160 +506,6 @@ fn collect_scope(s: &mut SolverScratch, j: u32, stuck: &[PendingRequest]) -> u64
 fn canonicalize_scope(s: &mut SolverScratch) {
     let SolverScratch { arena, existing, .. } = s;
     existing.sort_unstable_by_key(|&u| arena.post_position(u));
-}
-
-/// Absorbs the whole cached scope summary into the running collection:
-/// pool clients with their committed volumes, and the cached replicas.
-/// Deliberately no forest marks — walks mark organically (see
-/// [`collect_scope`]). Split out of the walk loop for borrow hygiene.
-fn replay_scope_cache(s: &mut SolverScratch, collected: &mut u64) {
-    let SolverScratch { scope_cache, demand, demand_clients, existing, .. } = s;
-    for &(x, amount) in scope_cache.clients.iter() {
-        debug_assert!(amount > 0, "committed per-client volumes are positive");
-        if demand[x as usize] == 0 {
-            demand_clients.push(x);
-        }
-        demand[x as usize] += amount;
-        *collected += amount;
-    }
-    // Every cached replica is skipped by the walk's per-entry absorption
-    // from the first touch on, so the extension introduces no duplicates;
-    // `canonicalize_scope` sorts the union afterwards.
-    existing.extend_from_slice(&scope_cache.replicas);
-}
-
-/// Post-commit hook of a successful stage (search path): records the warm
-/// slot for the next stage's DP fallback and caches the scope summary for
-/// the next collection to replay. The serve-mode replay path calls
-/// [`note_stage_committed_parts`] directly with the journaled slices.
-pub(crate) fn note_stage_committed(scratch: &mut SolverScratch, j: u32) {
-    let best_set = std::mem::take(&mut scratch.best_set);
-    let commit_log = std::mem::take(&mut scratch.commit_log);
-    note_stage_committed_parts(scratch, j, &best_set, &commit_log);
-    scratch.best_set = best_set;
-    scratch.commit_log = commit_log;
-}
-
-/// [`note_stage_committed`] with the committed placement and flushed log
-/// passed as slices, so the serve engine's journal replay can feed the
-/// recorded stage without restoring it into the scratch first.
-pub(crate) fn note_stage_committed_parts(
-    scratch: &mut SolverScratch,
-    j: u32,
-    best_set: &[u32],
-    commit_log: &[CommitEntry],
-) {
-    if scratch.warm_start_disabled {
-        scratch.warm_root = u32::MAX;
-    } else {
-        scratch.warm_root = j;
-        scratch.warm_rmax = best_set.len() as u32;
-    }
-    build_scope_cache(scratch, j, best_set, commit_log);
-}
-
-/// Records the just-committed stage's scope summary for the next stage's
-/// collection to replay (see the module docs). One guard makes the
-/// replay exact rather than heuristic: the summary is only stored when
-/// the stage's assignment graph connects all its replicas and clients
-/// into one component — then the first crossing of any cached replica
-/// implies the organic fixpoint re-collects the whole summary (a pool
-/// client's walk covers every replica serving it: such a replica sits at
-/// or below both the client's deadline and the old stage root, hence on
-/// the walked segment; connectivity extends this closure to the entire
-/// component). An idle replica would sit in its own component, so scopes
-/// with one are simply not cached.
-///
-/// The cache is invalidated by construction rather than by bookkeeping:
-/// it replays only into the immediately following collection (consecutive
-/// stamp), and nothing between two consecutive stages mutates a committed
-/// scope — the sweep's only out-of-stage assignment write serves a
-/// too-far client at its own node, which postorder places outside every
-/// earlier stage's subtree.
-fn build_scope_cache(s: &mut SolverScratch, j: u32, best_set: &[u32], commit_log: &[CommitEntry]) {
-    let naive = s.naive_stage_commit;
-    let stamp = s.stage_id;
-    let SolverScratch { scope_cache: cache, existing, .. } = s;
-    cache.root = u32::MAX;
-    if naive || commit_log.is_empty() {
-        return;
-    }
-
-    // Replica universe of the committed scope: the old scope replicas
-    // plus the stage's new placement (disjoint — placements target free
-    // nodes), sorted by node id so the collection's membership test and
-    // the DSU index below are one binary search.
-    cache.replicas.clear();
-    cache.replicas.extend_from_slice(existing);
-    cache.replicas.extend_from_slice(best_set);
-    cache.replicas.sort_unstable();
-    let m = cache.replicas.len();
-
-    // Sort a copy of the log by client: the contiguous per-client runs
-    // drive both the spanning check and the per-client totals below.
-    cache.log_buf.clear();
-    cache.log_buf.extend_from_slice(commit_log);
-    cache.log_buf.sort_unstable_by_key(|&(_, c, _)| c);
-
-    cache.dsu.clear();
-    cache.dsu.extend(0..m as u32);
-    fn find(dsu: &mut [u32], mut x: u32) -> u32 {
-        while dsu[x as usize] != x {
-            let gp = dsu[dsu[x as usize] as usize];
-            dsu[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-
-    let mut run_start = 0;
-    while run_start < cache.log_buf.len() {
-        let c = cache.log_buf[run_start].1;
-        let mut first = u32::MAX;
-        while run_start < cache.log_buf.len() && cache.log_buf[run_start].1 == c {
-            let u = cache.log_buf[run_start].0;
-            let i =
-                cache.replicas.binary_search(&u).expect("commit routes only onto scope replicas")
-                    as u32;
-            let ri = find(&mut cache.dsu, i);
-            if first == u32::MAX {
-                first = ri;
-            } else {
-                let rf = find(&mut cache.dsu, first);
-                cache.dsu[ri as usize] = rf;
-                first = rf;
-            }
-            run_start += 1;
-        }
-    }
-    let r0 = find(&mut cache.dsu, 0);
-    for i in 1..m as u32 {
-        if find(&mut cache.dsu, i) != r0 {
-            // The assignment graph leaves some replica in its own
-            // component: a future collection could touch one component
-            // without implying the others, so refuse to cache.
-            return;
-        }
-    }
-
-    // Guard passed: store the summary. Per-client totals come from the
-    // same sorted runs.
-    cache.clients.clear();
-    let mut total = 0u64;
-    let mut run_start = 0;
-    while run_start < cache.log_buf.len() {
-        let c = cache.log_buf[run_start].1;
-        let mut sum = 0u64;
-        while run_start < cache.log_buf.len() && cache.log_buf[run_start].1 == c {
-            sum += cache.log_buf[run_start].2;
-            run_start += 1;
-        }
-        cache.clients.push((c, sum));
-        total += sum;
-    }
-    cache.collected = total;
-    cache.stamp = stamp;
-    cache.root = j;
 }
 
 /// The naive whole-subtree reference for [`collect_scope`] (test-only,

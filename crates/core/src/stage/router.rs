@@ -599,7 +599,7 @@ pub mod testing {
     /// Routes `demand` over the `replicas` placement exactly as the stage
     /// engine does: deadlines derived from `dmax` via `prepare_deadlines`,
     /// active forest built from the demand clients' paths to `j`, then one
-    /// committing [`route_full`] call.
+    /// committing `route_full` call.
     pub fn route(
         tree: &Tree,
         j: u32,

@@ -3,15 +3,12 @@
 //! exact integer arithmetic over the paper's integral instances, so these
 //! pin that (a) accumulated distances saturate instead of wrapping, (b) the
 //! `single-nod` packing sum cannot overflow `u64`, and (c) the stage DP's
-//! narrowed 64-bit min-plus tables stay exact at magnitudes within spitting
-//! distance of its `u64::MAX / 2` infeasibility sentinel.
+//! narrowed 64-bit sparse tables stay exact at magnitudes at the tree-wide
+//! volume bound.
 
-use rp_core::stage::dp_testing::strict_dp;
+use rp_core::stage::dp_testing::sparse_strict_dp;
 use rp_core::{multiple_bin, single_nod};
 use rp_tree::{validate, Instance, Policy, Tree, TreeBuilder};
-
-/// Mirrors the DP's infeasibility sentinel (`stage/dp.rs`).
-const INFEASIBLE: u64 = u64::MAX / 2;
 
 #[test]
 fn multiple_bin_saturates_accumulated_distances() {
@@ -79,11 +76,10 @@ fn single_nod_packing_sum_cannot_overflow() {
 fn stage_dp_is_exact_near_the_sentinel_scale() {
     // Stage demand of Tree::MAX_REQUESTS / 2 per client — the largest pair
     // the tree-wide volume bound (and the narrowed harness) admits. The
-    // DP's min-plus sums reach ~2^61..2^62 — the genuine ceiling, just
-    // below the 2^63 sentinel — and the guards must keep every stored cell
-    // either an exact volume or exactly INFEASIBLE. The expected table is
-    // computable by hand: with `r` replicas of capacity `big` placed, the
-    // leftover is total - r·W.
+    // DP's sums reach ~2^62, the genuine ceiling, and every stored cell
+    // must stay an exact volume. The expected table is computable by hand:
+    // with `r` replicas of capacity `big` placed, the leftover is
+    // total - r·W.
     let big = Tree::MAX_REQUESTS / 2;
     let mut b = TreeBuilder::new();
     let root = b.root();
@@ -92,26 +88,36 @@ fn stage_dp_is_exact_near_the_sentinel_scale() {
     let c2 = b.add_client(n1, 1, 1);
     let tree = b.freeze().unwrap();
     let total = 2 * big;
+    let demand = [(c1.0, big), (c2.0, big)];
 
-    // One pass, then the same table reached by widening — both must agree
-    // entry for entry with the closed form.
-    for steps in [&[3usize][..], &[1usize, 3][..]] {
-        let run = strict_dp(&tree, root.0, big, &[], &[(c1.0, big), (c2.0, big)], steps);
-        assert_eq!(run.rmin, Some(2), "two full-capacity replicas serve 2·big exactly");
-        assert_eq!(run.chosen.len(), 2);
-        for (r, &m) in run.m_root.iter().enumerate() {
-            let expect = total.saturating_sub(r as u64 * big);
-            assert_eq!(m, expect, "m_root[{r}] must be exact at near-bound magnitudes");
-            assert!(m < INFEASIBLE);
-        }
+    // Four free nodes, so the uncapped table has five entries.
+    let run = sparse_strict_dp(&tree, root.0, big, &[], &demand);
+    assert_eq!(run.rmin, Some(2), "two full-capacity replicas serve 2·big exactly");
+    assert_eq!(run.chosen.len(), 2);
+    assert_eq!(run.m_root.len(), 5);
+    for (r, &m) in run.m_root.iter().enumerate() {
+        let expect = total.saturating_sub(r as u64 * big);
+        assert_eq!(m, expect, "m_root[{r}] must be exact at near-bound magnitudes");
     }
 
     // An existing replica with *zero* spare (load == capacity) contributes
     // nothing: the table must shift by one replica, not wrap below zero.
-    let run = strict_dp(&tree, root.0, big, &[(n1.0, big)], &[(c1.0, big), (c2.0, big)], &[3]);
+    let run = sparse_strict_dp(&tree, root.0, big, &[(n1.0, big)], &demand);
     assert_eq!(run.rmin, Some(2), "the full existing replica cannot absorb anything");
+    assert_eq!(run.m_root.len(), 4);
     for (r, &m) in run.m_root.iter().enumerate() {
         let expect = total.saturating_sub(r as u64 * big);
         assert_eq!(m, expect, "a zero-spare replica must leave the table unchanged at r={r}");
+    }
+
+    // A half-loaded existing replica clamps the step list into one full
+    // step plus a partial one: the table is the same closed form over the
+    // volume its spare leaves.
+    let spare = big - big / 2;
+    let run = sparse_strict_dp(&tree, root.0, big, &[(n1.0, big / 2)], &demand);
+    assert_eq!(run.rmin, Some(2), "half a replica of spare still leaves more than one W");
+    for (r, &m) in run.m_root.iter().enumerate() {
+        let expect = (total - spare).saturating_sub(r as u64 * big);
+        assert_eq!(m, expect, "a partial spare must clamp exactly at r={r}");
     }
 }

@@ -43,7 +43,7 @@ proptest! {
         clients in 2usize..30,
         arity in 2usize..5,
         seed in any::<u64>(),
-        dmax_fraction in prop::option::of(0.4f64..1.0),
+        dmax_fraction in prop::option::of(0.05f64..1.0),
     ) {
         let inst = kary_instance(clients, arity, dmax_fraction, seed);
         let sol = single_gen(&inst).unwrap();
@@ -86,7 +86,7 @@ proptest! {
     fn lower_bounds_are_sound(
         clients in 2usize..28,
         seed in any::<u64>(),
-        dmax_fraction in prop::option::of(0.4f64..1.0),
+        dmax_fraction in prop::option::of(0.05f64..1.0),
     ) {
         let inst = binary_instance(clients, dmax_fraction, seed);
         let lb = bounds::combined_lower_bound(&inst);

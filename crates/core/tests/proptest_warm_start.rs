@@ -1,80 +1,23 @@
-//! Property tests for the warm-started stage search and the shared scope
-//! cache (`rp_core::stage`): on stage-dense binary families — caterpillars,
-//! branchy shapes and double brooms (client combs at both ends of a bare
-//! spine, so consecutive stages share long service-path prefixes) — the
-//! production path must be bit-identical to its references:
+//! Property test pinning the scoped incremental stage commit against the
+//! naive whole-subtree commit reference (`set_naive_stage_commit`) on the
+//! double-broom family alone: a comb of clients near the root, a bare
+//! spine, and a second comb at the far end, so consecutive stages share
+//! long service-path prefixes and re-cross the previous stage's committed
+//! replicas.
 //!
-//! * the O(1) stamp test for warm overlap vs the naive linear scan of the
-//!   active forest (`set_naive_warm_start`): same trajectory, so same
-//!   placements, assignments *and every `StageStats` counter*;
-//! * warm seeding on vs off (`set_warm_start_disabled`): the seed only
-//!   reshapes the DP fallback's widening schedule, which is
-//!   result-independent, so solutions must match exactly while the pass
-//!   counters are free to differ;
-//! * the scope cache on vs the naive whole-subtree commit reference
-//!   (`set_naive_stage_commit`), which bypasses cache building entirely:
-//!   same solutions, and zero recorded hits on the naive side.
+//! The file and test names date from the stage engine's warm-start slot
+//! and cross-stage scope cache, which targeted exactly this overlap
+//! pattern. Both mechanisms are gone — the cache produced invalid
+//! placements at shallow deadlines — and the stage engine now carries no
+//! state between stages; the property that remains is the one the cache
+//! had to meet: each stage's incremental commit equals the naive
+//! reference, down to the touched and skipped commit volume.
 
 use proptest::prelude::*;
 use rp_core::{multiple_bin_with, SolverScratch, StageStats};
 use rp_tree::{validate, Instance, Policy, Solution, Tree, TreeBuilder};
 
-/// A generated solve scenario: a binary tree plus capacity and distance
-/// budget chosen to make stages frequent and scopes overlapping.
-#[derive(Debug, Clone)]
-struct Scenario {
-    tree: Tree,
-    capacity: u64,
-    dmax: Option<u64>,
-}
-
-/// Caterpillar shape: a spine with one client leaf per spine node.
-fn caterpillar(picks: &[(u64, u64, u64)]) -> Tree {
-    let mut b = TreeBuilder::new();
-    let mut spine = b.root();
-    for &(spine_edge, client_edge, req) in picks {
-        spine = b.add_internal(spine, 1 + spine_edge % 2);
-        b.add_client(spine, 1 + client_edge % 2, 1 + req % 9);
-    }
-    b.freeze().expect("caterpillar construction is always valid")
-}
-
-/// Branchy shape: internal nodes attached to any node with a free child
-/// slot (arity kept ≤ 2), clients on the leaves' parents.
-fn branchy(internals: &[(u16, u64)], clients: &[(u16, u64, u64)]) -> Tree {
-    let mut b = TreeBuilder::new();
-    let mut open: Vec<(rp_tree::NodeId, usize)> = vec![(b.root(), 2)];
-    for &(pick, edge) in internals {
-        let i = pick as usize % open.len();
-        let (parent, slots) = open[i];
-        let node = b.add_internal(parent, 1 + edge % 3);
-        if slots == 1 {
-            open.swap_remove(i);
-        } else {
-            open[i].1 -= 1;
-        }
-        open.push((node, 2));
-    }
-    for &(pick, edge, req) in clients {
-        if open.is_empty() {
-            break;
-        }
-        let i = pick as usize % open.len();
-        let (parent, slots) = open[i];
-        b.add_client(parent, 1 + edge % 3, 1 + req % 9);
-        if slots == 1 {
-            open.swap_remove(i);
-        } else {
-            open[i].1 -= 1;
-        }
-    }
-    b.freeze().expect("branchy construction keeps arity at 2")
-}
-
-/// Double-broom shape, binarised: a comb of clients near the root, then a
-/// bare spine, then a second comb at the far end. Stages triggered by the
-/// deep comb walk the same bare-spine prefix over and over — the overlap
-/// pattern warm seeding and the scope cache exist for.
+/// Double-broom shape, binarised: head comb, bare spine, tail comb.
 fn double_broom(head: &[(u64, u64)], spine_len: usize, tail: &[(u64, u64)]) -> Tree {
     let mut b = TreeBuilder::new();
     let mut at = b.root();
@@ -95,32 +38,10 @@ fn double_broom(head: &[(u64, u64)], spine_len: usize, tail: &[(u64, u64)]) -> T
     b.freeze().expect("double-broom construction is always valid")
 }
 
-fn scenario() -> impl Strategy<Value = Scenario> {
-    (
-        0u8..3,                                                         // family pick
-        prop::collection::vec((0u64..2, 0u64..2, 0u64..9), 6..40),      // caterpillar picks
-        prop::collection::vec((any::<u16>(), 0u64..3), 4..16),          // branchy internals
-        prop::collection::vec((any::<u16>(), 0u64..3, 0u64..9), 4..24), // branchy clients
-        prop::collection::vec((0u64..2, 0u64..9), 2..12),               // broom head
-        2usize..14,                                                     // broom spine
-        prop::collection::vec((0u64..2, 0u64..9), 2..12),               // broom tail
-        9u64..22,                                                       // capacity (≥ max r_i)
-        prop::option::of(2u64..16),                                     // dmax
-    )
-        .prop_map(|(family, cat, internals, clients, head, spine, tail, capacity, dmax)| {
-            let tree = match family {
-                0 => caterpillar(&cat),
-                1 => branchy(&internals, &clients),
-                _ => double_broom(&head, spine, &tail),
-            };
-            Scenario { tree, capacity, dmax }
-        })
-}
-
-/// Solves one instance through a fresh scratch with the given test knobs.
-fn solve(inst: &Instance, configure: impl FnOnce(&mut SolverScratch)) -> (Solution, StageStats) {
+/// Solves one instance through a fresh scratch in the given commit mode.
+fn solve(inst: &Instance, naive: bool) -> (Solution, StageStats) {
     let mut scratch = SolverScratch::new();
-    configure(&mut scratch);
+    scratch.set_naive_stage_commit(naive);
     let sol = multiple_bin_with(inst, &mut scratch).expect("feasible (r_i ≤ W by construction)");
     (sol, *scratch.stage_stats())
 }
@@ -128,66 +49,25 @@ fn solve(inst: &Instance, configure: impl FnOnce(&mut SolverScratch)) -> (Soluti
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// The stamp test and the naive forest scan answer the same warm-hit
-    /// question, so the two runs take the same trajectory: identical
-    /// solutions and identical counters, down to the cache hits and warm
-    /// seeds. (Debug builds additionally assert the two predicates agree
-    /// at every single stage, inside `serve_stuck`.)
+    /// Same fixpoint, same solutions: the incremental commit and the
+    /// naive reference agree on placements, assignments and the scope
+    /// volume they price, and the placement is valid.
     #[test]
-    fn stamp_warm_test_matches_naive_scan(s in scenario()) {
-        let inst = Instance::new(s.tree.clone(), s.capacity, s.dmax).expect("positive capacity");
-        let (fast_sol, fast) = solve(&inst, |sc| sc.set_naive_warm_start(false));
-        let (naive_sol, naive) = solve(&inst, |sc| sc.set_naive_warm_start(true));
-        prop_assert_eq!(&fast_sol, &naive_sol, "warm predicate paths diverged: {:?}", s);
-        prop_assert_eq!(fast, naive, "warm predicate counters diverged: {:?}", s);
-        validate(&inst, Policy::Multiple, &fast_sol).expect("warm-started solution valid");
+    fn scope_cache_matches_naive_commit(
+        head in prop::collection::vec((0u64..2, 0u64..9), 2..16),
+        spine in 2usize..20,
+        tail in prop::collection::vec((0u64..2, 0u64..9), 2..24),
+        capacity in 9u64..22,
+        dmax in prop::option::of(2u64..16),
+    ) {
+        let inst = Instance::new(double_broom(&head, spine, &tail), capacity, dmax)
+            .expect("positive capacity");
+        let (inc_sol, inc) = solve(&inst, false);
+        let (naive_sol, naive) = solve(&inst, true);
+        prop_assert_eq!(&inc_sol, &naive_sol, "commit paths diverged on {:?}", inst);
+        prop_assert_eq!(inc.stages, naive.stages);
+        prop_assert_eq!(inc.commit_touched, naive.commit_touched);
+        prop_assert_eq!(inc.commit_skipped, naive.commit_skipped);
+        validate(&inst, Policy::Multiple, &inc_sol).expect("incremental solution valid");
     }
-
-    /// Warm seeding only widens the DP fallback's initial `rmax` guess;
-    /// the widening loop retries until the optimum is reachable either
-    /// way, so disabling the seed must not change any placement or
-    /// assignment — only search-effort counters may move.
-    #[test]
-    fn warm_seeding_never_changes_the_solution(s in scenario()) {
-        let inst = Instance::new(s.tree.clone(), s.capacity, s.dmax).expect("positive capacity");
-        let (warm_sol, warm) = solve(&inst, |_| {});
-        let (cold_sol, cold) = solve(&inst, |sc| sc.set_warm_start_disabled(true));
-        prop_assert_eq!(&warm_sol, &cold_sol, "warm seeding changed the solution: {:?}", s);
-        prop_assert_eq!(cold.warm_seeds_used, 0, "disabled runs must never seed");
-        prop_assert_eq!(warm.stages, cold.stages);
-        prop_assert_eq!(warm.commit_touched, cold.commit_touched);
-        prop_assert_eq!(warm.commit_skipped, cold.commit_skipped);
-    }
-
-    /// The scope cache rides the incremental commit path; the naive
-    /// whole-subtree reference never builds or replays it. Same fixpoint,
-    /// same solutions — and the naive side must record zero hits.
-    #[test]
-    fn scope_cache_matches_naive_commit(s in scenario()) {
-        let inst = Instance::new(s.tree.clone(), s.capacity, s.dmax).expect("positive capacity");
-        let (cached_sol, _) = solve(&inst, |_| {});
-        let (naive_sol, naive) = solve(&inst, |sc| sc.set_naive_stage_commit(true));
-        prop_assert_eq!(&cached_sol, &naive_sol, "cache replay diverged: {:?}", s);
-        prop_assert_eq!(naive.scope_cache_hits, 0, "naive commits must not consult the cache");
-    }
-}
-
-#[test]
-fn deep_double_broom_engages_the_scope_cache() {
-    // The equivalence above must not hold vacuously: on a long double
-    // broom under a tight distance budget, consecutive deep-comb stages
-    // re-cross the previous stage's committed replicas, so the cache must
-    // actually replay — and still match both references exactly.
-    let head: Vec<(u64, u64)> = (0..24).map(|i| (i % 2, i * 5 % 9)).collect();
-    let tail: Vec<(u64, u64)> = (0..48).map(|i| ((i + 1) % 2, i * 7 % 9)).collect();
-    let tree = double_broom(&head, 24, &tail);
-    let inst = Instance::new(tree, 11, Some(10)).expect("positive capacity");
-    let (cached_sol, cached) = solve(&inst, |_| {});
-    let (naive_sol, _) = solve(&inst, |sc| sc.set_naive_stage_commit(true));
-    let (cold_sol, _) = solve(&inst, |sc| sc.set_warm_start_disabled(true));
-    assert_eq!(cached_sol, naive_sol);
-    assert_eq!(cached_sol, cold_sol);
-    assert!(cached.stages > 10, "tight dmax must make the solve stage-dense: {cached:?}");
-    assert!(cached.scope_cache_hits > 0, "the cache never engaged: {cached:?}");
-    validate(&inst, Policy::Multiple, &cached_sol).expect("cached solution valid");
 }

@@ -32,7 +32,7 @@ proptest! {
     fn algorithms_always_produce_feasible_solutions(
         clients in 2usize..40,
         seed in any::<u64>(),
-        dmax_fraction in prop::option::of(0.3f64..1.0),
+        dmax_fraction in prop::option::of(0.05f64..1.0),
     ) {
         let inst = binary_instance(clients, dmax_fraction, seed);
         let lb = bounds::volume_lower_bound(&inst);
@@ -61,7 +61,7 @@ proptest! {
     fn policy_and_bound_ordering(
         clients in 2usize..32,
         seed in any::<u64>(),
-        dmax_fraction in prop::option::of(0.4f64..1.0),
+        dmax_fraction in prop::option::of(0.05f64..1.0),
     ) {
         let inst = binary_instance(clients, dmax_fraction, seed);
         let multiple = multiple_bin(&inst).unwrap().replica_count() as u64;

@@ -4,14 +4,15 @@
 //! [--repeat N] [--json]` times `multiple-bin` on one cell and dumps the
 //! stage counters — handy when iterating on the stage engine without
 //! re-running the whole scaling bench. `--threads` routes the solve through
-//! the frontier-parallel entry point (workers plus the parallel finish
-//! pass), so one-cell probes can reproduce the finish-pass bottleneck the
-//! serial sweep used to be. `--family huge` streams the million-client-tier
+//! the frontier-parallel entry point (chunk workers, then a serial finish
+//! pass over the upper region), so one-cell probes can time it against the
+//! serial sweep. `--family huge` streams the million-client-tier
 //! binary arena (same seed formula and parameters as the scaling bench's
 //! huge tier) straight into the scratch, so the 65536+ cells can be probed
 //! without a bench run. `--repeat N` reports min/median over N timed solves
 //! instead of the fill-2-seconds loop, and `--json` emits one
-//! machine-readable line instead of the human summary.
+//! machine-readable line instead of the human summary, with `stage_stats`
+//! as an object holding one numeric field per counter.
 //! Bare positionals (`<clients> <deep|spine|huge> <dmax|nod>`) still work.
 
 use rand::rngs::StdRng;
@@ -115,9 +116,9 @@ fn main() {
         println!(
             "{{\"family\":\"{family}\",\"clients\":{clients},\"dmax\":{dmax},\
              \"threads\":{threads},\"solves\":{n},\"min_ns\":{min_ns},\
-             \"median_ns\":{median_ns},\"replicas\":{},\"stage_stats\":{:?}}}",
+             \"median_ns\":{median_ns},\"replicas\":{},\"stage_stats\":{}}}",
             sol.replica_count(),
-            format!("{stats:?}"),
+            stage_stats_json(stats),
         );
     } else {
         println!(
@@ -129,4 +130,46 @@ fn main() {
         );
         println!("stats: {stats:?}");
     }
+}
+
+/// `stats` as a JSON object, one numeric field per counter. The exhaustive
+/// destructuring makes a new counter a compile error here until it is
+/// emitted.
+fn stage_stats_json(stats: &rp_core::StageStats) -> String {
+    let rp_core::StageStats {
+        stages,
+        subsets_enumerated,
+        subsets_routed,
+        subsets_pruned,
+        prefix_routes,
+        dp_sizes_skipped,
+        dp_bound_skips,
+        dp_fallbacks,
+        dp_node_visits,
+        repairs,
+        commit_touched,
+        commit_skipped,
+        router_carry_merges,
+        router_carried_peak,
+        scope_cache_hits,
+    } = *stats;
+    let fields = [
+        ("stages", stages),
+        ("subsets_enumerated", subsets_enumerated),
+        ("subsets_routed", subsets_routed),
+        ("subsets_pruned", subsets_pruned),
+        ("prefix_routes", prefix_routes),
+        ("dp_sizes_skipped", dp_sizes_skipped),
+        ("dp_bound_skips", dp_bound_skips),
+        ("dp_fallbacks", dp_fallbacks),
+        ("dp_node_visits", dp_node_visits),
+        ("repairs", repairs),
+        ("commit_touched", commit_touched),
+        ("commit_skipped", commit_skipped),
+        ("router_carry_merges", router_carry_merges),
+        ("router_carried_peak", router_carried_peak),
+        ("scope_cache_hits", scope_cache_hits),
+    ];
+    let body: Vec<String> = fields.iter().map(|(name, v)| format!("\"{name}\":{v}")).collect();
+    format!("{{{}}}", body.join(","))
 }

@@ -60,6 +60,17 @@ impl Args {
         raw.parse::<T>().map_err(|_| format!("invalid value for --{name}: `{raw}`"))
     }
 
+    /// Rejects the first option or flag (options in name order, then flags
+    /// in command-line order) whose name is not in `known`, so a typo or a
+    /// retired option fails loudly instead of being silently ignored.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        let unknown = self.options.keys().chain(&self.flags).find(|n| !known.contains(&n.as_str()));
+        match unknown {
+            Some(name) => Err(format!("unknown option --{name} for `{}`", self.command)),
+            None => Ok(()),
+        }
+    }
+
     /// Optional option with a default, parsed.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.get(name) {
@@ -107,6 +118,16 @@ mod tests {
     fn invalid_numeric_value_is_an_error() {
         let args = Args::parse(&to_vec(&["gen", "--clients", "many"])).unwrap();
         assert!(args.require::<usize>("clients").is_err());
+    }
+
+    #[test]
+    fn unknown_options_and_flags_are_named() {
+        let args = Args::parse(&to_vec(&["serve", "--instance", "a.txt", "--naive"])).unwrap();
+        assert!(args.reject_unknown(&["instance", "naive"]).is_ok());
+        let err = args.reject_unknown(&["instance"]).unwrap_err();
+        assert!(err.contains("--naive"), "{err}");
+        let err = args.reject_unknown(&["naive"]).unwrap_err();
+        assert!(err.contains("--instance") && err.contains("`serve`"), "{err}");
     }
 
     #[test]

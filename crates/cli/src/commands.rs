@@ -38,8 +38,8 @@ commands:
   serve       long-lived placement daemon on stdin/stdout (see README \"Serving\")
               --instance FILE | --stream-binary N [--seed S] [--capacity-factor F]
               [--dmax-fraction F] [--edge-max E] [--requests-max R]
-              [--threshold F] [--naive] [--assert-p99-us N] [--threads N]
-              [--solve-budget-ms N] [--state-dir DIR] [--fsync always|never]
+              [--naive] [--assert-p99-us N] [--solve-budget-ms N]
+              [--state-dir DIR] [--fsync always|never]
               [--snapshot-every N]
   serve-script  generate a deterministic delta stream for `rp serve`
               --instance FILE  [--deltas N] [--batch K] [--stats-every M]
@@ -137,6 +137,7 @@ fn cmd_gen(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_solve(args: &Args) -> Result<String, String> {
+    args.reject_unknown(&["instance", "algorithm", "out", "stage-stats", "threads"])?;
     let instance = load_instance(&args.require::<String>("instance")?)?;
     let name: String = args.require("algorithm")?;
     let algorithm =
@@ -978,6 +979,14 @@ mod tests {
     fn solve_rejects_unknown_algorithm() {
         let err = run(&["solve", "--instance", "/nonexistent", "--algorithm", "magic"]);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn solve_rejects_unknown_options_by_name() {
+        let err =
+            run(&["solve", "--instance", "i.txt", "--algorithm", "multiple-bin", "--thread", "2"])
+                .unwrap_err();
+        assert!(err.contains("unknown option --thread "), "{err}");
     }
 
     #[test]

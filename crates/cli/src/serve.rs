@@ -48,20 +48,24 @@ use std::time::{Duration, Instant};
 /// `quit`) carries the latency quantiles the CI soak job asserts on;
 /// `--assert-p99-us` turns a blown budget into a non-zero exit.
 pub fn cmd_serve(args: &Args) -> Result<String, String> {
+    args.reject_unknown(&[
+        "instance",
+        "stream-binary",
+        "seed",
+        "capacity-factor",
+        "dmax-fraction",
+        "edge-max",
+        "requests-max",
+        "naive",
+        "assert-p99-us",
+        "solve-budget-ms",
+        "state-dir",
+        "fsync",
+        "snapshot-every",
+    ])?;
     let mut engine = build_engine(args)?;
     if args.has_flag("naive") {
         engine.set_naive_resolve(true);
-    }
-    if let Some(raw) = args.get("threshold") {
-        let f: f64 = raw.parse().map_err(|_| format!("invalid --threshold `{raw}`"))?;
-        engine.set_full_solve_threshold(f);
-    }
-    if let Some(raw) = args.get("threads") {
-        let t: usize = raw.parse().map_err(|_| format!("invalid --threads `{raw}`"))?;
-        if t == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        engine.set_threads(t);
     }
     if let Some(raw) = args.get("solve-budget-ms") {
         let ms: u64 = raw.parse().map_err(|_| format!("invalid --solve-budget-ms `{raw}`"))?;
@@ -336,7 +340,7 @@ fn stats_line(engine: &ServeEngine, hist: &LatencyHistogram) -> String {
     let s = engine.stats();
     format!(
         "stats solves={} full={} incremental={} deltas={} rejected={} reused={} recomputed={} \
-         last_dirty={} last_reused={} last_recomputed={} stale_served={} worker_panics={} {}",
+         last_dirty={} last_reused={} last_recomputed={} stale_served={} {}",
         s.solves,
         s.full_solves,
         s.incremental_solves,
@@ -348,7 +352,6 @@ fn stats_line(engine: &ServeEngine, hist: &LatencyHistogram) -> String {
         s.last_reused,
         s.last_recomputed,
         s.stale_served,
-        s.worker_panics,
         latency_fields(hist),
     )
 }
@@ -509,11 +512,7 @@ mod tests {
         b.add_client(n1, 1, 4); // node 2
         b.add_client(n1, 2, 5); // node 3
         let inst = Instance::new(b.freeze().unwrap(), 10, Some(4)).unwrap();
-        let mut engine = ServeEngine::new(&inst).unwrap();
-        // With only two clients, any single delta trips the default 0.1
-        // dirty-fraction threshold; lift it so the tests see both modes.
-        engine.set_full_solve_threshold(1.0);
-        engine
+        ServeEngine::new(&inst).unwrap()
     }
 
     fn session(engine: &mut ServeEngine, script: &str) -> (String, Result<String, String>) {
@@ -622,6 +621,23 @@ quit
         assert!(lines[3].contains("tree-wide volume bound"), "{out}");
         assert!(lines[4].starts_with("solved replicas="), "{out}");
         summary.unwrap();
+    }
+
+    #[test]
+    fn retired_and_misspelt_options_are_rejected_by_name() {
+        let serve = |extra: &[&str]| {
+            let mut argv = vec!["serve".to_string(), "--instance".into(), "i.txt".into()];
+            argv.extend(extra.iter().map(|s| s.to_string()));
+            cmd_serve(&Args::parse(&argv).unwrap()).unwrap_err()
+        };
+        for (extra, name) in [
+            (&["--threads", "2"][..], "--threads"),
+            (&["--threshold", "0.5"][..], "--threshold"),
+            (&["--threads-typo", "3"][..], "--threads-typo"),
+        ] {
+            let err = serve(extra);
+            assert!(err.contains(&format!("unknown option {name} ")), "{err}");
+        }
     }
 
     #[test]
@@ -740,7 +756,7 @@ quit
         let lines: Vec<&str> = out.lines().collect();
         assert!(lines[1].contains("mode=stale"), "{out}");
         assert!(lines[2].contains("stale_served=1"), "{out}");
-        assert!(lines[2].contains("worker_panics=0"), "{out}");
+        assert!(lines[2].contains("solves=2 full=2 incremental=0"), "{out}");
         summary.unwrap();
     }
 

@@ -4,22 +4,21 @@
 //! Production code threads [`point`] calls through its failure-prone
 //! seams — persist writes (`"persist.append"`, `"persist.snapshot"`),
 //! recovery loads (`"persist.recover"`), delta application
-//! (`"serve.apply"`), the solve sweep (`"solve.sweep"`) and the parallel
-//! workers (`"par.worker"`). Without the feature every call is an
-//! `#[inline(always)]` `Ok(())` with no global state, so the hot paths pay
-//! nothing. With the feature, a process-global `FaultPlan` arms nth-hit
-//! triggers per point: the nth time execution reaches the point, it
-//! injects an I/O error (returned for the caller to surface as a
-//! structured error), a panic (for sites whose callers isolate panics —
-//! only `"par.worker"` qualifies; everywhere else a panic would rightly
-//! abort), or a delay (to blow solve-deadline budgets on demand).
+//! (`"serve.apply"`) and the solve sweep (`"solve.sweep"`). Without the
+//! feature every call is an `#[inline(always)]` `Ok(())` with no global
+//! state, so the hot paths pay nothing. With the feature, a process-global
+//! `FaultPlan` arms nth-hit triggers per point: the nth time execution
+//! reaches the point, it injects an I/O error (returned for the caller to
+//! surface as a structured error) or a delay (to blow solve-deadline
+//! budgets on demand). No call site isolates panics, so there is no panic
+//! action: an unplanned panic rightly aborts.
 //!
-//! Hit counters live behind one mutex, so triggers fire deterministically
-//! even when the point is reached from worker threads — the chaos gauntlet
-//! in `tests/fault_gauntlet.rs` relies on that to prove every injected
-//! failure surfaces as a structured `ServeError` or a stale response,
-//! never a poisoned engine. The plan is global: tests that install one
-//! must serialize (the gauntlet shares a lock).
+//! Hit counters live behind one mutex, so each trigger fires on exactly
+//! its nth hit — the chaos gauntlet in `tests/fault_gauntlet.rs` relies
+//! on that to prove every injected failure surfaces as a structured
+//! `ServeError` or a stale response, never a poisoned engine. The plan is
+//! global: tests that install one must serialize (the gauntlet shares a
+//! lock).
 
 use std::io;
 
@@ -30,7 +29,7 @@ pub use armed::{clear, install, FaultAction, FaultPlan};
 ///
 /// Feature off: always `Ok(())`, fully inlined. Feature on: consults the
 /// installed `FaultPlan`; an armed nth-hit trigger fires exactly once —
-/// `IoError` returns `Err`, `Panic` panics, `Delay` sleeps and passes.
+/// `IoError` returns `Err`, `Delay` sleeps and passes.
 ///
 /// # Errors
 ///
@@ -65,10 +64,6 @@ mod armed {
     pub enum FaultAction {
         /// `point` returns an injected `io::Error` (kind `Other`).
         IoError,
-        /// `point` panics. Plan this only at sites whose callers isolate
-        /// panics (the parallel workers); anywhere else the process aborts,
-        /// which is the *correct* outcome for an unplanned panic.
-        Panic,
         /// `point` sleeps for the given milliseconds, then passes — used to
         /// blow solve-deadline budgets deterministically.
         Delay(u64),
@@ -101,40 +96,19 @@ mod armed {
 
         /// Arms an injected I/O error on the `nth` hit of `point`.
         #[must_use]
-        pub fn io_error(mut self, point: &str, nth: u64) -> FaultPlan {
-            self.triggers.push(Trigger {
-                point: point.to_string(),
-                nth,
-                action: FaultAction::IoError,
-                hits: 0,
-                fired: false,
-            });
-            self
-        }
-
-        /// Arms a panic on the `nth` hit of `point`.
-        #[must_use]
-        pub fn panic(mut self, point: &str, nth: u64) -> FaultPlan {
-            self.triggers.push(Trigger {
-                point: point.to_string(),
-                nth,
-                action: FaultAction::Panic,
-                hits: 0,
-                fired: false,
-            });
-            self
+        pub fn io_error(self, point: &str, nth: u64) -> FaultPlan {
+            self.arm(point, nth, FaultAction::IoError)
         }
 
         /// Arms a `ms`-millisecond delay on the `nth` hit of `point`.
         #[must_use]
-        pub fn delay(mut self, point: &str, nth: u64, ms: u64) -> FaultPlan {
-            self.triggers.push(Trigger {
-                point: point.to_string(),
-                nth,
-                action: FaultAction::Delay(ms),
-                hits: 0,
-                fired: false,
-            });
+        pub fn delay(self, point: &str, nth: u64, ms: u64) -> FaultPlan {
+            self.arm(point, nth, FaultAction::Delay(ms))
+        }
+
+        fn arm(mut self, point: &str, nth: u64, action: FaultAction) -> FaultPlan {
+            let point = point.to_string();
+            self.triggers.push(Trigger { point, nth, action, hits: 0, fired: false });
             self
         }
     }
@@ -154,7 +128,7 @@ mod armed {
 
     pub(super) fn hit(name: &str) -> io::Result<()> {
         // Decide under the lock, act outside it (a Delay must not hold the
-        // lock, and a Panic must not poison it for the next test).
+        // lock).
         let action = {
             let mut guard = PLAN.lock().expect("fault plan lock");
             let Some(plan) = guard.as_mut() else { return Ok(()) };
@@ -173,7 +147,6 @@ mod armed {
             Some(FaultAction::IoError) => {
                 Err(io::Error::other(format!("injected fault at {name}")))
             }
-            Some(FaultAction::Panic) => panic!("injected panic at {name}"),
             Some(FaultAction::Delay(ms)) => {
                 std::thread::sleep(Duration::from_millis(ms));
                 Ok(())

@@ -127,8 +127,8 @@ fn run_full(
 /// * `order` — `None` sweeps the full post-order of the loaded arena;
 ///   `Some(list)` sweeps exactly `list` (which must be in post-order
 ///   relative to itself). The frontier-parallel driver ([`crate::par`]) uses
-///   this for the finish pass over the upper nodes after the disjoint
-///   subtrees were solved by workers.
+///   this for its serial finish pass over the upper region, after the
+///   chunk workers' results were merged back.
 /// * `root_exit` — for a sub-arena solve of `subtree(f)`: the length of the
 ///   global edge *above* `f`. The local root then behaves exactly like the
 ///   interior node `f` of the full-tree sweep — requests whose distance

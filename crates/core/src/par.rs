@@ -1,9 +1,7 @@
 //! Frontier-parallel drivers for the three solvers: disjoint subtrees are
-//! solved by worker threads, then a *finish pass* sweeps the leftover
-//! upper nodes — results are **bit-identical to the serial sweeps** (pinned
-//! by `tests/parallel_determinism.rs`). For `multiple-bin` the finish pass
-//! is itself parallel: it re-applies the frontier split to the upper
-//! region (see `finish_mb`) instead of draining it on one thread.
+//! solved by worker threads, then a serial *finish pass* sweeps the
+//! leftover upper nodes — results are **bit-identical to the serial
+//! sweeps** (pinned by `tests/parallel_determinism.rs`).
 //!
 //! ## The frontier
 //!
@@ -37,23 +35,6 @@
 //!   router's must-serve ordering. The worker's committed state (replica
 //!   set, loads, assignments, Fenwick load sums, pending requests at `f`,
 //!   stage counters) is merged back id-for-id before the finish pass.
-//!
-//! ## The parallel finish pass (`multiple-bin`)
-//!
-//! After the chunk workers merge back, the upper region is an
-//! upward-closed connected set rooted at the global root. `finish_mb`
-//! repeatedly carves a deterministic antichain of *region subtrees* out of
-//! it (same largest-first policy as `build_frontier`, but sized by the
-//! number of **region** nodes under each root) and dispatches each to a
-//! worker over the *full* global subtree below its root, seeded with the
-//! already-committed state and sweeping only its region nodes. Merging a
-//! finish worker back overwrites (rather than fills) the subtree's state —
-//! stages at upper nodes may have re-routed volume the chunk workers
-//! committed. The residual (ancestors of the carved roots plus dust) loops
-//! until one region subtree remains, which a serial sweep drains. Every
-//! interleaving consistent with "descendants before ancestors" commits the
-//! same stages with the same scopes, so the result is bit-identical to the
-//! serial finish order.
 //!
 //! The split threshold, chunk ordering and merge order are all functions of
 //! the tree shape alone — never of thread scheduling — so any thread count
@@ -306,7 +287,7 @@ pub fn single_nod_par(
 
 /// [`crate::multiple_bin::multiple_bin_arena`] solved with up to `threads`
 /// worker threads over disjoint frontier subtrees (each on a private
-/// rank-mapped sub-arena), then a parallel finish pass over the upper
+/// rank-mapped sub-arena), then a serial finish pass over the upper
 /// nodes. Bit-identical to the serial entry point — solution *and* stage
 /// counters — for every thread count.
 ///
@@ -324,26 +305,22 @@ pub fn multiple_bin_par(
     check_total_fits(scratch.arena())?;
     scratch.prepare_multiple_bin();
     scratch.prepare_deadlines(dmax);
-    let Some(fr) = build_frontier(scratch.arena(), threads, MIN_CHUNK) else {
-        mb_sweep(scratch, w, dmax, None, None)?;
-        debug_assert!(scratch.req.first().is_none_or(|r| r.is_empty()));
-        return Ok(collect_solution(scratch));
-    };
-
-    let outcomes: Vec<Result<SolverScratch, SolveError>> = {
-        let gs: &SolverScratch = scratch;
-        par_map_with_threads(fr.roots.len(), threads, |i| mb_worker(gs, w, dmax, fr.roots[i]))
-    };
-    for outcome in outcomes {
-        merge_mb_worker(scratch, outcome?);
+    let frontier = build_frontier(scratch.arena(), threads, MIN_CHUNK);
+    if let Some(fr) = &frontier {
+        let outcomes: Vec<Result<SolverScratch, SolveError>> = {
+            let gs: &SolverScratch = scratch;
+            par_map_with_threads(fr.roots.len(), threads, |i| mb_worker(gs, w, dmax, fr.roots[i]))
+        };
+        for outcome in outcomes {
+            merge_mb_worker(scratch, outcome?);
+        }
     }
 
-    // Finish pass: stages at upper nodes may still re-route volume the
-    // workers committed (the merged loads, assignments and Fenwick sums are
-    // exactly the serial mid-sweep state, so those stages behave
-    // identically). The pass itself recurses the frontier split on the
-    // upper region rather than draining it serially.
-    finish_mb(scratch, w, dmax, threads, &fr.upper_post)?;
+    // Finish pass (the whole sweep without a frontier): stages at upper
+    // nodes may still re-route volume the workers committed (the merged
+    // loads, assignments and Fenwick sums are exactly the serial mid-sweep
+    // state, so those stages behave identically).
+    mb_sweep(scratch, w, dmax, None, frontier.as_ref().map(|fr| &fr.upper_post[..]))?;
     debug_assert!(scratch.req.first().is_none_or(|r| r.is_empty()));
     Ok(collect_solution(scratch))
 }
@@ -356,11 +333,6 @@ fn mb_worker(
     dmax: Option<Dist>,
     f: u32,
 ) -> Result<SolverScratch, SolveError> {
-    // Chaos-gauntlet seam: a planned `Panic` here exercises the serve
-    // engine's worker-isolation path (the panic rides rp-parallel's
-    // propagation machinery to the collecting thread, where the engine
-    // catches it and falls back to a serial re-solve). Inert otherwise.
-    let _ = crate::fault::point("par.worker");
     let mut ls = SolverScratch::new();
     ls.arena.rebuild_subtree(gs.arena(), f);
     ls.prepare_multiple_bin();
@@ -427,202 +399,4 @@ fn merge_mb_worker(gs: &mut SolverScratch, mut ls: SolverScratch) {
     }));
     let stats: &StageStats = &ls.stats;
     gs.stats.absorb(stats);
-}
-
-/// Smallest *region-subtree* (counting only upper-region nodes) worth
-/// dispatching to a finish-pass worker. Much smaller than [`MIN_CHUNK`]:
-/// a region node usually carries a whole merged chunk's pending volume,
-/// so even thin slices of the upper region hold real work.
-const MIN_REGION: usize = 256;
-
-/// The `multiple-bin` finish pass: drains the upper region, in parallel
-/// where it pays. Each round carves a deterministic antichain of region
-/// subtrees (largest-first on region-node counts, exactly the
-/// [`build_frontier`] policy), solves them on workers via
-/// [`finish_worker`], overwrites the merged state via
-/// [`merge_finish_worker`], and loops on the residual ancestors; whatever
-/// is left when no two real cuts exist runs on the serial sweep. The cut
-/// boundaries and merge order depend only on (tree, region, threads) — and
-/// any schedule that finalises descendants before ancestors commits the
-/// same stages — so the outcome is bit-identical for every thread count.
-fn finish_mb(
-    scratch: &mut SolverScratch,
-    w: Requests,
-    dmax: Option<Dist>,
-    threads: usize,
-    upper_post: &[u32],
-) -> Result<(), SolveError> {
-    let mut region: Vec<u32> = upper_post.to_vec();
-    let n = scratch.arena().len();
-    // Dense per-node marks, reset after every round (region shrinks, so a
-    // stale mark would leak a removed node into the next round's sizes).
-    let mut in_region = vec![false; n];
-    let mut rsize = vec![0u32; n];
-    while threads > 1 && region.len() >= 2 * MIN_REGION {
-        let arena = scratch.arena();
-        // Region-subtree sizes by post-order accumulation: `region` is a
-        // filtered global post-order, so children finalise before parents,
-        // and upward-closedness puts every non-root parent in the region.
-        for &v in &region {
-            in_region[v as usize] = true;
-            rsize[v as usize] = 1;
-        }
-        let root = *region.last().expect("the upper region contains the global root");
-        for &v in &region {
-            if v != root {
-                let p = arena.parent(v);
-                debug_assert!(in_region[p as usize], "the upper region is upward-closed");
-                rsize[p as usize] += rsize[v as usize];
-            }
-        }
-        debug_assert_eq!(rsize[root as usize] as usize, region.len());
-
-        // Carve the antichain: largest region-subtree first, ties to the
-        // earliest pre-order position — the build_frontier policy keyed on
-        // region-node counts. Popped ancestors fall into the residual.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut heap: BinaryHeap<(u32, Reverse<usize>, u32)> = BinaryHeap::new();
-        heap.push((rsize[root as usize], Reverse(arena.pre_position(root)), root));
-        let target = threads.saturating_mul(3);
-        while heap.len() < target {
-            let Some(&(size, _, _)) = heap.peek() else { break };
-            if (size as usize) < 2 * MIN_REGION {
-                break; // splitting the largest cut further only makes dust
-            }
-            let (_, _, v) = heap.pop().expect("peeked above");
-            // size >= 2 * MIN_REGION > 1, so v has region children.
-            for &c in arena.children(v) {
-                if in_region[c as usize] {
-                    heap.push((rsize[c as usize], Reverse(arena.pre_position(c)), c));
-                }
-            }
-        }
-        let mut roots: Vec<u32> = heap
-            .into_iter()
-            .map(|(_, _, v)| v)
-            .filter(|&v| rsize[v as usize] as usize >= MIN_REGION)
-            .collect();
-        let made_cuts = roots.len() > 1;
-        if made_cuts {
-            roots.sort_unstable_by_key(|&v| arena.pre_position(v));
-            let outcomes: Vec<Result<SolverScratch, SolveError>> = {
-                let gs: &SolverScratch = scratch;
-                let region_ref: &[u32] = &region;
-                par_map_with_threads(roots.len(), threads, |i| {
-                    finish_worker(gs, w, dmax, roots[i], region_ref)
-                })
-            };
-            for outcome in outcomes {
-                merge_finish_worker(scratch, outcome?);
-            }
-        }
-        for &v in &region {
-            in_region[v as usize] = false;
-        }
-        if !made_cuts {
-            break; // one real cut is just the serial sweep with extra steps
-        }
-        // Residual: everything outside the carved subtrees, still in global
-        // post-order (retain preserves order). Roots are a pre-order-sorted
-        // antichain, so one predecessor lookup decides coverage.
-        let arena = scratch.arena();
-        region.retain(|&v| {
-            let p = arena.pre_position(v);
-            match roots.binary_search_by_key(&p, |&g| arena.pre_position(g)) {
-                Ok(_) => false,
-                Err(0) => true,
-                Err(i) => {
-                    let g = roots[i - 1];
-                    p >= arena.pre_position(g) + arena.subtree_size(g)
-                }
-            }
-        });
-    }
-    mb_sweep(scratch, w, dmax, None, Some(&region))
-}
-
-/// Solves the region nodes under carved root `g` on a private scratch over
-/// the **full** `subtree(g)` sub-arena, seeded with the globally committed
-/// mid-sweep state (replica set, loads, assignments, Fenwick sums, pending
-/// requests). Stages at region nodes may re-route volume committed
-/// anywhere below them, which is why the whole subtree rides along even
-/// though only the region nodes are swept.
-fn finish_worker(
-    gs: &SolverScratch,
-    w: Requests,
-    dmax: Option<Dist>,
-    g: u32,
-    region: &[u32],
-) -> Result<SolverScratch, SolveError> {
-    let mut ls = SolverScratch::new();
-    ls.arena.rebuild_subtree(gs.arena(), g);
-    ls.prepare_multiple_bin();
-    seed_worker_deadlines(gs, &mut ls, g);
-    {
-        let SolverScratch { arena, in_r, load, assigned, req, load_sums, .. } = &mut ls;
-        let origin = arena.origin();
-        let local =
-            |gid: u32| origin.binary_search(&gid).expect("referenced node is in subtree(g)") as u32;
-        for (v, &gnode) in origin.iter().enumerate() {
-            let gi = gnode as usize;
-            if gs.in_r[gi] {
-                in_r[v] = true;
-                load[v] = gs.load[gi];
-                assigned[v].extend(gs.assigned[gi].iter().map(|&(c, amount)| (local(c), amount)));
-                load_sums.add(arena.post_position(v as u32), gs.load[gi] as i64);
-            }
-            if !gs.req[gi].is_empty() {
-                // Pending distances are relative to the node they sit at,
-                // so they translate unchanged.
-                req[v].extend(gs.req[gi].iter().map(|t| PendingRequest {
-                    d: t.d,
-                    w: t.w,
-                    client: local(t.client),
-                }));
-            }
-        }
-    }
-    // Sweep only the region slice of the subtree; `region` is a filtered
-    // global post-order and rank-mapping preserves relative order, so the
-    // translated list is a valid local sweep order.
-    let order: Vec<u32> = {
-        let ga = gs.arena();
-        let origin = ls.arena.origin();
-        region
-            .iter()
-            .copied()
-            .filter(|&v| ga.is_ancestor_or_self(g, v))
-            .map(|v| origin.binary_search(&v).expect("region node below g") as u32)
-            .collect()
-    };
-    mb_sweep(&mut ls, w, dmax, Some(gs.arena().edge(g)), Some(&order))?;
-    Ok(ls)
-}
-
-/// Copies a finish worker's state back into the session scratch. Unlike
-/// [`merge_mb_worker`] this **overwrites**: the worker was seeded with
-/// committed state and its stages may have moved any of it, so every row of
-/// `subtree(g)` is replaced wholesale (the Fenwick sums by signed delta).
-fn merge_finish_worker(gs: &mut SolverScratch, ls: SolverScratch) {
-    let origin = ls.arena.origin();
-    for (v, &gnode) in origin.iter().enumerate() {
-        let gi = gnode as usize;
-        gs.in_r[gi] = ls.in_r[v];
-        let delta = ls.load[v] as i64 - gs.load[gi] as i64;
-        if delta != 0 {
-            gs.load_sums.add(gs.arena.post_position(gnode), delta);
-        }
-        gs.load[gi] = ls.load[v];
-        gs.assigned[gi].clear();
-        gs.assigned[gi]
-            .extend(ls.assigned[v].iter().map(|&(c, amount)| (origin[c as usize], amount)));
-        gs.req[gi].clear();
-        gs.req[gi].extend(ls.req[v].iter().map(|t| PendingRequest {
-            d: t.d,
-            w: t.w,
-            client: origin[t.client as usize],
-        }));
-    }
-    gs.stats.absorb(&ls.stats);
 }

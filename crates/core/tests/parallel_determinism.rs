@@ -90,11 +90,9 @@ fn broom_upper_region_exercises_the_parallel_finish_pass() {
     // ending in a fork of two complete depth-10 binary brushes (clients at
     // the leaves). The frontier builder turns the four brushes into worker
     // chunks and leaves the ~1200-node branching chain structure as the
-    // upper region — wide and deep enough that the multiple-bin finish
-    // pass carves parallel region cuts (two ≥256-region-node subtrees)
-    // instead of draining everything serially. dmax = 25% of the tree
-    // height pins client deadlines mid-chain, so real stages commit and
-    // re-route volume *inside* the region, across the cut boundaries.
+    // upper region, which the finish pass sweeps. dmax = 25% of the tree
+    // height pins client deadlines mid-chain, so real finish-pass stages
+    // commit and re-route volume the chunk workers already committed.
     fn grow_brush(b: &mut TreeBuilder, parent: rp_tree::NodeId, depth: usize, salt: &mut u64) {
         if depth == 0 {
             *salt += 1;

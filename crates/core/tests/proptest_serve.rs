@@ -129,9 +129,6 @@ proptest! {
         let inst = Instance::new(tree, s.capacity, s.dmax).expect("positive capacity");
 
         let mut engine = ServeEngine::new(&inst).expect("binary, r_i ≤ W");
-        // Journal on for every batch size: the threshold heuristic is
-        // covered separately; equivalence must hold at full exposure.
-        engine.set_full_solve_threshold(1.0);
         let mut naive = ServeEngine::new(&inst).expect("binary, r_i ≤ W");
         naive.set_naive_resolve(true);
 
@@ -164,7 +161,7 @@ proptest! {
             }
             let outcome = engine.solve().expect("incremental solve");
             naive.solve().expect("naive solve");
-            prop_assert!(outcome.incremental, "threshold 1.0 keeps the journal on");
+            prop_assert!(outcome.incremental, "a valid journal serves every batch size");
 
             // Three-way equivalence: warm-incremental vs warm-naive vs a
             // from-scratch solve of a freshly built tree.
@@ -209,7 +206,7 @@ fn journal_replay_engages_on_stage_dense_streams() {
     for (k, &node) in client_ids.iter().enumerate().take(24).filter(|(k, _)| k % 7 == 3) {
         engine.apply_delta(node, DemandDelta::Add(1 + (k as u64) % 3)).unwrap();
         let outcome = engine.solve().expect("incremental solve");
-        assert!(outcome.incremental, "one dirty client of 96 is under the 10% threshold");
+        assert!(outcome.incremental, "a valid journal makes every re-solve incremental");
         assert!(
             outcome.stages_reused > 2 * outcome.stages_recomputed,
             "a shallow delta must replay the deep bulk of the stages: {outcome:?}"
@@ -238,10 +235,11 @@ fn journal_replay_engages_on_stage_dense_streams() {
 }
 
 #[test]
-fn threshold_crossing_falls_back_to_full_solves_and_recovers() {
-    // Over-threshold batches run the plain full path (and rebuild the
-    // journal); the next small delta is incremental again — and results
-    // stay identical to the naive reference across the switch.
+fn large_batches_stay_incremental_and_match_naive() {
+    // A batch dirtying half the clients still replays from the journal
+    // (more stages are simply re-searched); results stay identical to the
+    // naive reference, and the next small delta reuses the journal that
+    // the large batch rebuilt.
     let s = Scenario {
         caterpillar: true,
         cat_picks: (0..40).map(|i| (i % 2, i % 2, i % 9)).collect(),
@@ -259,23 +257,49 @@ fn threshold_crossing_falls_back_to_full_solves_and_recovers() {
     engine.solve().expect("initial solve");
     naive.solve().expect("initial solve");
 
-    // 20 dirty clients of 40 blows through the 10% default threshold.
+    // 20 dirty clients of 40.
     for &node in &client_ids[..20] {
         engine.apply_delta(node, DemandDelta::Add(2)).unwrap();
         naive.apply_delta(node, DemandDelta::Add(2)).unwrap();
     }
-    let big = engine.solve().expect("full solve");
+    let big = engine.solve().expect("incremental solve");
     naive.solve().expect("naive solve");
-    assert!(!big.incremental, "20/40 dirty clients exceed the threshold");
+    assert!(big.incremental, "batch size never forces a full solve");
+    assert!(big.stages_recomputed > 0, "{big:?}");
     assert_eq!(engine.solution(), naive.solution());
     assert_eq!(engine.stage_stats(), naive.stage_stats());
 
-    // …and the journal that full solve rebuilt serves the next delta.
+    // …and the journal that solve rebuilt serves the next delta.
     engine.apply_delta(client_ids[5], DemandDelta::Sub(1)).unwrap();
     naive.apply_delta(client_ids[5], DemandDelta::Sub(1)).unwrap();
     let small = engine.solve().expect("incremental solve");
     naive.solve().expect("naive solve");
-    assert!(small.incremental, "the full solve re-seeds the journal");
+    assert!(small.incremental);
     assert_eq!(engine.solution(), naive.solution());
     assert_eq!(engine.stage_stats(), naive.stage_stats());
+    assert_eq!(engine.stats().full_solves, 1, "only the initial solve runs cold");
+}
+
+#[test]
+fn default_engine_resolves_incrementally() {
+    // Two clients, so any one-delta batch is half the instance: with no
+    // knob set the engine still replays from its journal, and the result
+    // equals the naive reference.
+    let mut b = TreeBuilder::new();
+    let n1 = b.add_internal(b.root(), 2);
+    b.add_client(n1, 1, 4);
+    let client = b.add_client(n1, 2, 5);
+    let inst = Instance::new(b.freeze().unwrap(), 10, Some(4)).unwrap();
+    let mut engine = ServeEngine::new(&inst).unwrap();
+    let mut naive = ServeEngine::new(&inst).unwrap();
+    naive.set_naive_resolve(true);
+    engine.solve().unwrap();
+    naive.solve().unwrap();
+    engine.apply_delta(client.0, DemandDelta::Add(2)).unwrap();
+    naive.apply_delta(client.0, DemandDelta::Add(2)).unwrap();
+    assert!(engine.solve().unwrap().incremental);
+    assert!(!naive.solve().unwrap().incremental);
+    assert_eq!(engine.solution(), naive.solution());
+    assert_eq!(engine.stage_stats(), naive.stage_stats());
+    assert_eq!((engine.stats().full_solves, engine.stats().incremental_solves), (1, 1));
 }

@@ -34,6 +34,14 @@ pub enum SolveError {
         /// The instance's total request volume.
         total: u128,
     },
+    /// Some node lies further than `u64::MAX` from the root. `multiple-bin`
+    /// orders and splits pending requests by root-distance differences,
+    /// which must be exact, so it refuses such instances; the `single_*`
+    /// solvers, which saturate path sums, do not.
+    RootDistanceTooLarge {
+        /// The first node (by index) whose root distance overflows.
+        node: NodeId,
+    },
     /// A client cannot be served even with a replica on every node of its
     /// path (only possible under the Multiple policy when `r_i` exceeds the
     /// combined capacity of the whole path).
@@ -95,6 +103,9 @@ impl fmt::Display for SolveError {
                     rp_tree::Tree::MAX_REQUESTS
                 )
             }
+            SolveError::RootDistanceTooLarge { node } => {
+                write!(f, "node {node} lies further than {} from the root", u64::MAX)
+            }
             SolveError::ClientUnservable { client } => {
                 write!(f, "client {client} cannot be served even by its whole root path")
             }
@@ -130,6 +141,7 @@ mod tests {
             SolveError::ClientExceedsCapacity { client: NodeId(4), requests: 12, capacity: 7 },
             SolveError::NotBinary { arity: 5 },
             SolveError::TotalRequestsTooLarge { total: u64::MAX as u128 },
+            SolveError::RootDistanceTooLarge { node: NodeId(5) },
             SolveError::ClientUnservable { client: NodeId(1) },
             SolveError::StageRepair { node: NodeId(3) },
             SolveError::StageDpExhausted { node: NodeId(6), rmax: 17 },
@@ -142,6 +154,7 @@ mod tests {
                 SolveError::ClientExceedsCapacity { .. }
                 | SolveError::NotBinary { .. }
                 | SolveError::TotalRequestsTooLarge { .. }
+                | SolveError::RootDistanceTooLarge { .. }
                 | SolveError::ClientUnservable { .. }
                 | SolveError::StageRepair { .. }
                 | SolveError::StageDpExhausted { .. }

@@ -43,6 +43,7 @@ pub mod baselines;
 pub mod bounds;
 pub mod error;
 pub mod fault;
+mod heap;
 pub mod improve;
 pub mod multiple_bin;
 pub mod par;

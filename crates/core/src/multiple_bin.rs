@@ -6,9 +6,14 @@
 //! lives in [`crate::stage`].
 //!
 //! The sweep processes nodes bottom-up. Every node `j` maintains `req(j)`,
-//! the list of fragments `(d, w, i)` — `w` requests of client `i` at
+//! the set of fragments `(d, w, i)` — `w` requests of client `i` at
 //! distance `d` from `j` — that are still waiting to be served at `j` or
-//! above, sorted by non-increasing `d` (most distance-constrained first).
+//! above, ordered by non-increasing `d` (most distance-constrained first),
+//! ties in post order. Since `d = root_dist(i) − root_dist(j)`, that order
+//! is a static per-client key, so `req(j)` is a max-heap built from the
+//! children's heaps by small-to-large merging — nothing is copied or
+//! re-sorted per node (see the `heap` module). The heap top is the most
+//! constrained fragment, so the stuck requests are popped off the top.
 //!
 //! Replicas are only ever placed when some pending request is **stuck**: it
 //! cannot travel above `j` without violating `dmax` (at the root every
@@ -33,6 +38,7 @@
 //! exact agreement whenever `r_i ≤ W`.
 
 use crate::error::SolveError;
+use crate::heap::HeapForest;
 use crate::scratch::SolverScratch;
 use crate::stage::{PendingRequest, StageEngine};
 use rp_tree::arena::{TreeArena, NO_PARENT};
@@ -52,7 +58,10 @@ use rp_tree::{Dist, Instance, NodeId, Requests, Solution};
 ///   `W` requests (the precondition of Theorem 6);
 /// * [`SolveError::TotalRequestsTooLarge`] if the summed request volume
 ///   exceeds [`rp_tree::Tree::MAX_REQUESTS`] (the bound behind the solver's
-///   64-bit volume slabs — see `crate::scratch`).
+///   64-bit volume slabs — see `crate::scratch`);
+/// * [`SolveError::RootDistanceTooLarge`] if some node lies further than
+///   `u64::MAX` from the root (the sweep keys pending requests on exact
+///   root distances).
 pub fn multiple_bin(instance: &Instance) -> Result<Solution, SolveError> {
     let mut scratch = SolverScratch::new();
     multiple_bin_with(instance, &mut scratch)
@@ -115,10 +124,11 @@ fn run_full(
     dmax: Option<Dist>,
 ) -> Result<Solution, SolveError> {
     crate::scratch::check_total_fits(scratch.arena())?;
+    crate::scratch::check_distances_fit(scratch.arena())?;
     scratch.prepare_multiple_bin();
     scratch.prepare_deadlines(dmax);
     mb_sweep(scratch, w, dmax, None, None)?;
-    debug_assert!(scratch.req.first().is_none_or(|r| r.is_empty()));
+    debug_assert!(scratch.arena.preorder().first().is_none_or(|&r| scratch.flow.is_empty_at(r)));
     Ok(collect_solution(scratch))
 }
 
@@ -132,10 +142,10 @@ fn run_full(
 /// * `root_exit` — for a sub-arena solve of `subtree(f)`: the length of the
 ///   global edge *above* `f`. The local root then behaves exactly like the
 ///   interior node `f` of the full-tree sweep — requests whose distance
-///   budget still covers that edge stay pending in the local root's `req`
-///   slot for the caller to merge upwards. `None` means the local root is
-///   the true root (`δ_r = +∞` in the paper: everything pending there is
-///   stuck and must be served).
+///   budget still covers that edge stay pending in the local root's heap
+///   for the caller to merge upwards. `None` means the local root is the
+///   true root (`δ_r = +∞` in the paper: everything pending there is stuck
+///   and must be served).
 ///
 /// # Errors
 ///
@@ -167,69 +177,229 @@ pub(crate) fn mb_sweep(
             None => scratch.arena.postorder()[pos],
             Some(list) => list[pos],
         };
-        let ji = j as usize;
-        if scratch.arena.is_client(j) {
-            let r = scratch.arena.requests(j);
-            if r == 0 {
-                continue;
-            }
-            if can_go_above(&scratch.arena, dmax, root_exit, j, 0) {
-                scratch.req[ji].push(PendingRequest { d: 0, w: r, client: j });
-            } else {
+        match scratch.flow.step(&scratch.arena, dmax, root_exit, j) {
+            Step::Pass => {}
+            Step::SelfServe(r) => {
                 // The client is too far even from its own parent: serve it
                 // locally (paper line 5). The committed-load summary is
                 // kept in step so stage commits can price skipped volume.
+                let ji = j as usize;
                 scratch.in_r[ji] = true;
                 scratch.load[ji] = r;
                 scratch.assigned[ji].push((j, r));
                 scratch.load_sums.add(scratch.arena.post_position(j), r as i64);
             }
-            continue;
+            Step::Stage => {
+                check_deadline(scratch)?;
+                // Serve the stuck requests at `j` or inside its subtree.
+                // Travelling requests are deliberately NOT absorbed here
+                // even when spare capacity remains: they stay pending, and
+                // when they get stuck at some ancestor, that stage routes
+                // them back down into any spare capacity left today —
+                // deferring the decision can only help. The stage never
+                // touches the flow: the stuck prefix already left `j`'s
+                // heap.
+                let stuck = std::mem::take(&mut scratch.flow.stuck);
+                let travelling = std::mem::take(&mut scratch.flow.travelling);
+                let result = StageEngine::new(scratch, w).serve_stuck(j, &stuck, &travelling);
+                scratch.flow.stuck = stuck;
+                scratch.flow.travelling = travelling;
+                result?;
+            }
+            Step::Quiet => {
+                if scratch.serve.is_some() {
+                    // Serve-mode journal upkeep: a journaled stage whose
+                    // stuck set emptied (a delta drained it) fires no stage
+                    // this solve, but the state it used to write must still
+                    // be poisoned — see `crate::serve::note_no_stage`.
+                    // Flow-clean nodes cannot change stuckness, so the hook
+                    // exits on them without a lookup.
+                    crate::serve::note_no_stage(scratch, j);
+                }
+            }
         }
-
-        // temp = merge of the children's req lists, distances shifted by the
-        // connecting edges, sorted by non-increasing distance.
-        let mut temp = std::mem::take(&mut scratch.req[ji]);
-        debug_assert!(temp.is_empty());
-        let nchild = scratch.arena.children(j).len();
-        for k in 0..nchild {
-            let c = scratch.arena.children(j)[k];
-            let edge = scratch.arena.edge(c);
-            let mut list = std::mem::take(&mut scratch.req[c as usize]);
-            // Saturating shift: a distance that overflows u64 is already
-            // further than any dmax can allow, and `can_go_above` treats the
-            // saturated value correctly (it can never fit a budget again).
-            temp.extend(list.iter().map(|t| PendingRequest { d: t.d.saturating_add(edge), ..*t }));
-            list.clear();
-            scratch.req[c as usize] = list; // hand the allocation back
-        }
-        temp.sort_by_key(|t| std::cmp::Reverse(t.d));
-
-        // Stuck requests cannot travel above `j`; they are a prefix of the
-        // sorted list because stuckness is monotone in `d`.
-        let split =
-            temp.partition_point(|t| !can_go_above(&scratch.arena, dmax, root_exit, j, t.d));
-        if split > 0 {
-            check_deadline(scratch)?;
-            // Serve the stuck requests at `j` or inside its subtree.
-            // Travelling requests are deliberately NOT absorbed here even
-            // when spare capacity remains: they stay pending, and when they
-            // get stuck at some ancestor, that stage routes them back down
-            // into any spare capacity left today — deferring the decision
-            // can only help.
-            StageEngine::new(scratch, w).serve_stuck(j, &temp[..split], &temp[split..])?;
-            temp.drain(0..split);
-        } else if scratch.serve.is_some() {
-            // Serve-mode journal upkeep: a journaled stage whose stuck set
-            // emptied (a delta drained it) fires no stage this solve, but
-            // the state it used to write must still be poisoned — see
-            // `crate::serve::note_no_stage`. Flow-clean nodes cannot change
-            // stuckness, so the hook exits on them without a lookup.
-            crate::serve::note_no_stage(scratch, j);
-        }
-        scratch.req[ji] = temp;
     }
     Ok(())
+}
+
+/// One `req(j)` entry of the sweep's pending heaps: `w` requests of
+/// `client`. The heap order is the static key `(root_dist desc,
+/// post-order position asc)` — see [`PendingFlow`].
+#[derive(Debug, Clone, Copy)]
+struct SweepEntry {
+    rd: Dist,
+    post: u32,
+    client: u32,
+    w: Requests,
+}
+
+impl SweepEntry {
+    /// The entry as a `req(j)` fragment at a node `j` (an ancestor of the
+    /// client) whose root distance is `rd_j`: its distance is the
+    /// root-distance difference, exact because the `multiple-bin` entry
+    /// points reject root distances beyond `u64`
+    /// ([`crate::scratch::check_distances_fit`]).
+    fn at(self, rd_j: Dist) -> PendingRequest {
+        PendingRequest { d: self.rd - rd_j, w: self.w, client: self.client }
+    }
+}
+
+impl Ord for SweepEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.rd.cmp(&other.rd).then(other.post.cmp(&self.post))
+    }
+}
+
+impl PartialOrd for SweepEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for SweepEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for SweepEntry {}
+
+/// The sweep's pending flow: Algorithm 3's `req(j)` sets as one
+/// [`HeapForest`] heap per node, plus the stuck and travelling fragments
+/// of the last join that fired a stage.
+///
+/// `req(j)` is ordered by non-increasing distance `d` to `j`, ties in
+/// child order — i.e. in post order, since each child's subtree precedes
+/// the next in post order. Because `d = root_dist(c) − root_dist(j)`, that
+/// is the *static* key `(root_dist(c) desc, post_position(c) asc)`: no
+/// entry is rewritten as it travels up, and a join merges the children's
+/// heaps small-to-large (see [`crate::heap`]). Sub-arena sweeps keep
+/// global root distances and rank-preserving post positions, so their heap
+/// order is the serial order too. Stages never change the flow: they
+/// receive exactly the stuck prefix, which [`PendingFlow::join`] has
+/// already popped.
+#[derive(Debug, Default)]
+pub(crate) struct PendingFlow {
+    heaps: HeapForest<SweepEntry>,
+    /// Stuck fragments of the last firing join, in `req(j)` order.
+    pub(crate) stuck: Vec<PendingRequest>,
+    /// The rest of `req(j)` at the last firing join, in `req(j)` order.
+    pub(crate) travelling: Vec<PendingRequest>,
+    /// Staging buffer that puts the travelling heap entries in order.
+    rest: Vec<SweepEntry>,
+}
+
+/// What the pending flow asks of the sweep at one node (see
+/// [`PendingFlow::step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// A client without requests, or one whose requests started
+    /// travelling.
+    Pass,
+    /// A client too far even from its own parent: it must serve its
+    /// requests itself (paper line 5).
+    SelfServe(Requests),
+    /// An internal node with stuck requests: serve
+    /// [`PendingFlow::stuck`] inside `subtree(j)`.
+    Stage,
+    /// An internal node where nothing is stuck.
+    Quiet,
+}
+
+impl PendingFlow {
+    /// Advances the flow over node `j` (children before parents): a client
+    /// starts travelling or must serve itself; an internal node builds
+    /// `req(j)` ([`PendingFlow::join`]).
+    fn step(
+        &mut self,
+        arena: &TreeArena,
+        dmax: Option<Dist>,
+        root_exit: Option<Dist>,
+        j: u32,
+    ) -> Step {
+        if !arena.is_client(j) {
+            return if self.join(arena, dmax, root_exit, j) { Step::Stage } else { Step::Quiet };
+        }
+        let r = arena.requests(j);
+        if r == 0 {
+            Step::Pass
+        } else if travel_limit(arena, dmax, root_exit, j).is_some() {
+            self.push(arena, j, j, r);
+            Step::Pass
+        } else {
+            Step::SelfServe(r)
+        }
+    }
+
+    /// Empties the flow for an `n`-node arena, releasing every heap
+    /// allocation of the previous solve.
+    pub(crate) fn prepare(&mut self, n: usize) {
+        self.heaps.prepare(n, true);
+        self.stuck.clear();
+        self.travelling.clear();
+        self.rest.clear();
+    }
+
+    /// Adds `w` pending requests of client `c` to the heap of node `at`
+    /// (`c` itself when the client starts travelling, at distance 0).
+    pub(crate) fn push(&mut self, arena: &TreeArena, at: u32, c: u32, w: Requests) {
+        let entry = SweepEntry {
+            rd: arena.root_dist(c),
+            post: arena.post_position(c) as u32,
+            client: c,
+            w,
+        };
+        self.heaps.push(at, entry);
+    }
+
+    /// Builds `req(j)` from `j`'s children and pops its stuck prefix into
+    /// [`PendingFlow::stuck`] — stuckness is monotone in `d`, so the stuck
+    /// entries are exactly the heap's top run. Returns whether any request
+    /// is stuck; only then is the rest materialised, in `req(j)` order,
+    /// into [`PendingFlow::travelling`] (the stage needs it; a join that
+    /// fires nothing stays O(merge)).
+    fn join(
+        &mut self,
+        arena: &TreeArena,
+        dmax: Option<Dist>,
+        root_exit: Option<Dist>,
+        j: u32,
+    ) -> bool {
+        let children = arena.children(j);
+        let base = self.heaps.largest_child(children);
+        self.heaps.gather(j, children, base, true);
+        let limit = travel_limit(arena, dmax, root_exit, j);
+        let rd_j = arena.root_dist(j);
+        let heap = self.heaps.get_mut(j);
+        self.stuck.clear();
+        while let Some(&top) = heap.peek() {
+            if limit.is_some_and(|l| top.rd <= l) {
+                break;
+            }
+            self.stuck.push(top.at(rd_j));
+            heap.pop();
+        }
+        if self.stuck.is_empty() {
+            return false;
+        }
+        self.rest.clear();
+        self.rest.extend(heap.iter().copied());
+        self.rest.sort_unstable_by(|a, b| b.cmp(a));
+        self.travelling.clear();
+        self.travelling.extend(self.rest.iter().map(|t| t.at(rd_j)));
+        true
+    }
+
+    /// Whether nothing is pending at `v`.
+    pub(crate) fn is_empty_at(&self, v: u32) -> bool {
+        self.heaps.get(v).is_empty()
+    }
+
+    /// Empties `v`'s heap, returning its `(client, requests)` entries (in
+    /// no particular order).
+    pub(crate) fn drain_at(&mut self, v: u32) -> impl Iterator<Item = (u32, Requests)> + '_ {
+        self.heaps.get_mut(v).drain().map(|t| (t.client, t.w))
+    }
 }
 
 /// Reads the committed replica set and assignment out of the scratch slabs
@@ -261,29 +431,73 @@ fn check_deadline(scratch: &SolverScratch) -> Result<(), SolveError> {
     }
 }
 
-/// Whether a pending request at distance `d` from node `j` could still be
-/// served strictly above `j`. At the true root the answer is always no
-/// (`δ_r = +∞` in the paper); a sub-arena root instead consults the global
-/// exit edge in `root_exit` (see [`mb_sweep`]).
+/// The largest client root distance whose requests, pending at node `j`,
+/// can still travel strictly above `j`: a request at distance `d` from `j`
+/// may leave iff `d + exit(j) ≤ dmax`, i.e. iff its client's root distance
+/// is at most `root_dist(j) + dmax − exit(j)`. `None` when nothing can
+/// leave: at the true root (`δ_r = +∞` in the paper) or when the exit edge
+/// alone exceeds `dmax`. A sub-arena root consults the global exit edge in
+/// `root_exit` (see [`mb_sweep`]). Exact because root distances fit `u64`
+/// ([`crate::scratch::check_distances_fit`]).
 #[inline]
-fn can_go_above(
+fn travel_limit(
     arena: &TreeArena,
     dmax: Option<Dist>,
     root_exit: Option<Dist>,
     j: u32,
-    d: Dist,
-) -> bool {
-    let exit = if arena.parent(j) == NO_PARENT {
-        match root_exit {
-            None => return false,
-            Some(edge) => edge,
-        }
-    } else {
-        arena.edge(j)
-    };
+) -> Option<Dist> {
+    let exit = if arena.parent(j) == NO_PARENT { root_exit? } else { arena.edge(j) };
     match dmax {
-        None => true,
-        Some(dmax) => d.saturating_add(exit) <= dmax,
+        None => Some(Dist::MAX),
+        Some(dmax) => Some(arena.root_dist(j).saturating_add(dmax.checked_sub(exit)?)),
+    }
+}
+
+/// Test-only driver of the sweep's pending flow: runs the flow of a full
+/// `multiple-bin` sweep without the stage engine and records every stage's
+/// inputs, so `tests/proptest_sweep_order.rs` can pin the heap order
+/// against an independent flat-list reference. The stage engine is not
+/// needed for that: a stage receives exactly the stuck prefix, which the
+/// flow has already popped, and never changes what stays pending.
+#[doc(hidden)]
+pub mod testing {
+    use super::*;
+    use rp_tree::Tree;
+
+    /// The inputs of one stage, as the sweep hands them over.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct StageInput {
+        /// The node where requests got stuck.
+        pub j: u32,
+        /// The stuck fragments, in `req(j)` order.
+        pub stuck: Vec<PendingRequest>,
+        /// The rest of `req(j)`, in `req(j)` order.
+        pub travelling: Vec<PendingRequest>,
+    }
+
+    /// Runs the production pending flow over `tree` under `dmax` (post
+    /// order, true root) and returns every stage's inputs in sweep order.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::RootDistanceTooLarge`], exactly when the solvers
+    /// refuse the tree.
+    pub fn stage_inputs(tree: &Tree, dmax: Option<Dist>) -> Result<Vec<StageInput>, SolveError> {
+        let arena = TreeArena::new(tree);
+        crate::scratch::check_distances_fit(&arena)?;
+        let mut flow = PendingFlow::default();
+        flow.prepare(arena.len());
+        let mut stages = Vec::new();
+        for &j in arena.postorder() {
+            if flow.step(&arena, dmax, None, j) == Step::Stage {
+                stages.push(StageInput {
+                    j,
+                    stuck: flow.stuck.clone(),
+                    travelling: flow.travelling.clone(),
+                });
+            }
+        }
+        Ok(stages)
     }
 }
 

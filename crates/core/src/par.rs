@@ -42,10 +42,12 @@
 
 use crate::error::SolveError;
 use crate::multiple_bin::{collect_solution, mb_sweep};
-use crate::scratch::{check_binary, check_clients_fit, check_total_fits, Group, SolverScratch};
+use crate::scratch::{
+    check_binary, check_clients_fit, check_distances_fit, check_total_fits, Group, SolverScratch,
+};
 use crate::single_gen::sweep_single_gen;
 use crate::single_nod::sweep_single_nod;
-use crate::stage::{PendingRequest, StageStats};
+use crate::stage::StageStats;
 use rp_parallel::{par_map_take, par_map_with_threads};
 use rp_tree::arena::{TreeArena, NO_PARENT};
 use rp_tree::{Dist, Requests, Solution};
@@ -303,6 +305,7 @@ pub fn multiple_bin_par(
     check_binary(scratch.arena())?;
     check_clients_fit(scratch.arena(), w)?;
     check_total_fits(scratch.arena())?;
+    check_distances_fit(scratch.arena())?;
     scratch.prepare_multiple_bin();
     scratch.prepare_deadlines(dmax);
     let frontier = build_frontier(scratch.arena(), threads, MIN_CHUNK);
@@ -321,7 +324,7 @@ pub fn multiple_bin_par(
     // loads, assignments and Fenwick sums are exactly the serial mid-sweep
     // state, so those stages behave identically).
     mb_sweep(scratch, w, dmax, None, frontier.as_ref().map(|fr| &fr.upper_post[..]))?;
-    debug_assert!(scratch.req.first().is_none_or(|r| r.is_empty()));
+    debug_assert!(scratch.arena.preorder().first().is_none_or(|&r| scratch.flow.is_empty_at(r)));
     Ok(collect_solution(scratch))
 }
 
@@ -387,16 +390,13 @@ fn merge_mb_worker(gs: &mut SolverScratch, mut ls: SolverScratch) {
         }
     }
     // Requests still pending at the local root bubble into `f`'s global
-    // slot: distances are already relative to `f`, and the worker's stable
-    // sort saw the same (d, insertion-order) sequence as the serial sweep,
-    // so the list order is the serial order.
-    let pending = std::mem::take(&mut ls.req[0]);
-    debug_assert!(gs.req[f as usize].is_empty());
-    gs.req[f as usize].extend(pending.iter().map(|t| PendingRequest {
-        d: t.d,
-        w: t.w,
-        client: origin[t.client as usize],
-    }));
+    // heap, re-keyed through `origin`: root distances are global already,
+    // and the global post positions order exactly like the local ones, so
+    // `f`'s heap hands out the serial sweep's order.
+    debug_assert!(gs.flow.is_empty_at(f));
+    for (c, w) in ls.flow.drain_at(0) {
+        gs.flow.push(&gs.arena, f, origin[c as usize], w);
+    }
     let stats: &StageStats = &ls.stats;
     gs.stats.absorb(stats);
 }

@@ -58,9 +58,10 @@
 //! buys nothing there.
 
 use crate::error::SolveError;
+use crate::multiple_bin::PendingFlow;
 use crate::stage::router::RouterBufs;
-use crate::stage::{PendingRequest, StageStats};
-use rp_tree::arena::{StreamNode, TreeArena};
+use crate::stage::StageStats;
+use rp_tree::arena::{StreamNode, TreeArena, NO_PARENT};
 use rp_tree::{Dist, NodeId, Requests, Tree, TreeError};
 
 /// One `(client, amount)` assignment fragment on a replica.
@@ -152,8 +153,9 @@ pub struct SolverScratch {
     pub(crate) deadline_depth: Vec<u32>,
 
     // --- multiple-bin sweep state ---
-    /// `req(j)` pending-request lists, per node.
-    pub(crate) req: Vec<Vec<PendingRequest>>,
+    /// The `req(j)` pending heaps of the sweep (see
+    /// [`crate::multiple_bin`]'s `PendingFlow`).
+    pub(crate) flow: PendingFlow,
     /// Assignment fragments of the replica at each node (empty when none).
     pub(crate) assigned: Vec<Vec<AssignPair>>,
     /// Whether each node currently holds a replica.
@@ -312,13 +314,14 @@ impl SolverScratch {
     pub fn set_warm_start_disabled(&mut self, _disabled: bool) {}
 
     /// Releases the sparse stage-DP segment slabs a solve can leave
-    /// behind, returning their memory to the allocator. The per-node sweep
-    /// slabs (pending lists, assignment rows, router rows) are kept: they
-    /// are sized by the loaded arena and the next solve needs them at full
-    /// size anyway. Callers that solve instances of wildly different sizes
-    /// through one scratch (the scaling bench walks 2⁶..2²⁰ clients) call
-    /// this between cells so a small cell is not billed for the peak
-    /// footprint of a huge one.
+    /// behind, returning their memory to the allocator. The per-node rows
+    /// (assignment rows, router rows) are kept: they are sized by the
+    /// loaded arena and the next solve needs them at full size anyway. The
+    /// sweep's pending heaps need no release: each solve drops the previous
+    /// one's, and within a solve they hold only live entries. Callers that
+    /// solve instances of wildly different sizes through one scratch (the
+    /// scaling bench walks 2⁶..2²⁰ clients) call this between cells so a
+    /// small cell is not billed for the peak footprint of a huge one.
     pub fn shrink_to_fit_slabs(&mut self) {
         self.sdp.shrink_to_fit();
     }
@@ -383,7 +386,7 @@ impl SolverScratch {
     /// [`SolverScratch::prepare_deadlines`].
     pub(crate) fn prepare_multiple_bin(&mut self) {
         let n = self.arena.len();
-        clear_nested(&mut self.req, n);
+        self.flow.prepare(n);
         clear_nested(&mut self.assigned, n);
         reset(&mut self.in_r, n, false);
         reset(&mut self.load, n, 0);
@@ -539,6 +542,27 @@ pub(crate) fn check_total_fits(arena: &TreeArena) -> Result<(), SolveError> {
     }
     if total > Tree::MAX_REQUESTS as u128 {
         return Err(SolveError::TotalRequestsTooLarge { total });
+    }
+    Ok(())
+}
+
+/// Checks that every root distance of the arena is exact: no path sum
+/// from the root exceeds `u64::MAX` (the arena saturates such sums). The
+/// `multiple-bin` sweep orders and splits its pending requests by
+/// root-distance differences (see [`crate::multiple_bin`]'s `PendingFlow`),
+/// and the deadline rows are root-distance differences too, so both need
+/// exact values. Only the `multiple-bin` entry points call this.
+///
+/// # Errors
+///
+/// [`SolveError::RootDistanceTooLarge`] naming the first node (by index)
+/// whose distance from the root overflows.
+pub(crate) fn check_distances_fit(arena: &TreeArena) -> Result<(), SolveError> {
+    for v in 0..arena.len() as u32 {
+        let p = arena.parent(v);
+        if p != NO_PARENT && arena.root_dist(p).checked_add(arena.edge(v)).is_none() {
+            return Err(SolveError::RootDistanceTooLarge { node: NodeId(v) });
+        }
     }
     Ok(())
 }

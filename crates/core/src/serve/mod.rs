@@ -68,7 +68,8 @@ pub mod persist;
 use crate::error::SolveError;
 use crate::multiple_bin::{collect_solution, mb_sweep};
 use crate::scratch::{
-    check_binary, check_clients_fit, check_total_fits, CommitEntry, SolverScratch,
+    check_binary, check_clients_fit, check_distances_fit, check_total_fits, CommitEntry,
+    SolverScratch,
 };
 use crate::stage::StageStats;
 use persist::{PersistConfig, PersistCounters, PersistState, Recovery};
@@ -704,7 +705,8 @@ impl ServeEngine {
     /// # Errors
     ///
     /// [`SolveError::NotBinary`] / [`SolveError::ClientExceedsCapacity`] /
-    /// [`SolveError::TotalRequestsTooLarge`] — `multiple-bin`'s
+    /// [`SolveError::TotalRequestsTooLarge`] /
+    /// [`SolveError::RootDistanceTooLarge`] — `multiple-bin`'s
     /// preconditions, checked once here and then upheld per delta.
     pub fn new(instance: &Instance) -> Result<ServeEngine, SolveError> {
         let mut scratch = SolverScratch::new();
@@ -728,6 +730,7 @@ impl ServeEngine {
         check_binary(scratch.arena())?;
         check_clients_fit(scratch.arena(), w)?;
         check_total_fits(scratch.arena())?;
+        check_distances_fit(scratch.arena())?;
         let n = scratch.arena().len();
         let clients = (0..n as u32).filter(|&v| scratch.arena().is_client(v)).count() as u64;
         let total_requests = (0..n as u32)

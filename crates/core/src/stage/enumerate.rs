@@ -136,15 +136,7 @@ pub(crate) fn best_placement(
     } = scratch;
     let arena: &TreeArena = arena;
     let deadline: &[u32] = deadline;
-    let env = RouteEnv {
-        arena,
-        cap,
-        deadline,
-        deadline_depth,
-        order: active_nodes,
-        j,
-        total_demand: total,
-    };
+    let env = RouteEnv { arena, cap, deadline_depth, order: active_nodes, j, total_demand: total };
 
     // --- per-stage prune tables ---
     // Demand clients with no existing replica on their deadline path: each

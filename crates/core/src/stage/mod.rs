@@ -94,8 +94,8 @@ use rp_tree::arena::NO_PARENT;
 use rp_tree::{Dist, NodeId, Requests};
 
 /// `w` requests of `client`, currently at distance `d` from the node whose
-/// pending list contains them (the `req(j)` entries of Algorithm 3).
-#[derive(Debug, Clone, Copy)]
+/// pending set contains them (the `req(j)` entries of Algorithm 3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingRequest {
     /// Distance already travelled from the issuing client.
     pub d: Dist,
@@ -144,15 +144,15 @@ pub struct StageStats {
     /// and re-routed. The observability handle on the incremental commit:
     /// stage-dense instances live or die by this staying high.
     pub commit_skipped: u64,
-    /// Carried-list entries physically appended by the router's
+    /// Carried-heap entries physically pushed by the router's
     /// small-to-large merges, summed over all routing sweeps — the
     /// observability handle on hierarchical carried aggregation: the
     /// historical flat merge moved every entry at every spine node
     /// (O(spine × clients) on chains); the aggregated router moves whole
-    /// lists by pointer swap and only pays per entry on genuine merges,
+    /// heaps by pointer swap and only pays per entry on genuine merges,
     /// so deep chains keep this near clients · log(clients).
     pub router_carry_merges: u64,
-    /// Largest carried list (pending clients riding one node's list)
+    /// Largest carried heap (pending clients riding one node's heap)
     /// materialised by any single routing sweep — a max across stages,
     /// not a sum (merged with `max`, journaled per stage by the serve
     /// engine).
@@ -437,7 +437,7 @@ fn serve_stuck_search(
 /// marking active-forest nodes and absorbing the assignments of every
 /// replica crossed, whose clients join the pool and the walk queue
 /// (`demand_clients` doubles as that queue). Newly stuck clients always
-/// walk all the way to `j` (a fragment only reaches `j`'s pending list
+/// walk all the way to `j` (a fragment only reaches `j`'s pending set
 /// within its distance budget, so a stuck client's deadline *is* `j`);
 /// collected clients stop at their own deadline, which is what keeps
 /// far-away replica neighbourhoods out of the closure. Walks stop at
@@ -607,7 +607,6 @@ fn route_on_committed(
 ) -> Option<u64> {
     let SolverScratch {
         arena,
-        deadline,
         deadline_depth,
         in_r,
         demand,
@@ -618,8 +617,7 @@ fn route_on_committed(
         ..
     } = scratch;
     let total_demand: u64 = demand_clients.iter().map(|&c| demand[c as usize]).sum();
-    let env =
-        RouteEnv { arena, cap: w, deadline, deadline_depth, order: active_nodes, j, total_demand };
+    let env = RouteEnv { arena, cap: w, deadline_depth, order: active_nodes, j, total_demand };
     commit_log.clear();
     router::route_full(
         &env,

@@ -12,7 +12,7 @@
 //! single node, the router supports **checkpointed incremental re-routing**:
 //! [`route_prefix`] routes the part of the post-order sweep shared by a run
 //! of sibling placements once and snapshots the live state (frontier carried
-//! lists and their pending volumes); [`route_suffix`] then resumes from the
+//! heaps and their pending volumes); [`route_suffix`] then resumes from the
 //! snapshot for each placement, re-routing only the requests the changed
 //! candidate can affect, and rewinds back to the snapshot afterwards. The
 //! snapshot is sound because the sweep state at post-order position `p`
@@ -20,54 +20,78 @@
 //!
 //! # Hierarchical carried aggregation
 //!
-//! Carried lists are stored **unsorted**, each with two aggregates: the
-//! total pending volume and the maximum deadline depth of its clients.
-//! That turns the three per-node costs that used to be Θ(carried clients)
-//! into O(1) or O(smaller side):
+//! Carried sets are max-heaps of static per-client keys — the pending
+//! heap shared with the `multiple-bin` sweep ([`crate::heap`]) — keyed by
+//! `(deadline depth desc, client id asc)`, each with one aggregate: the
+//! total pending volume. That turns the per-node costs that used to be
+//! Θ(carried clients) into O(1) or O(log n) per entry touched:
 //!
 //! * a non-replica node with no own demand and one populated child *moves*
-//!   the child's list up in O(1) (the dominant step on chains and
+//!   the child's heap up in O(1) (the dominant step on chains and
 //!   caterpillar spines — previously an O(clients) copy + sort per spine
 //!   node, O(spine × clients) per maximal chain stage);
-//! * merging at a join is small-to-large: the largest child list is taken
-//!   as the base and the others are appended onto it, so over a whole sweep
-//!   each client entry is copied O(log n) times instead of once per
+//! * merging at a join is small-to-large: the largest child heap is taken
+//!   as the base and the others are pushed onto it, so over a whole sweep
+//!   each client entry is pushed O(log n) times instead of once per
 //!   ancestor ([`StageStats::router_carry_merges`](crate::stage::StageStats)
-//!   counts exactly these appends);
-//! * the missed-deadline test needs no scan: within one carried list every
+//!   counts exactly these pushes);
+//! * the missed-deadline test needs no scan: within one carried heap every
 //!   deadline is an ancestor-or-self of the holding node `u`, i.e. all of
 //!   them lie on the root path of `u`, where depth identifies a node
 //!   uniquely — so "some client's deadline is `u`" is exactly
-//!   `max deadline depth == depth(u)`. Sub-arena sweeps keep *global*
-//!   depths (see [`rp_tree::TreeArena::rebuild_subtree`]), so the
+//!   "the top's deadline depth is `depth(u)`". Sub-arena sweeps keep
+//!   *global* depths (see [`rp_tree::TreeArena::rebuild_subtree`]), so the
 //!   equivalence holds in the frontier-parallel workers too; deadlines
 //!   above a worker's local root are the `NO_PARENT` sentinel and their
 //!   (global) deadline depths are strictly above the local root, so they
 //!   can never fake an equality.
 //!
-//! Ordering only matters where volume is *served*: a replica node sorts its
-//! materialised list by `(deadline != u, deepest deadline first, client
-//! id)` — one unstable sort whose explicit id tie-break reproduces the
-//! historical "sort by id, then stable sort by deadline key" order, keeping
-//! loads and commit logs bit-identical to the flat-list router
+//! The same equivalence makes the heap order the serving order: a replica
+//! node serves the requests whose deadline is itself first, then the
+//! deepest deadline, ties by client id — and `deadline == u` is
+//! `deadline depth == depth(u)`, the largest depth in the heap. So a
+//! replica serves by popping the top, leaving a partially served client
+//! there, with no sort and no scan of the rest. Loads and commit logs are
+//! bit-identical to the flat-list router that sorted by id and then
+//! stable-sorted by `(deadline != u, deepest deadline first)`
 //! (`tests/proptest_router.rs` pins the equivalence).
 //!
 //! All state lives in [`RouterBufs`], dense rows recycled across calls,
 //! stages and solves.
 
+use crate::heap::HeapForest;
 use crate::scratch::CommitEntry;
 use rp_tree::arena::TreeArena;
 use rp_tree::Requests;
 
+/// The carried-heap key of client `c`: deadline depth in the high half,
+/// the complemented id in the low half, so the max-heap top is the deepest
+/// deadline and, among equal deadlines, the smallest id.
+#[inline]
+fn carry_key(deadline_depth: &[u32], c: u32) -> u64 {
+    (u64::from(deadline_depth[c as usize]) << 32) | u64::from(!c)
+}
+
+/// The client of a [`carry_key`].
+#[inline]
+fn key_client(key: u64) -> u32 {
+    !(key as u32)
+}
+
+/// The deadline depth of a [`carry_key`].
+#[inline]
+fn key_depth(key: u64) -> u32 {
+    (key >> 32) as u32
+}
+
 /// Immutable context of one stage's routing calls: the tree, the capacity,
-/// the deadline arrays, the stage's active forest (`order`, sorted by
+/// the deadline depths, the stage's active forest (`order`, sorted by
 /// post-order position, ending at `j`) and the stage's total demand (the
 /// early-exit threshold: once that much volume is served the rest of the
 /// sweep is a no-op).
 pub(crate) struct RouteEnv<'a> {
     pub arena: &'a TreeArena,
     pub cap: Requests,
-    pub deadline: &'a [u32],
     pub deadline_depth: &'a [u32],
     pub order: &'a [u32],
     pub j: u32,
@@ -80,17 +104,15 @@ pub(crate) struct RouteEnv<'a> {
 pub(crate) struct RouterBufs {
     /// Remaining unserved volume per client during one routing call.
     pub(crate) pending: Vec<u64>,
-    /// Clients pending at each node, children-merged bottom-up. Unsorted;
-    /// invariant: every listed client has `pending > 0`.
-    pub(crate) carried: Vec<Vec<u32>>,
-    /// Σ pending over `carried[v]` (meaningful while the list is
+    /// Clients pending at each node, children-merged bottom-up: a max-heap
+    /// of [`carry_key`]s, so the top is the next client to serve.
+    /// Invariant: every held client has `pending > 0`.
+    carried: HeapForest<u64>,
+    /// Σ pending over `carried[v]` (meaningful while the heap is
     /// non-empty).
     carried_total: Vec<u64>,
-    /// Max deadline depth over `carried[v]` (meaningful while the list is
-    /// non-empty) — the O(1) missed-deadline handle, see the module docs.
-    carried_max_dd: Vec<u32>,
-    /// Nodes whose `carried` list may be non-empty (cleanup list).
-    pub(crate) carried_touched: Vec<u32>,
+    /// Nodes whose `carried` heap may be non-empty (cleanup list).
+    carried_touched: Vec<u32>,
     /// Per-replica load accumulated by the routing call.
     pub(crate) loads: Vec<u64>,
     /// Epoch stamp of each `loads` row: a row is only meaningful for the
@@ -104,11 +126,9 @@ pub(crate) struct RouterBufs {
     prefix_epoch: u32,
     /// Volume served so far by the current route (prefix + suffix).
     served: u64,
-    /// Staging buffer for the per-node pending list (recycled via swap).
-    pub(crate) here_buf: Vec<u32>,
-    /// Checkpointed frontier: `(node, client)` pairs of every carried list
-    /// whose consuming parent lies in the suffix.
-    ck_carried: Vec<(u32, u32)>,
+    /// Checkpointed frontier: `(node, key)` pairs of every carried heap
+    /// whose consuming parent lies in the suffix, in heap array order.
+    ck_carried: Vec<(u32, u64)>,
     /// Checkpointed pending volume of every frontier client.
     ck_pending: Vec<(u32, u64)>,
     /// Length of `carried_touched` at the checkpoint.
@@ -137,19 +157,11 @@ impl RouterBufs {
         self.loads_at.resize(n, 0);
         self.carried_total.clear();
         self.carried_total.resize(n, 0);
-        self.carried_max_dd.clear();
-        self.carried_max_dd.resize(n, 0);
         self.epoch = 0;
         self.prefix_epoch = 0;
         self.served = 0;
-        if self.carried.len() < n {
-            self.carried.resize_with(n, Vec::new);
-        }
-        for list in self.carried.iter_mut() {
-            list.clear();
-        }
+        self.carried.prepare(n, false);
         self.carried_touched.clear();
-        self.here_buf.clear();
         self.ck_carried.clear();
         self.ck_pending.clear();
         self.ck_touched_len = 0;
@@ -256,21 +268,23 @@ pub(crate) fn advance_checkpoint(
 }
 
 /// Records the live state as the run's checkpoint: the frontier carried
-/// lists (every still-populated list waits for a parent beyond the
-/// checkpoint; consumed lists are empty), the pending volume of their
-/// clients — a client sits in exactly one carried list, so the snapshot is
-/// disjoint — and the served tally.
+/// heaps (every still-populated heap waits for a parent beyond the
+/// checkpoint; consumed heaps are empty), the pending volume of their
+/// clients — a client sits in exactly one carried heap, so the snapshot is
+/// disjoint — and the served tally. Heaps are recorded in array order:
+/// re-pushing that order rebuilds the identical heap without a single
+/// swap.
 fn snapshot(bufs: &mut RouterBufs) {
-    bufs.ck_served = bufs.served;
-    bufs.ck_touched_len = bufs.carried_touched.len();
-    for i in 0..bufs.ck_touched_len {
-        let v = bufs.carried_touched[i];
-        for k in 0..bufs.carried[v as usize].len() {
-            let c = bufs.carried[v as usize][k];
-            bufs.ck_carried.push((v, c));
-            bufs.ck_pending.push((c, bufs.pending[c as usize]));
+    let RouterBufs { carried, carried_touched, pending, ck_carried, ck_pending, .. } = bufs;
+    for &v in carried_touched.iter() {
+        for &key in carried.get(v).iter() {
+            ck_carried.push((v, key));
+            let c = key_client(key);
+            ck_pending.push((c, pending[c as usize]));
         }
     }
+    bufs.ck_served = bufs.served;
+    bufs.ck_touched_len = bufs.carried_touched.len();
 }
 
 /// Resumes the sweep from the [`route_prefix`] snapshot, routing
@@ -288,60 +302,59 @@ pub(crate) fn route_suffix(
     bufs.epoch += 1;
     bufs.served = bufs.ck_served;
     let res = sweep(env, barrier, env.order.len(), is_replica, demand, bufs, None);
-    // Rewind to the snapshot: drop carried lists created by the suffix,
-    // refill the (possibly consumed) frontier lists — rebuilding their
-    // aggregates from the checkpointed pendings — and restore the frontier
+    // Rewind to the snapshot: drop carried heaps created by the suffix,
+    // refill the (possibly consumed) frontier heaps — rebuilding their
+    // totals from the checkpointed pendings — and restore the frontier
     // clients' pending rows. Demand rows of suffix clients need no reset —
     // the next suffix overwrites them on visit.
-    for i in bufs.ck_touched_len..bufs.carried_touched.len() {
-        let v = bufs.carried_touched[i];
-        bufs.carried[v as usize].clear();
+    let RouterBufs {
+        carried,
+        carried_total,
+        carried_touched,
+        pending,
+        ck_carried,
+        ck_pending,
+        ck_touched_len,
+        ..
+    } = bufs;
+    for &v in &carried_touched[*ck_touched_len..] {
+        carried.get_mut(v).clear();
     }
-    bufs.carried_touched.truncate(bufs.ck_touched_len);
+    carried_touched.truncate(*ck_touched_len);
     let mut prev = u32::MAX;
-    for i in 0..bufs.ck_carried.len() {
-        let (v, c) = bufs.ck_carried[i];
-        let (c2, p) = bufs.ck_pending[i];
-        debug_assert_eq!(c, c2, "ck_carried and ck_pending are recorded in lockstep");
-        let vi = v as usize;
+    for (&(v, key), &(c, p)) in ck_carried.iter().zip(ck_pending.iter()) {
+        debug_assert_eq!(key_client(key), c, "ck_carried and ck_pending are recorded in lockstep");
         if v != prev {
-            bufs.carried[vi].clear();
-            bufs.carried_total[vi] = 0;
-            bufs.carried_max_dd[vi] = 0;
+            carried.get_mut(v).clear();
+            carried_total[v as usize] = 0;
             prev = v;
         }
-        bufs.carried[vi].push(c);
-        bufs.pending[c as usize] = p;
-        bufs.carried_total[vi] += p;
-        let dd = env.deadline_depth[c as usize];
-        if dd > bufs.carried_max_dd[vi] {
-            bufs.carried_max_dd[vi] = dd;
-        }
+        carried.get_mut(v).push(key);
+        pending[c as usize] = p;
+        carried_total[v as usize] += p;
     }
-    bufs.here_buf.clear();
     res
 }
 
 /// Ends an incremental run: discards the snapshot and restores the resting
-/// state (all carried lists empty, all pending rows zero). No-op when no
+/// state (all carried heaps empty, all pending rows zero). No-op when no
 /// prefix was routed.
 pub(crate) fn end_inner_run(bufs: &mut RouterBufs, demand_clients: &[u32]) {
     restore_resting(bufs, demand_clients);
 }
 
 /// Restores every row the sweep may have touched to its resting state:
-/// cheap — proportional to what the calls actually used. Aggregates need
-/// no reset: they are only read while a list is non-empty, and every
+/// cheap — proportional to what the calls actually used. Totals need no
+/// reset: they are only read while a heap is non-empty, and every
 /// non-empty store writes them.
 fn restore_resting(bufs: &mut RouterBufs, demand_clients: &[u32]) {
     for &v in bufs.carried_touched.iter() {
-        bufs.carried[v as usize].clear();
+        bufs.carried.get_mut(v).clear();
     }
     bufs.carried_touched.clear();
     for &c in demand_clients {
         bufs.pending[c as usize] = 0;
     }
-    bufs.here_buf.clear();
     bufs.ck_carried.clear();
     bufs.ck_pending.clear();
     bufs.ck_touched_len = 0;
@@ -359,50 +372,38 @@ fn sweep(
     bufs: &mut RouterBufs,
     mut commit: Option<&mut Vec<CommitEntry>>,
 ) -> Option<u64> {
-    let RouteEnv { arena, cap, deadline, deadline_depth, order, j, .. } = *env;
+    let RouteEnv { arena, cap, deadline_depth, order, j, .. } = *env;
     let mut unserved_at_j = 0u64;
     for &u in &order[from..to] {
         let ui = u as usize;
         let own = demand[ui] > 0;
+        let children = arena.children(u);
 
-        // Survey the children's carried lists: how many are populated, and
+        // Survey the children's carried heaps: how many are populated, and
         // which holds the most clients (the merge base).
-        let mut populated = 0usize;
-        let mut big = u32::MAX;
-        for &c in arena.children(u) {
-            let len = bufs.carried[c as usize].len();
-            if len > 0 {
-                populated += 1;
-                if big == u32::MAX || len > bufs.carried[big as usize].len() {
-                    big = c;
-                }
-            }
-        }
+        let populated = children.iter().filter(|&&c| !bufs.carried.get(c).is_empty()).count();
+        let big = bufs.carried.largest_child(children);
 
         if !is_replica[ui] && !own {
             // Pass-through fast paths: nothing is served here and no new
             // client joins, so the aggregates answer everything without
-            // touching the lists.
-            if populated == 0 {
-                continue;
-            }
+            // touching the heaps.
+            let Some(b) = big else { continue };
             if populated == 1 {
-                let bi = big as usize;
+                let bi = b as usize;
                 if u == j {
                     unserved_at_j = bufs.carried_total[bi];
-                    bump_peak(bufs, bufs.carried[bi].len() as u64);
+                    bump_peak(bufs, bufs.carried.get(b).len() as u64);
                     continue;
                 }
                 // Deadline passed? All pending volume sits in this one
-                // list; see the module docs for the depth equivalence.
-                if bufs.carried_max_dd[bi] == arena.depth(u) {
+                // heap; see the module docs for the depth equivalence.
+                if bufs.carried.get(b).peek().map(|&k| key_depth(k)) == Some(arena.depth(u)) {
                     return None;
                 }
-                // Move the list (and its aggregates) up in O(1).
-                bufs.carried[ui].clear();
-                bufs.carried.swap(ui, bi);
+                // Move the heap (and its total) up in O(1).
+                bufs.carried.move_up(b, u);
                 bufs.carried_total[ui] = bufs.carried_total[bi];
-                bufs.carried_max_dd[ui] = bufs.carried_max_dd[bi];
                 bufs.carried_touched.push(u);
                 if bufs.served == env.total_demand {
                     break;
@@ -412,15 +413,7 @@ fn sweep(
             if u == j {
                 // Stage root, nothing served here: the unserved volume is
                 // the plain sum of what the children still carry.
-                let mut total = 0u64;
-                let mut size = 0u64;
-                for &c in arena.children(u) {
-                    let ci = c as usize;
-                    if !bufs.carried[ci].is_empty() {
-                        total += bufs.carried_total[ci];
-                        size += bufs.carried[ci].len() as u64;
-                    }
-                }
+                let (total, size) = children_totals(bufs, children);
                 unserved_at_j = total;
                 bump_peak(bufs, size);
                 continue;
@@ -428,118 +421,71 @@ fn sweep(
         } else if u == j && !is_replica[ui] {
             // Stage root with own demand but no replica: own pending joins
             // the children's leftovers unserved.
-            let mut total = demand[ui];
-            let mut size = u64::from(own);
-            for &c in arena.children(u) {
-                let ci = c as usize;
-                if !bufs.carried[ci].is_empty() {
-                    total += bufs.carried_total[ci];
-                    size += bufs.carried[ci].len() as u64;
-                }
-            }
-            unserved_at_j = total;
-            bump_peak(bufs, size);
+            let (total, size) = children_totals(bufs, children);
+            unserved_at_j = total + demand[ui];
+            bump_peak(bufs, size + 1);
             continue;
         }
 
-        // General path: materialise the merged list, largest child list as
-        // the base (taken by swap — free), the rest appended
-        // (small-to-large: each client entry is appended O(log n) times
-        // over a sweep).
-        let mut here = std::mem::take(&mut bufs.here_buf);
-        debug_assert!(here.is_empty());
-        let mut total = 0u64;
-        let mut max_dd = 0u32;
-        if big != u32::MAX {
-            let bi = big as usize;
-            std::mem::swap(&mut bufs.carried[bi], &mut here);
-            total = bufs.carried_total[bi];
-            max_dd = bufs.carried_max_dd[bi];
-        }
-        for &c in arena.children(u) {
-            if c == big {
-                continue;
-            }
-            let ci = c as usize;
-            let list = &mut bufs.carried[ci];
-            if !list.is_empty() {
-                bufs.carry_merges += list.len() as u64;
-                here.extend_from_slice(list);
-                list.clear();
-                total += bufs.carried_total[ci];
-                max_dd = max_dd.max(bufs.carried_max_dd[ci]);
-            }
-        }
+        // General path: gather the children's heaps into u's, largest as
+        // the base (taken by swap — free), the rest pushed (small-to-large:
+        // each client entry is pushed O(log n) times over a sweep).
+        let (mut total, _) = children_totals(bufs, children);
+        bufs.carry_merges += bufs.carried.gather(u, children, big, false);
         if own {
             bufs.pending[ui] = demand[ui];
-            here.push(u);
+            bufs.carried.get_mut(u).push(carry_key(deadline_depth, u));
             total += demand[ui];
-            max_dd = max_dd.max(deadline_depth[ui]);
         }
-        debug_assert!(here.iter().all(|&c| bufs.pending[c as usize] > 0));
-        bump_peak(bufs, here.len() as u64);
+        let size = bufs.carried.get(u).len() as u64;
+        if size == 0 {
+            // A replica with nothing to serve (its load reads 0 through the
+            // epoch stamps).
+            debug_assert!(is_replica[ui]);
+            if u != j && bufs.served == env.total_demand {
+                break;
+            }
+            continue;
+        }
+        bufs.carried_touched.push(u);
+        bump_peak(bufs, size);
 
         if is_replica[ui] {
             bufs.loads[ui] = 0;
             bufs.loads_at[ui] = bufs.epoch;
-            // Must-serve-now: requests whose deadline is this node. Then
-            // nearest deadline (deepest ancestor) first. The trailing id
-            // key breaks ties exactly like the historical id-sort +
-            // stable-keysort pair: equal keys mean the *same* deadline
-            // node (all deadlines here lie on one root path), so ids are
-            // the only tie left.
-            here.sort_unstable_by_key(|&c| {
-                (deadline[c as usize] != u, std::cmp::Reverse(deadline_depth[c as usize]), c)
-            });
+            // Serve in heap order (see the module docs): must-serve-now
+            // requests sit on top, then the nearest deadline; a client the
+            // spare runs out on stays on top, partially served.
             let mut spare = cap;
-            for &c in here.iter() {
-                if spare == 0 {
-                    break;
-                }
+            while spare > 0 {
+                let Some(&key) = bufs.carried.get(u).peek() else { break };
+                let c = key_client(key);
                 let rem = &mut bufs.pending[c as usize];
+                debug_assert!(*rem > 0);
                 let take = spare.min(*rem);
                 *rem -= take;
                 spare -= take;
-                if take > 0 {
-                    bufs.loads[ui] += take;
-                    bufs.served += take;
-                    if let Some(log) = commit.as_mut() {
-                        log.push((u, c, take as Requests));
-                    }
+                if *rem == 0 {
+                    bufs.carried.get_mut(u).pop();
+                }
+                bufs.loads[ui] += take;
+                bufs.served += take;
+                total -= take;
+                if let Some(log) = commit.as_mut() {
+                    log.push((u, c, take as Requests));
                 }
             }
-            total = 0;
-            max_dd = 0;
-            here.retain(|&c| {
-                let p = bufs.pending[c as usize];
-                if p > 0 {
-                    total += p;
-                    max_dd = max_dd.max(deadline_depth[c as usize]);
-                    true
-                } else {
-                    false
-                }
-            });
         }
 
         // Anything still pending whose deadline is here cannot move up.
-        if u != j && !here.is_empty() && max_dd == arena.depth(u) {
-            bufs.here_buf = here;
-            return None;
-        }
+        let top_depth = bufs.carried.get(u).peek().map(|&k| key_depth(k));
         if u == j {
             unserved_at_j = total;
-            bufs.here_buf = here;
         } else {
-            if !here.is_empty() {
-                bufs.carried_touched.push(u);
+            if top_depth == Some(arena.depth(u)) {
+                return None;
             }
             bufs.carried_total[ui] = total;
-            bufs.carried_max_dd[ui] = max_dd;
-            // Store `here` as u's carried list; the old (empty) list becomes
-            // the staging buffer for the next node, recycling capacity.
-            std::mem::swap(&mut bufs.carried[ui], &mut here);
-            bufs.here_buf = here;
             // Early exit: once the whole stage demand is served, the rest
             // of the sweep is a no-op (no pending volume anywhere, so no
             // deadline can be missed and nothing reaches `j`). Loads of
@@ -550,6 +496,20 @@ fn sweep(
         }
     }
     Some(unserved_at_j)
+}
+
+/// Σ pending and Σ clients over the populated carried heaps of `children`.
+fn children_totals(bufs: &RouterBufs, children: &[u32]) -> (u64, u64) {
+    let mut total = 0u64;
+    let mut size = 0u64;
+    for &c in children {
+        let len = bufs.carried.get(c).len();
+        if len > 0 {
+            total += bufs.carried_total[c as usize];
+            size += len as u64;
+        }
+    }
+    (total, size)
 }
 
 #[inline]
@@ -629,7 +589,6 @@ pub mod testing {
         let verdict = {
             let SolverScratch {
                 arena,
-                deadline,
                 deadline_depth,
                 in_r,
                 demand,
@@ -639,15 +598,7 @@ pub mod testing {
                 ..
             } = &mut s;
             let total_demand: u64 = demand_clients.iter().map(|&c| demand[c as usize]).sum();
-            let env = RouteEnv {
-                arena,
-                cap,
-                deadline,
-                deadline_depth,
-                order: active_nodes,
-                j,
-                total_demand,
-            };
+            let env = RouteEnv { arena, cap, deadline_depth, order: active_nodes, j, total_demand };
             route_full(&env, in_r, demand, demand_clients, router, Some(&mut log))
         };
         RouteRun {

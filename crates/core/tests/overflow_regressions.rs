@@ -1,13 +1,15 @@
 //! Overflow and sentinel-headroom regressions for extreme integer inputs:
 //! request volumes and edge lengths near `u64::MAX`. The solvers promise
 //! exact integer arithmetic over the paper's integral instances, so these
-//! pin that (a) accumulated distances saturate instead of wrapping, (b) the
-//! `single-nod` packing sum cannot overflow `u64`, and (c) the stage DP's
-//! narrowed 64-bit sparse tables stay exact at magnitudes at the tree-wide
-//! volume bound.
+//! pin that (a) accumulated distances saturate instead of wrapping, (b)
+//! `multiple-bin` refuses root distances beyond `u64` instead of
+//! mis-splitting on saturated ones, (c) the `single-nod` packing sum cannot
+//! overflow `u64`, and (d) the stage DP's narrowed 64-bit sparse tables
+//! stay exact at magnitudes at the tree-wide volume bound.
 
 use rp_core::stage::dp_testing::sparse_strict_dp;
-use rp_core::{multiple_bin, single_nod};
+use rp_core::SolverScratch;
+use rp_core::{multiple_bin, multiple_bin_par, single_gen, single_nod, ServeEngine, SolveError};
 use rp_tree::{validate, Instance, Policy, Tree, TreeBuilder};
 
 #[test]
@@ -48,6 +50,36 @@ fn multiple_bin_saturated_distance_counts_as_stuck() {
         "a wrapped distance would let the request cross both huge edges"
     );
     let _ = c;
+}
+
+#[test]
+fn multiple_bin_refuses_root_distances_beyond_u64() {
+    // The inner node sits u64::MAX − 1 + 10 from the root: its root
+    // distance saturates, and so do its clients'. Differences of saturated
+    // root distances are not distances — the deadline rows came out one
+    // level too high, so a request stuck at `j` (30 + 10 > dmax) had a
+    // deadline above `j`, an invariant the stage engine asserts. The
+    // sweep's heap keys are root distances as well, so every
+    // `multiple-bin` entry point now refuses the tree up front, naming the
+    // first node whose root distance overflows; the single-policy solvers,
+    // which only ever add edges with saturation, still solve it.
+    let huge = u64::MAX / 2;
+    let mut b = TreeBuilder::new();
+    let root = b.root();
+    let a = b.add_internal(root, huge);
+    let m = b.add_internal(a, huge);
+    let j = b.add_internal(m, 10);
+    b.add_client(j, 20, 6);
+    b.add_client(j, 30, 6);
+    let inst = Instance::new(b.freeze().unwrap(), 10, Some(35)).unwrap();
+    let refused = SolveError::RootDistanceTooLarge { node: j };
+    assert_eq!(multiple_bin(&inst).unwrap_err(), refused);
+    let mut scratch = SolverScratch::new();
+    scratch.load_arena(inst.tree());
+    assert_eq!(multiple_bin_par(&mut scratch, 10, Some(35), 2).unwrap_err(), refused);
+    assert_eq!(ServeEngine::new(&inst).unwrap_err(), refused);
+    let sol = single_gen(&inst).expect("single-gen saturates path sums");
+    validate(&inst, Policy::Single, &sol).expect("solution must stay feasible");
 }
 
 #[test]

@@ -14,6 +14,11 @@
 //!   count, and on pure spines the merge counter stays linear in the
 //!   client count — the hierarchical claim that re-opened the spine
 //!   family.
+//!
+//! Caterpillar spines come with sparse replica picks and with dense
+//! placements (every spine node, or a random half of them): dense
+//! replicas serve out of long carried heaps at almost every step, the
+//! shape where a per-replica sort of the carried set was quadratic.
 
 use proptest::prelude::*;
 use rp_core::stage::router_testing::{route, RouteRun};
@@ -233,6 +238,57 @@ fn spine_scenario() -> impl Strategy<Value = Scenario> {
         })
 }
 
+/// Caterpillar with a replica on every spine node (`density` 0), on a
+/// random subset of them (1) or on a few random picks (2), every client
+/// demanding: small capacities keep long carried heaps alive past many
+/// replicas, each serving off the top.
+fn spine_replica_scenario() -> impl Strategy<Value = Scenario> {
+    (
+        2usize..150,                               // spine length
+        1u64..20,                                  // capacity
+        0u8..3,                                    // replica density
+        prop::collection::vec(any::<bool>(), 150), // subset mask
+        prop::collection::vec(any::<u16>(), 0..6), // sparse picks
+        prop::collection::vec(1u64..9, 150),       // demand per client
+        prop::option::of(1u64..80),                // dmax
+    )
+        .prop_map(|(len, cap, density, mask, picks, demand, dmax)| {
+            let mut b = TreeBuilder::new();
+            let root = b.root();
+            let mut spine_nodes = vec![root];
+            let mut client_ids = Vec::new();
+            let mut spine = root;
+            for i in 0..len {
+                spine = b.add_internal(spine, 1);
+                spine_nodes.push(spine);
+                client_ids.push(b.add_client(spine, 1 + (i as u64 % 3), i as u64 % 5 + 1));
+            }
+            let tree = b.freeze().expect("builder trees are valid");
+            let rep: Vec<u32> = match density {
+                0 => spine_nodes.iter().map(|n| n.index() as u32).collect(),
+                1 => spine_nodes
+                    .iter()
+                    .zip(&mask)
+                    .filter(|(_, &on)| on)
+                    .map(|(n, _)| n.index() as u32)
+                    .collect(),
+                _ => {
+                    let mut rep: Vec<u32> = Vec::new();
+                    for pick in picks {
+                        let u = spine_nodes[pick as usize % spine_nodes.len()].index() as u32;
+                        if !rep.contains(&u) {
+                            rep.push(u);
+                        }
+                    }
+                    rep
+                }
+            };
+            let dem: Vec<(u32, u64)> =
+                client_ids.iter().zip(&demand).map(|(c, &w)| (c.index() as u32, w)).collect();
+            Scenario { tree, j: root.index() as u32, cap, dmax, replicas: rep, demand: dem }
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -243,6 +299,13 @@ proptest! {
 
     #[test]
     fn aggregated_router_matches_flat_reference_on_spines(s in spine_scenario()) {
+        assert_router_matches_reference(&s);
+    }
+
+    #[test]
+    fn aggregated_router_matches_flat_reference_on_replica_spines(
+        s in spine_replica_scenario()
+    ) {
         assert_router_matches_reference(&s);
     }
 }
@@ -276,4 +339,36 @@ fn spine_merges_stay_linear_in_the_client_count() {
         run.carry_merges,
         clients
     );
+}
+
+#[test]
+fn replica_spines_serve_off_the_heap_top() {
+    // A replica on every spine node, each with room for one request, and
+    // two requests per client: every replica serves one unit of the
+    // smallest-id client (no dmax, so all deadlines tie), which is the one
+    // that just joined — every client stays pending, and the carried set
+    // grows along the spine to the whole client set. Serving reads the
+    // heap top — O(log n) per step — where sorting the carried set at
+    // every replica took Θ(clients²) (tens of seconds at this size).
+    // The merges stay one push per join.
+    let clients = 20_000u64;
+    let mut b = TreeBuilder::new();
+    let root = b.root();
+    let mut spine = root;
+    let mut replicas = vec![root.index() as u32];
+    let mut demand = Vec::new();
+    for _ in 0..clients {
+        spine = b.add_internal(spine, 1);
+        replicas.push(spine.index() as u32);
+        let c = b.add_client(spine, 1, 2);
+        demand.push((c.index() as u32, 2));
+    }
+    let tree = b.freeze().unwrap();
+    let run = route(&tree, root.index() as u32, 1, None, &replicas, &demand);
+    let served = replicas.len() as u64;
+    assert_eq!(run.verdict, Some(2 * clients - served), "each replica serves exactly one unit");
+    assert!(run.loads.iter().all(|&l| l == 1));
+    assert_eq!(run.commit.len() as u64, served);
+    assert!(run.carry_merges <= 2 * clients, "merges stay linear: {}", run.carry_merges);
+    assert_eq!(run.carried_peak, clients, "every client is still pending at the top");
 }

@@ -13,14 +13,15 @@
 //! Three families at 16384 clients, spanning the journal's regimes:
 //!
 //! * `binary-shallow` (dmax fraction 0.3, quick + full): short deadlines
-//!   fire ~1100 small stages low in the tree, a delta's service path
-//!   crosses a handful of them, and everything else replays — the
-//!   journal's sweet spot, where a single-delta re-solve runs ~20× faster
-//!   than the ~0.9 s cold solve.
+//!   fire ~1100 small stages low in the tree; a delta re-sweeps only its
+//!   root path, and everything off it is carried from the journal. The
+//!   re-solve is search-bound: ≈19 re-searched stages per delta, quick
+//!   warm p50 ≈27 ms against a ≈0.98 s cold solve (≈63 ms when every
+//!   re-solve swept the whole tree; 2-core x86-64 VM, release build).
 //! * `binary-dmax` (fraction 0.7, full only): root-level deadlines
 //!   concentrate the work in a few giant stages that every delta's path
 //!   makes flow-dirty, so their searches honestly re-run — the
-//!   root-coupled regime, ~1.5× over cold.
+//!   root-coupled regime.
 //! * `spine` (full only): Θ(clients) chained bounded-window stages; a
 //!   delta recomputes its whole root-ward chain (upstream pools genuinely
 //!   absorb the changed volume), so the speedup is proportional to how

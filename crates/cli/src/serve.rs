@@ -340,7 +340,7 @@ fn stats_line(engine: &ServeEngine, hist: &LatencyHistogram) -> String {
     let s = engine.stats();
     format!(
         "stats solves={} full={} incremental={} deltas={} rejected={} reused={} recomputed={} \
-         last_dirty={} last_reused={} last_recomputed={} stale_served={} {}",
+         last_dirty={} last_reused={} last_recomputed={} last_swept={} stale_served={} {}",
         s.solves,
         s.full_solves,
         s.incremental_solves,
@@ -351,6 +351,7 @@ fn stats_line(engine: &ServeEngine, hist: &LatencyHistogram) -> String {
         s.last_dirty_clients,
         s.last_reused,
         s.last_recomputed,
+        s.last_swept,
         s.stale_served,
         latency_fields(hist),
     )

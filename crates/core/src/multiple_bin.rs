@@ -42,7 +42,7 @@ use crate::heap::HeapForest;
 use crate::scratch::SolverScratch;
 use crate::stage::{PendingRequest, StageEngine};
 use rp_tree::arena::{TreeArena, NO_PARENT};
-use rp_tree::{Dist, Instance, NodeId, Requests, Solution};
+use rp_tree::{Dist, Fragment, Instance, NodeId, Requests, Solution};
 
 /// Runs Algorithm 3 (`multiple-bin`) and returns its placement and
 /// assignment. The result is optimal for binary trees when every client
@@ -136,9 +136,11 @@ fn run_full(
 ///
 /// * `order` — `None` sweeps the full post-order of the loaded arena;
 ///   `Some(list)` sweeps exactly `list` (which must be in post-order
-///   relative to itself). The frontier-parallel driver ([`crate::par`]) uses
+///   relative to itself), with the pending heaps of the nodes hanging off
+///   it already filled. The frontier-parallel driver ([`crate::par`]) uses
 ///   this for its serial finish pass over the upper region, after the
-///   chunk workers' results were merged back.
+///   chunk workers' results were merged back; the serve engine for its
+///   dirty spine ([`PendingFlow::seed_pending`]).
 /// * `root_exit` — for a sub-arena solve of `subtree(f)`: the length of the
 ///   global edge *above* `f`. The local root then behaves exactly like the
 ///   interior node `f` of the full-tree sweep — requests whose distance
@@ -352,6 +354,40 @@ impl PendingFlow {
         self.heaps.push(at, entry);
     }
 
+    /// Fills the (empty) heap of `v` with `req(v)` exactly as a full sweep
+    /// leaves it right after stepping `v`: one entry per client `x` in
+    /// `subtree(v)` with requests whose deadline lies strictly above `v`
+    /// (every other request was served at or below its deadline, or never
+    /// travelled). `sub_min_dd[u]` is the smallest deadline depth of any
+    /// client in `subtree(u)`, so the walk skips every subtree where
+    /// nothing travels past `v`; `stack` is a reusable work list. The serve
+    /// engine seeds the clean children of a partial sweep this way.
+    pub(crate) fn seed_pending(
+        &mut self,
+        arena: &TreeArena,
+        sub_min_dd: &[u32],
+        v: u32,
+        stack: &mut Vec<u32>,
+    ) {
+        debug_assert!(self.is_empty_at(v));
+        let depth_v = arena.depth(v);
+        stack.clear();
+        stack.push(v);
+        while let Some(u) = stack.pop() {
+            if sub_min_dd[u as usize] >= depth_v {
+                continue;
+            }
+            if arena.is_client(u) {
+                let r = arena.requests(u);
+                if r > 0 {
+                    self.push(arena, v, u, r);
+                }
+            } else {
+                stack.extend_from_slice(arena.children(u));
+            }
+        }
+    }
+
     /// Builds `req(j)` from `j`'s children and pops its stuck prefix into
     /// [`PendingFlow::stuck`] — stuckness is monotone in `d`, so the stuck
     /// entries are exactly the heap's top run. Returns whether any request
@@ -403,18 +439,20 @@ impl PendingFlow {
 }
 
 /// Reads the committed replica set and assignment out of the scratch slabs
-/// into a [`Solution`] (ascending node id, so the result is canonical).
+/// into a [`Solution`], built in bulk ([`Solution::from_fragments`]).
 pub(crate) fn collect_solution(scratch: &SolverScratch) -> Solution {
-    let mut solution = Solution::new();
-    for v in 0..scratch.arena.len() as u32 {
-        if scratch.in_r[v as usize] {
-            solution.force_replica(NodeId(v));
-            for &(c, amount) in &scratch.assigned[v as usize] {
-                solution.assign(NodeId(c), NodeId(v), amount);
-            }
-        }
-    }
-    solution
+    let replicas = (0..scratch.arena.len() as u32).filter(|&v| scratch.in_r[v as usize]);
+    let fragments = replicas
+        .clone()
+        .flat_map(|v| {
+            scratch.assigned[v as usize].iter().map(move |&(c, amount)| Fragment {
+                client: NodeId(c),
+                server: NodeId(v),
+                amount,
+            })
+        })
+        .collect();
+    Solution::from_fragments(replicas.map(NodeId), fragments)
 }
 
 /// Fails the sweep with [`SolveError::DeadlineExceeded`] once the serve

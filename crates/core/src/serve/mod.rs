@@ -10,40 +10,69 @@
 //! *before* anything is written, so a rejected delta never poisons the
 //! warm scratch.
 //!
-//! # Incremental re-solve: the stage journal
+//! # Incremental re-solve: the dirty spine
 //!
 //! A `multiple-bin` solve is a bottom-up sweep whose pending-request flow
 //! is a pure function of client demands and distances: a fragment of
 //! client `c` travels exactly the *service path* `c → deadline(c)` and is
 //! never absorbed en route (travelling requests stay pending by design —
-//! see `crate::multiple_bin`), so changing one client's demand changes
-//! stage *inputs* only along that client's service path. Every other
-//! stage sees bit-identical stuck and travelling sets, and — because
-//! [`StageEngine`](crate::stage::StageEngine) is deterministic given its
-//! collected scope — produces bit-identical commits, *provided the state
-//! its scope collection reads is also unchanged*.
+//! see `crate::multiple_bin`). A stage at `j` reads and writes only
+//! `subtree(j)`, and the flow out of a node depends only on the demands
+//! below it. So a delta on client `c` can only change stages on `c`'s
+//! root path. The changed clients and their ancestors form the **dirty
+//! spine**; everything off it hangs in *clean subtrees*, each rooted at a
+//! clean child of a spine node.
 //!
-//! The engine exploits this with a two-generation **stage journal**: each
-//! solve re-runs the cheap sweep, but a stage whose root is *flow-clean*
-//! (off every changed client's service path) and whose collected scope
-//! touches no *state-dirty* node (no node written differently by an
-//! earlier re-computed stage) replays its journaled commit — placement,
-//! buffered assignment writes and search counters — without enumerating,
-//! routing or running the DP. Dirty stages run the real search and
-//! journal their new outputs. Every solve after the first is incremental
-//! while the journal is valid, whatever the batch size: a large batch
-//! simply marks more stages dirty.
+//! The engine keeps a **stage journal**: one record per stage of the last
+//! solve, holding its scope's replicas and their assignment lists at
+//! collection time, its placement, its buffered commit writes and its
+//! whole [`StageStats`] delta. An incremental solve touches only the spine
+//! and calls none of the whole-tree `prepare_*` steps:
 //!
-//! Results are **bit-identical to a cold solve** on every delta sequence:
-//! replayed stages write exactly the values a cold solve would recompute
-//! (same inputs, deterministic engine), and `tests/proptest_serve.rs`
-//! pins the equivalence — placements, assignments *and* `StageStats` —
-//! against both the naive reference switch
-//! ([`ServeEngine::set_naive_resolve`]) and from-scratch solves over
-//! rebuilt trees. The `commit_touched` / `commit_skipped` / `stages`
-//! counters are recomputed live on replay (the skipped share prices
-//! off-scope subtree load through the Fenwick summary, which journaling
-//! would falsify); only the search counters are journaled.
+//! 1. undo the journaled stages rooted on the spine, in reverse post
+//!    order: free their placements and put back their scopes' assignment
+//!    lists (the committed-load summary kept in step), and take their
+//!    counters out of the solve stats;
+//! 2. free the changed clients' self-serve slots;
+//! 3. refill the pending heap of every clean child `v` of a spine node
+//!    with the clients below `v` whose deadline lies above it — exactly
+//!    what a full sweep leaves there;
+//! 4. sweep the spine nodes in post order.
+//!
+//! This is **exact**. The state of a clean subtree just after the sweep
+//! passes its root depends only on its own demands, which did not change;
+//! the only later writers into it are stages at its ancestors, all on the
+//! spine; undoing those in reverse order (no later stage wrote the same
+//! nodes: later stages off the spine sit in disjoint subtrees) restores it
+//! bit for bit. The carried records' counters are unchanged too: a clean
+//! stage's subtree, and so its load-summary range, is unchanged.
+//!
+//! Spine stages still avoid their search when they can: a stage whose
+//! root is *flow-clean* (off every changed client's service path) and
+//! whose collected scope touches no *state-dirty* node (no node written
+//! differently by an earlier re-searched stage) replays its journaled
+//! commit — placement, buffered assignment writes and search counters —
+//! without enumerating, routing or running the DP. A re-searched stage
+//! whose commit comes out identical to its record marks nothing dirty, so
+//! dirtiness stops spreading up the spine. The live counters
+//! (`stages`, `commit_touched`, `commit_skipped`) are recomputed on
+//! replay: the skipped share prices subtree load outside the scope, which
+//! changes when stages below re-route.
+//!
+//! The published [`Solution`] is patched in place: every node the solve
+//! wrote had its pre-solve state captured at its first write, and only
+//! those nodes are retracted and re-added. A spine solve therefore costs
+//! O(spine + its stages' scopes), not O(n). Full solves — the first one,
+//! the one after a failed or stale solve, the naive reference, and one
+//! whenever a never-reset stamp (stage id, router epoch, mark generation)
+//! has passed half its range — prepare, sweep the whole tree, rebuild the
+//! journal and collect the solution.
+//!
+//! Results are **bit-identical to a cold solve** on every delta sequence,
+//! and `tests/proptest_serve.rs` pins the equivalence — placements,
+//! assignments *and* `StageStats` — against both the naive reference
+//! switch ([`ServeEngine::set_naive_resolve`]) and from-scratch solves
+//! over rebuilt trees.
 //!
 //! # Reliability
 //!
@@ -68,14 +97,14 @@ pub mod persist;
 use crate::error::SolveError;
 use crate::multiple_bin::{collect_solution, mb_sweep};
 use crate::scratch::{
-    check_binary, check_clients_fit, check_distances_fit, check_total_fits, CommitEntry,
-    SolverScratch,
+    check_binary, check_clients_fit, check_distances_fit, check_total_fits, AssignPair,
+    CommitEntry, SolverScratch,
 };
 use crate::stage::StageStats;
 use persist::{PersistConfig, PersistCounters, PersistState, Recovery};
 use rp_tree::arena::{TreeArena, NO_PARENT};
 use rp_tree::{Dist, Instance, NodeId, Requests, Solution, Tree};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -251,22 +280,28 @@ pub struct ServeStats {
     pub deltas_rejected: u64,
     /// Total solves.
     pub solves: u64,
-    /// Solves that did not replay from the journal: the first solve,
-    /// naive-mode solves, failed or stale solves, and the solve after a
-    /// failed or stale one (which finds no valid journal).
+    /// Solves that swept the whole tree: the first solve, naive-mode
+    /// solves, failed or stale solves, the solve after a failed or stale
+    /// one (which finds no valid journal), and the rare solve the stamp
+    /// wrap-around guard forces.
     pub full_solves: u64,
-    /// Solves that ran with the stage journal enabled.
+    /// Spine solves over a valid journal.
     pub incremental_solves: u64,
-    /// Stages replayed from the journal, across all solves.
+    /// Stages carried or replayed from the journal rather than
+    /// re-searched, across all solves.
     pub stages_reused: u64,
     /// Stages re-searched (and re-journaled), across all solves.
     pub stages_recomputed: u64,
     /// Dirty clients of the most recent solve.
     pub last_dirty_clients: u64,
-    /// Stages replayed by the most recent solve.
+    /// Stages carried or replayed by the most recent solve.
     pub last_reused: u64,
     /// Stages re-searched by the most recent solve.
     pub last_recomputed: u64,
+    /// Nodes swept by the most recent solve: every node for a full solve,
+    /// the dirty spine (changed clients and their ancestors) for an
+    /// incremental one, 0 for a stale one.
+    pub last_swept: u64,
     /// Solves that blew their deadline budget and answered with the
     /// last-known-good solution instead (the `stale` degradation path).
     pub stale_served: u64,
@@ -277,7 +312,8 @@ pub struct ServeStats {
 pub struct ServeOutcome {
     /// Replica count of the committed solution.
     pub replicas: u64,
-    /// Whether the stage journal was consulted (`false`: plain full solve).
+    /// Whether this was a spine solve over the stage journal (`false`:
+    /// plain full solve).
     pub incremental: bool,
     /// `true` when the solve blew its deadline budget and this outcome
     /// describes the *last-known-good* solution, not one reflecting the
@@ -287,7 +323,8 @@ pub struct ServeOutcome {
     pub stale: bool,
     /// Clients whose demand changed since the previous solve.
     pub dirty_clients: u64,
-    /// Stages replayed from the journal.
+    /// Stages carried or replayed from the journal rather than
+    /// re-searched.
     pub stages_reused: u64,
     /// Stages re-searched.
     pub stages_recomputed: u64,
@@ -396,43 +433,75 @@ impl LatencyHistogram {
     }
 }
 
-/// One journaled stage: everything needed to replay its commit without
-/// re-running collection's downstream (candidates, enumeration, DP,
-/// routing). Keyed by the stage root `j` — a node triggers at most one
-/// stage per solve (its stuck set is determined by the post-order sweep),
-/// so the key is unique.
+/// One journaled stage: what its commit read and wrote, so that a later
+/// solve can replay it without the search or undo it exactly. Keyed by the
+/// stage root `j` — a node fires at most one stage per solve (its stuck set
+/// is determined by the post-order sweep), so the key is unique.
 #[derive(Debug, Default)]
 pub(crate) struct StageRecord {
-    /// The scope's replicas at collection time (canonical post-order) —
-    /// kept for the replay debug-assert: a stage judged clean must collect
-    /// exactly this scope.
+    /// The scope's replicas at collection time (canonical post order) —
+    /// kept for the replay debug-assert (a stage judged clean must collect
+    /// exactly this scope) and for undo.
     existing: Vec<u32>,
+    /// The assignment lists of `existing` at collection time, as
+    /// `(node, client, amount)` entries in list order: what undoing the
+    /// stage puts back.
+    pre_log: Vec<CommitEntry>,
     /// The committed placement (new replicas).
     best_set: Vec<u32>,
     /// The buffered assignment writes of the commit route.
     commit_log: Vec<CommitEntry>,
-    /// Nodes whose persistent state (`in_r` / `assigned` / `load`) this
-    /// stage wrote: `existing ∪ best_set`. Marked state-dirty when the
-    /// stage is re-searched or disappears, so later stages whose scopes
-    /// overlap stop trusting their journal entries.
-    touched: Vec<u32>,
-    /// The stage's *search*-counter delta (subsets, DP visits, prefix
-    /// routes…). `stages` / `commit_touched` / `commit_skipped` are always
-    /// zero here: they are recomputed live on replay, because the skipped
-    /// share depends on off-scope subtree loads.
+    /// The stage's whole [`StageStats`] delta: the live counters
+    /// (`stages`, `commit_touched`, `commit_skipped`) and the search
+    /// counters. `router_carried_peak` holds the stage's own peak (a max
+    /// cannot be recovered from a `post − pre` delta).
     stats: StageStats,
 }
 
-/// The serve-mode solve context: the two-generation stage journal plus the
-/// per-solve dirty marks. Installed into [`SolverScratch::serve`] around
-/// the engine's sweeps and `None` everywhere else, so batch solvers never
-/// pay for it.
+impl StageRecord {
+    /// Nodes whose persistent state (`in_r` / `assigned` / `load`) the
+    /// stage wrote: `existing ∪ best_set`.
+    fn written(&self) -> impl Iterator<Item = u32> + '_ {
+        self.existing.iter().chain(&self.best_set).copied()
+    }
+}
+
+/// The pre-solve state of every node a spine solve writes, captured at
+/// its first write, so the published [`Solution`] can be patched node by
+/// node instead of rebuilt.
+#[derive(Debug, Default)]
+struct FirstTouch {
+    /// Stamp per node; `== generation` means captured this solve.
+    mark: Vec<u32>,
+    /// `(node, held a replica, end of its assignment list in pairs)`.
+    nodes: Vec<(u32, bool, usize)>,
+    /// The captured assignment lists, concatenated.
+    pairs: Vec<AssignPair>,
+}
+
+impl FirstTouch {
+    fn capture(&mut self, generation: u32, u: u32, replica: bool, assigned: &[AssignPair]) {
+        if self.mark[u as usize] != generation {
+            self.mark[u as usize] = generation;
+            self.pairs.extend_from_slice(assigned);
+            self.nodes.push((u, replica, self.pairs.len()));
+        }
+    }
+}
+
+/// The serve-mode solve context: the stage journal, the per-solve dirty
+/// marks and the spine-solve buffers. Installed into
+/// [`SolverScratch::serve`] around the engine's sweeps and `None`
+/// everywhere else, so batch solvers never pay for it.
 #[derive(Debug, Default)]
 pub(crate) struct ServeCtx {
-    /// Journal of the previous successful solve (consulted this solve).
-    prev: HashMap<u32, StageRecord>,
-    /// Journal being built by the current solve.
-    next: HashMap<u32, StageRecord>,
+    /// One record per stage of the last successful solve. A spine solve
+    /// undoes and rewrites the records rooted on the spine and carries
+    /// every other one unchanged.
+    journal: HashMap<u32, StageRecord>,
+    /// Multiset (peak → count) of the journaled stages'
+    /// `router_carried_peak`, so the solve-wide max survives undo.
+    peaks: BTreeMap<u64, u32>,
     /// Stamp per node; `== generation` means the node lies on a changed
     /// client's service path, so stage inputs there may have changed.
     flow_mark: Vec<u32>,
@@ -440,47 +509,73 @@ pub(crate) struct ServeCtx {
     /// diverged from the previous solve (written by a re-searched stage,
     /// or a changed client's self-serve slot).
     state_mark: Vec<u32>,
-    /// Current solve's stamp (monotone; marks are never cleared).
+    /// Stamp per node; `== generation` means the node is on the spine.
+    spine_mark: Vec<u32>,
+    /// Current solve's stamp. Grows by one per solve; full solves reset
+    /// it (and the engine runs one before it passes half its range).
     generation: u32,
-    /// Stages replayed this solve.
-    reused: u64,
     /// Stages re-searched this solve.
     recomputed: u64,
+    /// Whether this solve captures first touches (spine solves only: a
+    /// full solve rebuilds the published solution anyway).
+    track: bool,
+    first: FirstTouch,
+    /// The collected scope's pre-state of the stage being searched,
+    /// staged by [`try_replay`] for [`record_stage`].
+    pre_log: Vec<CommitEntry>,
+    /// The current spine in post order.
+    spine: Vec<u32>,
+    /// Smallest deadline depth of any client in each subtree — static,
+    /// like the deadlines; prunes [`PendingFlow::seed_pending`].
+    ///
+    /// [`PendingFlow::seed_pending`]: crate::multiple_bin::PendingFlow::seed_pending
+    sub_min_dd: Vec<u32>,
+    /// Work list of the heap seeding walk.
+    stack: Vec<u32>,
 }
 
 impl ServeCtx {
-    /// Opens a solve: bumps the mark generation (wrap-safe), sizes the mark
-    /// rows and resets the per-solve counters. A full solve needs no replay
-    /// switch: `prev` is empty whenever the journal is invalid, so every
-    /// stage re-searches and records.
-    fn begin_solve(&mut self, n: usize) {
-        if self.generation == u32::MAX {
-            self.flow_mark.iter_mut().for_each(|m| *m = 0);
-            self.state_mark.iter_mut().for_each(|m| *m = 0);
-            self.generation = 0;
+    /// Opens a full solve: drops the journal, resets every mark row (so
+    /// the generation restarts at 1) and computes the static per-subtree
+    /// deadline minimum. Called after the deadlines are prepared.
+    fn begin_full(&mut self, s: &SolverScratch) {
+        let n = s.arena.len();
+        self.invalidate();
+        let rows =
+            [&mut self.flow_mark, &mut self.state_mark, &mut self.spine_mark, &mut self.first.mark];
+        for row in rows {
+            row.clear();
+            row.resize(n, 0);
         }
-        self.generation += 1;
-        if self.flow_mark.len() < n {
-            self.flow_mark.resize(n, 0);
-            self.state_mark.resize(n, 0);
-        }
-        self.reused = 0;
+        self.generation = 1;
         self.recomputed = 0;
-        self.next.clear();
+        self.track = false;
+        if self.sub_min_dd.len() != n {
+            self.sub_min_dd.clear();
+            self.sub_min_dd.resize(n, u32::MAX);
+            for &u in s.arena.postorder() {
+                let own =
+                    if s.arena.is_client(u) { s.deadline_depth[u as usize] } else { u32::MAX };
+                let below = s.arena.children(u).iter().map(|&c| self.sub_min_dd[c as usize]);
+                self.sub_min_dd[u as usize] = below.fold(own, u32::min);
+            }
+        }
     }
 
-    /// Closes a successful solve: the journal just built becomes the one
-    /// the next solve compares against.
-    fn finish_solve(&mut self) {
-        std::mem::swap(&mut self.prev, &mut self.next);
-        self.next.clear();
+    /// Opens a spine solve over a valid journal.
+    fn begin_spine(&mut self) {
+        self.generation += 1;
+        self.recomputed = 0;
+        self.track = true;
+        self.first.nodes.clear();
+        self.first.pairs.clear();
     }
 
-    /// Drops both journal generations (after a failed solve: the slab
-    /// state is unspecified, so nothing recorded can be trusted).
+    /// Drops the journal (after a failed solve the slab state is
+    /// unspecified, so nothing recorded can be trusted).
     fn invalidate(&mut self) {
-        self.prev.clear();
-        self.next.clear();
+        self.journal.clear();
+        self.peaks.clear();
     }
 
     fn mark_flow(&mut self, u: u32) {
@@ -498,51 +593,119 @@ impl ServeCtx {
     fn is_state_dirty(&self, u: u32) -> bool {
         self.state_mark[u as usize] == self.generation
     }
+
+    fn on_spine(&self, u: u32) -> bool {
+        self.spine_mark[u as usize] == self.generation
+    }
+
+    /// The largest journaled stage peak (0 with no stage).
+    fn peak(&self) -> u64 {
+        self.peaks.last_key_value().map_or(0, |(&p, _)| p)
+    }
 }
 
-/// Stage hook (called by `StageEngine::serve_stuck` right after scope
-/// collection): replays stage `j`'s journaled commit and returns `true`
-/// when the stage is provably clean — `j` is flow-clean (identical stuck
-/// and travelling inputs, by the service-path argument in the module docs)
-/// and its freshly collected scope visits no state-dirty node (identical
-/// collected pool, replicas and assignments: the closure walk reads only
-/// `in_r` / `assigned` on visited nodes, and walks diverge first at a
-/// visited dirty node). Replay performs exactly the writes of the cold
-/// commit path — clear the scope's loads, place the journaled best set,
-/// flush the journaled log, release the demand rows — plus the journaled
-/// search-counter delta.
-pub(crate) fn try_replay(s: &mut SolverScratch, ctx: &mut ServeCtx, j: u32) -> bool {
-    if ctx.is_flow_dirty(j) || !ctx.prev.contains_key(&j) {
-        return false;
-    }
-    for &u in s.active_nodes.iter() {
-        if ctx.is_state_dirty(u) {
-            return false;
+/// Adds one stage peak to the journal's peak multiset.
+fn add_peak(peaks: &mut BTreeMap<u64, u32>, peak: u64) {
+    *peaks.entry(peak).or_insert(0) += 1;
+}
+
+/// Removes one stage peak from the journal's peak multiset.
+fn remove_peak(peaks: &mut BTreeMap<u64, u32>, peak: u64) {
+    match peaks.get_mut(&peak) {
+        Some(count) if *count > 1 => *count -= 1,
+        _ => {
+            let removed = peaks.remove(&peak);
+            debug_assert!(removed.is_some(), "every journaled peak is in the multiset");
         }
     }
-    let rec = ctx.prev.remove(&j).expect("presence checked above");
-    debug_assert_eq!(rec.existing, s.existing, "a clean stage re-collects its journaled scope");
-    {
-        let SolverScratch { arena, existing, assigned, load, load_sums, .. } = &mut *s;
-        for &u in existing.iter() {
-            let ui = u as usize;
-            if load[ui] > 0 {
-                load_sums.add(arena.post_position(u), -(load[ui] as i64));
-            }
-            assigned[ui].clear();
-            load[ui] = 0;
-        }
+}
+
+/// Empties the replica slot of `u`: no assignment, no load, and the load
+/// summary kept in step. `in_r` is left to the caller.
+fn clear_slot(s: &mut SolverScratch, u: u32) {
+    let ui = u as usize;
+    if s.load[ui] > 0 {
+        s.load_sums.add(s.arena.post_position(u), -(s.load[ui] as i64));
     }
-    for &u in &rec.best_set {
-        debug_assert!(!s.in_r[u as usize], "journaled placements target free nodes");
-        s.in_r[u as usize] = true;
-    }
-    for &(u, c, amount) in &rec.commit_log {
+    s.assigned[ui].clear();
+    s.load[ui] = 0;
+}
+
+/// Flushes `(node, client, amount)` writes into the assignment slabs.
+fn flush(s: &mut SolverScratch, log: &[CommitEntry]) {
+    for &(u, c, amount) in log {
         let ui = u as usize;
         s.assigned[ui].push((c, amount));
         s.load[ui] += amount;
         s.load_sums.add(s.arena.post_position(u), amount as i64);
     }
+}
+
+/// Undoes the journaled stage rooted at `j`, if any: frees its placements,
+/// puts back the assignment lists its scope held at collection time and
+/// takes its counters out of the solve stats. Exact only when no later
+/// stage wrote the same nodes, which the spine solve guarantees by undoing
+/// in reverse post order (see the module docs). The record stays in the
+/// journal, for replay.
+fn undo_stage(s: &mut SolverScratch, ctx: &mut ServeCtx, j: u32) {
+    let ServeCtx { journal, peaks, first, generation, .. } = ctx;
+    let Some(rec) = journal.get(&j) else { return };
+    for u in rec.written() {
+        first.capture(*generation, u, s.in_r[u as usize], &s.assigned[u as usize]);
+        clear_slot(s, u);
+    }
+    for &u in &rec.best_set {
+        s.in_r[u as usize] = false;
+    }
+    flush(s, &rec.pre_log);
+    retract_stats(&mut s.stats, &rec.stats);
+    remove_peak(peaks, rec.stats.router_carried_peak);
+}
+
+/// Stage hook (called by `StageEngine::serve_stuck` right after scope
+/// collection, `pre` being the stats before it): replays stage `j`'s
+/// journaled commit and returns `true` when the stage is provably clean —
+/// `j` is flow-clean (identical stuck and travelling inputs, by the
+/// service-path argument in the module docs) and its freshly collected
+/// scope visits no state-dirty node (identical collected pool, replicas
+/// and assignments: the closure walk reads only `in_r` / `assigned` on
+/// visited nodes, and walks diverge first at a visited dirty node). Replay
+/// performs exactly the writes of the cold commit path — clear the scope's
+/// loads, place the journaled best set, flush the journaled log, release
+/// the demand rows — plus the journaled search-counter delta. Otherwise it
+/// stages the scope's pre-state for [`record_stage`] and returns `false`.
+pub(crate) fn try_replay(
+    s: &mut SolverScratch,
+    ctx: &mut ServeCtx,
+    j: u32,
+    pre: &StageStats,
+) -> bool {
+    if ctx.track {
+        for &u in s.existing.iter() {
+            ctx.first.capture(ctx.generation, u, true, &s.assigned[u as usize]);
+        }
+    }
+    let clean = !ctx.is_flow_dirty(j)
+        && ctx.journal.contains_key(&j)
+        && s.active_nodes.iter().all(|&u| !ctx.is_state_dirty(u));
+    if !clean {
+        ctx.pre_log.clear();
+        for &u in s.existing.iter() {
+            ctx.pre_log.extend(s.assigned[u as usize].iter().map(|&(c, amount)| (u, c, amount)));
+        }
+        return false;
+    }
+    let rec = ctx.journal.get_mut(&j).expect("presence checked above");
+    debug_assert_eq!(rec.existing, s.existing, "a clean stage re-collects its journaled scope");
+    for i in 0..s.existing.len() {
+        let u = s.existing[i];
+        clear_slot(s, u);
+    }
+    for &u in &rec.best_set {
+        debug_assert!(!s.in_r[u as usize], "journaled placements target free nodes");
+        s.in_r[u as usize] = true;
+    }
+    flush(s, &rec.commit_log);
     {
         let SolverScratch { demand, demand_clients, .. } = &mut *s;
         for &c in demand_clients.iter() {
@@ -550,20 +713,26 @@ pub(crate) fn try_replay(s: &mut SolverScratch, ctx: &mut ServeCtx, j: u32) -> b
         }
         demand_clients.clear();
     }
-    s.stats.absorb(&rec.stats);
-    ctx.next.insert(j, rec);
-    ctx.reused += 1;
+    // The live counters just recomputed replace the journaled ones: the
+    // skipped share prices subtree load outside the scope, which changes
+    // when stages below re-route.
+    let search = StageStats { stages: 0, commit_touched: 0, commit_skipped: 0, ..rec.stats };
+    s.stats.absorb(&search);
+    rec.stats = StageStats {
+        router_carried_peak: search.router_carried_peak,
+        ..stats_delta(&s.stats, pre)
+    };
+    add_peak(&mut ctx.peaks, search.router_carried_peak);
     true
 }
 
 /// Stage hook (after a re-searched stage committed): journals the stage's
-/// outputs for the next solve and marks the state it wrote — old and new —
-/// dirty, so downstream stages whose scopes overlap fall back to the real
-/// search. `pre` is the stats snapshot taken right after the collection
-/// block; the recorded delta therefore covers exactly the search phase.
-/// `stage_peak` is the stage's own carried-peak (a max, not a count — it
-/// cannot be recovered from `post − pre` and is journaled verbatim so
-/// replays reproduce the cold solve's peak exactly).
+/// outputs and marks the state it wrote — old and new — dirty, so later
+/// stages whose scopes overlap fall back to the real search. `pre` is the
+/// stats snapshot taken before scope collection, so the recorded delta
+/// covers the whole stage. `stage_peak` is the stage's own carried peak (a
+/// max, not a count — journaled verbatim so carried and replayed stages
+/// reproduce the cold solve's peak exactly).
 pub(crate) fn record_stage(
     s: &SolverScratch,
     ctx: &mut ServeCtx,
@@ -571,64 +740,54 @@ pub(crate) fn record_stage(
     pre: &StageStats,
     stage_peak: u64,
 ) {
-    let mut touched = Vec::with_capacity(s.existing.len() + s.best_set.len());
-    touched.extend_from_slice(&s.existing);
-    touched.extend_from_slice(&s.best_set);
+    if ctx.track {
+        // A node first written by this commit was free before it.
+        for &u in &s.best_set {
+            ctx.first.capture(ctx.generation, u, false, &[]);
+        }
+    }
+    let old = ctx.journal.remove(&j);
     // Output-equality damping: a re-searched stage whose commit came out
     // bit-identical to its journal entry (same scope cleared, same
     // placements, same buffered writes in the same order) wrote exactly
-    // the state the previous solve left behind — downstream journal
-    // entries stay valid, so nothing is marked and the dirtiness cascade
-    // stops here. Without this, one deep delta on a scope-overlapping
-    // chain (a tight-dmax caterpillar) re-searches every stage above it.
-    let unchanged = match ctx.prev.remove(&j) {
-        Some(old) => {
-            let same = old.existing == s.existing
-                && old.best_set == s.best_set
-                && old.commit_log == s.commit_log;
-            if !same {
-                for &u in &old.touched {
-                    ctx.mark_state(u);
-                }
-            }
-            same
-        }
-        None => false,
-    };
+    // the state the previous solve left behind — later journal entries
+    // stay valid, so nothing is marked and the dirtiness cascade stops
+    // here. Without this, one deep delta on a scope-overlapping chain (a
+    // tight-dmax caterpillar) re-searches every stage above it.
+    let unchanged = old.as_ref().is_some_and(|old| {
+        old.existing == s.existing && old.best_set == s.best_set && old.commit_log == s.commit_log
+    });
     if !unchanged {
-        for &u in &touched {
+        for u in old.iter().flat_map(StageRecord::written) {
+            ctx.mark_state(u);
+        }
+        for &u in s.existing.iter().chain(&s.best_set) {
             ctx.mark_state(u);
         }
     }
-    let mut stats = stats_delta(&s.stats, pre);
-    debug_assert_eq!(
-        (stats.stages, stats.commit_touched, stats.commit_skipped),
-        (0, 0, 0),
-        "live-recomputed counters precede the search phase"
-    );
-    stats.router_carried_peak = stage_peak;
-    let rec = StageRecord {
-        existing: s.existing.clone(),
-        best_set: s.best_set.clone(),
-        commit_log: s.commit_log.clone(),
-        touched,
-        stats,
-    };
-    ctx.next.insert(j, rec);
+    let mut rec = old.unwrap_or_default();
+    rec.existing.clone_from(&s.existing);
+    rec.best_set.clone_from(&s.best_set);
+    rec.commit_log.clone_from(&s.commit_log);
+    std::mem::swap(&mut rec.pre_log, &mut ctx.pre_log);
+    rec.stats = StageStats { router_carried_peak: stage_peak, ..stats_delta(&s.stats, pre) };
+    add_peak(&mut ctx.peaks, stage_peak);
+    ctx.journal.insert(j, rec);
     ctx.recomputed += 1;
 }
 
 /// Sweep hook for nodes that trigger *no* stage this solve: a journaled
-/// stage that silently disappears (its stuck set emptied by a delta) must
-/// still poison the state it used to write. Flow-clean nodes cannot change
-/// stuckness, so the journal lookup only runs on the (short) dirty paths.
+/// stage that disappears (its stuck set emptied by a delta) leaves the
+/// journal, and the state it used to write is poisoned. Its undo already
+/// ran. Flow-clean nodes cannot change stuckness, so the journal lookup
+/// only runs on the (short) dirty paths.
 pub(crate) fn note_no_stage(s: &mut SolverScratch, j: u32) {
     let Some(ctx) = s.serve.as_deref_mut() else { return };
     if !ctx.is_flow_dirty(j) {
         return;
     }
-    if let Some(old) = ctx.prev.remove(&j) {
-        for &u in &old.touched {
+    if let Some(old) = ctx.journal.remove(&j) {
+        for u in old.written() {
             ctx.mark_state(u);
         }
     }
@@ -637,25 +796,48 @@ pub(crate) fn note_no_stage(s: &mut SolverScratch, j: u32) {
 /// Field-wise `post - pre` over every count-like [`StageStats`] counter
 /// (all are monotone within a solve). `router_carried_peak` is a max, not
 /// a count — subtraction is meaningless for it, so the delta carries 0 and
-/// [`record_stage`] overwrites it with the stage's own peak.
+/// the callers fill in the stage's own peak.
 fn stats_delta(post: &StageStats, pre: &StageStats) -> StageStats {
-    StageStats {
-        stages: post.stages - pre.stages,
-        subsets_enumerated: post.subsets_enumerated - pre.subsets_enumerated,
-        subsets_routed: post.subsets_routed - pre.subsets_routed,
-        subsets_pruned: post.subsets_pruned - pre.subsets_pruned,
-        prefix_routes: post.prefix_routes - pre.prefix_routes,
-        dp_sizes_skipped: post.dp_sizes_skipped - pre.dp_sizes_skipped,
-        dp_bound_skips: post.dp_bound_skips - pre.dp_bound_skips,
-        dp_fallbacks: post.dp_fallbacks - pre.dp_fallbacks,
-        dp_node_visits: post.dp_node_visits - pre.dp_node_visits,
-        repairs: post.repairs - pre.repairs,
-        commit_touched: post.commit_touched - pre.commit_touched,
-        commit_skipped: post.commit_skipped - pre.commit_skipped,
-        router_carry_merges: post.router_carry_merges - pre.router_carry_merges,
-        router_carried_peak: 0,
-        scope_cache_hits: 0,
-    }
+    let mut delta = *post;
+    retract_stats(&mut delta, pre);
+    delta.router_carried_peak = 0;
+    delta
+}
+
+/// Field-wise `total -= stage` over every count-like [`StageStats`]
+/// counter; `router_carried_peak` is left alone (the journal's peak
+/// multiset owns the max).
+fn retract_stats(total: &mut StageStats, stage: &StageStats) {
+    let StageStats {
+        stages,
+        subsets_enumerated,
+        subsets_routed,
+        subsets_pruned,
+        prefix_routes,
+        dp_sizes_skipped,
+        dp_bound_skips,
+        dp_fallbacks,
+        dp_node_visits,
+        repairs,
+        commit_touched,
+        commit_skipped,
+        router_carry_merges,
+        router_carried_peak: _,
+        scope_cache_hits: _,
+    } = stage;
+    total.stages -= stages;
+    total.subsets_enumerated -= subsets_enumerated;
+    total.subsets_routed -= subsets_routed;
+    total.subsets_pruned -= subsets_pruned;
+    total.prefix_routes -= prefix_routes;
+    total.dp_sizes_skipped -= dp_sizes_skipped;
+    total.dp_bound_skips -= dp_bound_skips;
+    total.dp_fallbacks -= dp_fallbacks;
+    total.dp_node_visits -= dp_node_visits;
+    total.repairs -= repairs;
+    total.commit_touched -= commit_touched;
+    total.commit_skipped -= commit_skipped;
+    total.router_carry_merges -= router_carry_merges;
 }
 
 /// A warm `multiple-bin` solver answering demand deltas — see the module
@@ -681,7 +863,7 @@ pub struct ServeEngine {
     /// Clients whose demand changed since the last solve (deduplicated).
     changed: Vec<u32>,
     changed_mark: Vec<bool>,
-    /// Whether `ctx.prev` describes the current slab state (false until
+    /// Whether the journal describes the current slab state (false until
     /// the first journaled solve, and after any solve error).
     journal_valid: bool,
     stats: ServeStats,
@@ -692,8 +874,10 @@ pub struct ServeEngine {
     recovery: Option<Recovery>,
     /// The committed solution of the last successful solve — what
     /// [`ServeEngine::solution`] returns, and what a blown-budget solve
-    /// degrades to.
+    /// degrades to. Rebuilt by full solves, patched by spine solves.
     last_good: Option<Solution>,
+    /// Replica count of `last_good`.
+    replicas: u64,
     /// Per-solve deadline budget; `None` lets solves run unbounded.
     budget: Option<Duration>,
 }
@@ -752,6 +936,7 @@ impl ServeEngine {
             persist: None,
             recovery: None,
             last_good: None,
+            replicas: 0,
             budget: None,
         })
     }
@@ -994,11 +1179,12 @@ impl ServeEngine {
         Ok(new)
     }
 
-    /// Re-solves under the current demand. Incremental (journal-replaying)
-    /// exactly when a valid journal exists and the engine is not naive;
-    /// plain full otherwise. Either way the committed slab state — and
-    /// hence [`ServeEngine::solution`] — is bit-identical to a cold solve
-    /// of the same demands.
+    /// Re-solves under the current demand. Incremental (a spine solve:
+    /// undo and re-sweep only the changed clients' root paths) exactly when
+    /// a valid journal exists, the engine is not naive and no stamp is near
+    /// wrap-around; plain full otherwise. Either way the committed slab
+    /// state — and hence [`ServeEngine::solution`] — is bit-identical to a
+    /// cold solve of the same demands.
     ///
     /// A solve that blows the configured deadline budget
     /// ([`ServeEngine::set_solve_budget`]) is abandoned and answered with
@@ -1013,11 +1199,11 @@ impl ServeEngine {
     pub fn solve(&mut self) -> Result<ServeOutcome, ServeError> {
         let dirty = self.changed.len() as u64;
         let journal = !self.naive;
-        let incremental = journal && self.journal_valid;
+        let incremental = journal && self.journal_valid && !self.stamps_past_half();
 
         self.scratch.solve_deadline =
             self.budget.map(|b| (Instant::now() + b, b.as_millis() as u64));
-        let result = self.solve_serial(journal, incremental);
+        let result = if incremental { self.solve_spine() } else { self.solve_full(journal) };
         self.scratch.solve_deadline = None;
 
         for &c in &self.changed {
@@ -1033,11 +1219,13 @@ impl ServeEngine {
         }
         self.stats.solves += 1;
         match result {
-            Ok(solution) => {
-                let (reused, recomputed) =
-                    if journal { (self.ctx.reused, self.ctx.recomputed) } else { (0, 0) };
-                let replicas = solution.replica_count() as u64;
-                self.last_good = Some(solution);
+            Ok(swept) => {
+                let (reused, recomputed) = if journal {
+                    let recomputed = self.ctx.recomputed;
+                    (self.ctx.journal.len() as u64 - recomputed, recomputed)
+                } else {
+                    (0, 0)
+                };
                 if incremental {
                     self.stats.incremental_solves += 1;
                 } else {
@@ -1048,8 +1236,9 @@ impl ServeEngine {
                 self.stats.last_dirty_clients = dirty;
                 self.stats.last_reused = reused;
                 self.stats.last_recomputed = recomputed;
+                self.stats.last_swept = swept;
                 Ok(ServeOutcome {
-                    replicas,
+                    replicas: self.replicas,
                     incremental,
                     stale: false,
                     dirty_clients: dirty,
@@ -1066,9 +1255,9 @@ impl ServeEngine {
                 self.stats.last_dirty_clients = dirty;
                 self.stats.last_reused = 0;
                 self.stats.last_recomputed = 0;
-                let replicas = self.last_good.as_ref().map_or(0, |s| s.replica_count() as u64);
+                self.stats.last_swept = 0;
                 Ok(ServeOutcome {
-                    replicas,
+                    replicas: self.replicas,
                     incremental: false,
                     stale: true,
                     dirty_clients: dirty,
@@ -1083,46 +1272,150 @@ impl ServeEngine {
         }
     }
 
-    /// The serial sweep, with the stage journal installed when `journal`
-    /// (and consulted when `incremental`).
-    fn solve_serial(&mut self, journal: bool, incremental: bool) -> Result<Solution, SolveError> {
-        self.scratch.prepare_multiple_bin();
-        self.scratch.prepare_deadlines(self.dmax);
+    /// Whether some stamp a spine solve never resets — the stage id, the
+    /// router epoch, the mark generation — has passed half its range. A
+    /// full solve resets all three, long before any could wrap and alias
+    /// a stale mark.
+    fn stamps_past_half(&self) -> bool {
+        const HALF: u32 = 1 << 31;
+        self.scratch.stage_id >= HALF
+            || self.scratch.router.epoch() >= HALF
+            || self.ctx.generation >= HALF
+    }
 
+    /// Test-only hook: moves the stage id, the router epoch and the mark
+    /// generation forward to at least `to`, so tests can drive an engine
+    /// to the wrap-around guard without billions of solves. Moving stamps
+    /// forward never aliases a stale mark. Hidden: not part of the crate's
+    /// API surface.
+    #[doc(hidden)]
+    pub fn advance_stamps(&mut self, to: u32) {
+        self.scratch.stage_id = self.scratch.stage_id.max(to);
+        self.scratch.router.advance_epoch(to);
+        self.ctx.generation = self.ctx.generation.max(to);
+    }
+
+    /// The whole-tree sweep, with the stage journal rebuilt from scratch
+    /// when `journal`. Publishes a freshly collected solution; returns the
+    /// number of nodes swept.
+    fn solve_full(&mut self, journal: bool) -> Result<u64, SolveError> {
+        let s = &mut self.scratch;
+        s.prepare_multiple_bin();
+        s.prepare_deadlines(self.dmax);
         if journal {
-            debug_assert!(incremental || self.ctx.prev.is_empty(), "only a valid journal replays");
-            let n = self.scratch.arena().len();
-            self.ctx.begin_solve(n);
-            if incremental {
-                for i in 0..self.changed.len() {
-                    let c = self.changed[i];
-                    // The client's own slot may flip between self-serve
-                    // and pending, so its state is dirty either way…
-                    self.ctx.mark_state(c);
-                    // …and its fragments flow exactly along the service
-                    // path c → deadline(c) (see the module docs).
-                    let dl = self.scratch.deadline[c as usize];
-                    let mut at = c;
-                    loop {
-                        self.ctx.mark_flow(at);
-                        if at == dl || self.scratch.arena().parent(at) == NO_PARENT {
-                            break;
-                        }
-                        at = self.scratch.arena().parent(at);
-                    }
-                }
-            }
-            self.scratch.serve = Some(std::mem::take(&mut self.ctx));
+            self.ctx.begin_full(s);
+            s.serve = Some(std::mem::take(&mut self.ctx));
         }
-        let result = mb_sweep(&mut self.scratch, self.w, self.dmax, None, None);
+        let result = mb_sweep(s, self.w, self.dmax, None, None);
         if journal {
-            self.ctx = self.scratch.serve.take().unwrap_or_default();
-            if result.is_ok() {
-                self.ctx.finish_solve();
-            }
+            self.ctx = s.serve.take().unwrap_or_default();
         }
         result?;
-        Ok(collect_solution(&self.scratch))
+        self.replicas = s.in_r.iter().filter(|&&r| r).count() as u64;
+        self.last_good = Some(collect_solution(s));
+        Ok(s.arena.len() as u64)
+    }
+
+    /// The incremental solve over a valid journal: re-sweeps only the
+    /// dirty spine — see the module docs for the steps and why the result
+    /// is exact. Patches the published solution in place; returns the
+    /// number of nodes swept.
+    fn solve_spine(&mut self) -> Result<u64, SolveError> {
+        let s = &mut self.scratch;
+        let ctx = &mut *self.ctx;
+        ctx.begin_spine();
+        let mut spine = std::mem::take(&mut ctx.spine);
+        spine.clear();
+        for &c in &self.changed {
+            // The client's own slot may flip between self-serve and
+            // pending, so its state is dirty either way…
+            ctx.mark_state(c);
+            // …its fragments flow exactly along the service path
+            // c → deadline(c)…
+            let dl = s.deadline[c as usize];
+            let mut at = c;
+            loop {
+                ctx.mark_flow(at);
+                if at == dl || s.arena.parent(at) == NO_PARENT {
+                    break;
+                }
+                at = s.arena.parent(at);
+            }
+            // …and only stages on its root path can see it.
+            let mut at = c;
+            while at != NO_PARENT && !ctx.on_spine(at) {
+                ctx.spine_mark[at as usize] = ctx.generation;
+                spine.push(at);
+                at = s.arena.parent(at);
+            }
+        }
+        spine.sort_unstable_by_key(|&u| s.arena.post_position(u));
+
+        // 1. Undo the spine's stages, last writer first.
+        for &j in spine.iter().rev() {
+            undo_stage(s, ctx, j);
+        }
+        // 2. Free the changed clients' self-serve slots (no stage slot
+        // survives step 1: a stage writing `c` is rooted on c's root path).
+        for &c in &self.changed {
+            let ci = c as usize;
+            ctx.first.capture(ctx.generation, c, s.in_r[ci], &s.assigned[ci]);
+            if s.in_r[ci] {
+                clear_slot(s, c);
+                s.in_r[ci] = false;
+            }
+        }
+        // 3. Seed the pending heap of every clean child of the spine.
+        for &p in &spine {
+            for &v in s.arena.children(p) {
+                if !ctx.on_spine(v) {
+                    s.flow.seed_pending(&s.arena, &ctx.sub_min_dd, v, &mut ctx.stack);
+                }
+            }
+        }
+        // 4. Sweep the spine.
+        s.serve = Some(std::mem::take(&mut self.ctx));
+        let result = mb_sweep(s, self.w, self.dmax, None, Some(&spine));
+        self.ctx = s.serve.take().unwrap_or_default();
+        let swept = spine.len() as u64;
+        self.ctx.spine = spine;
+        result?;
+        debug_assert!(self.ctx.spine.last().is_none_or(|&r| s.flow.is_empty_at(r)));
+        s.stats.router_carried_peak = self.ctx.peak();
+        self.publish_spine();
+        Ok(swept)
+    }
+
+    /// Patches the published solution with the nodes a spine solve wrote:
+    /// each one's first-touch pre-state out, its current state in.
+    fn publish_spine(&mut self) {
+        let sol = self.last_good.as_mut().expect("a valid journal implies a published solution");
+        let s = &self.scratch;
+        let first = &self.ctx.first;
+        let mut from = 0;
+        for &(u, was, to) in &first.nodes {
+            let old = &first.pairs[from..to];
+            from = to;
+            let (now, new) = (s.in_r[u as usize], &s.assigned[u as usize]);
+            if was == now && old == new.as_slice() {
+                continue;
+            }
+            let server = NodeId(u);
+            for &(c, amount) in old {
+                sol.retract(NodeId(c), server, amount);
+            }
+            if was {
+                sol.unforce_replica(server);
+                self.replicas -= 1;
+            }
+            if now {
+                sol.force_replica(server);
+                self.replicas += 1;
+            }
+            for &(c, amount) in new {
+                sol.assign(NodeId(c), server, amount);
+            }
+        }
     }
 
     /// The committed solution of the last successful [`ServeEngine::solve`]

@@ -247,6 +247,7 @@ impl<'a> StageEngine<'a> {
         debug_assert!(!stuck.is_empty());
         let scratch = &mut *self.scratch;
         let w = self.w;
+        let pre_stats = scratch.stats;
         scratch.stats.stages += 1;
         {
             let s = &mut *scratch;
@@ -284,12 +285,11 @@ impl<'a> StageEngine<'a> {
         // on every path, including errors.
         let mut serve_ctx = scratch.serve.take();
         if let Some(ctx) = serve_ctx.as_deref_mut() {
-            if crate::serve::try_replay(scratch, ctx, j) {
+            if crate::serve::try_replay(scratch, ctx, j, &pre_stats) {
                 scratch.serve = serve_ctx;
                 return Ok(());
             }
         }
-        let pre_stats = scratch.stats;
         let result = serve_stuck_search(scratch, w, j, stuck, travelling);
         if result.is_ok() {
             // Fold the stage's router counters into the solve stats. The

@@ -170,6 +170,20 @@ impl RouterBufs {
         self.carried_peak = 0;
     }
 
+    /// The sweep counter behind the load stamps. It only grows between
+    /// [`RouterBufs::prepare`] calls, so a long-lived caller that never
+    /// re-prepares must watch it for wrap-around (the serve engine does).
+    pub(crate) fn epoch(&self) -> u32 {
+        self.epoch
+    }
+
+    /// Moves the sweep counter forward to `to` (never backward): stale
+    /// stamps stay below it, so nothing aliases. The serve engine's
+    /// wrap-guard test hook.
+    pub(crate) fn advance_epoch(&mut self, to: u32) {
+        self.epoch = self.epoch.max(to);
+    }
+
     /// The load the *current* route put on replica `u` — 0 when the sweep
     /// exited early before reaching it (or never visited it at all).
     pub(crate) fn routed_load(&self, u: u32) -> u64 {

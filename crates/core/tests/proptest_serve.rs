@@ -16,10 +16,24 @@
 //! Invalid deltas (underflow, over-capacity) must be rejected identically
 //! by both engines and leave both solving the same instance afterwards —
 //! the stream generator deliberately produces some.
+//!
+//! The streams are built to reach every path of the spine solve's undo:
+//! `dmax` goes down to 0 and 1 (clients that serve themselves next to
+//! clients that travel, and `Set(0)` / `Sub` deltas that drain them), and
+//! every batch also changes one client on each side of the tree's top
+//! split, so spines from both subtrees meet at the top. Deterministic
+//! regressions below pin a spine stage that vanishes and a new stage on a
+//! spine node with no journal entry, the stamp wrap-around guard and the
+//! work bound of a one-client delta.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rp_core::serve::{DemandDelta, ServeEngine};
 use rp_core::{multiple_bin_with, SolverScratch};
+use rp_instances::random::{random_binary_tree, wrap_instance};
+use rp_instances::{EdgeDist, RequestDist};
+use rp_tree::arena::TreeArena;
 use rp_tree::{validate, Instance, Policy, Tree, TreeBuilder};
 
 /// A generated serving scenario: the structural picks of one binary tree
@@ -36,6 +50,9 @@ struct Scenario {
     /// Batches of `(client pick, op pick, amount)`; a solve runs after
     /// each batch on every engine.
     batches: Vec<Vec<(u16, u8, u64)>>,
+    /// Per batch, `(left pick, right pick, op pick, amount)`: one more
+    /// delta on a client of each side of the top split.
+    sides: Vec<(u16, u16, u8, u64)>,
 }
 
 impl Scenario {
@@ -94,12 +111,52 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         prop::collection::vec((any::<u16>(), 0u64..3), 4..14),
         prop::collection::vec((any::<u16>(), 0u64..3, 0u64..9), 4..20),
         9u64..22,
-        prop::option::of(2u64..14),
+        prop::option::of(0u64..14),
         prop::collection::vec(prop::collection::vec((any::<u16>(), 0u8..3, 0u64..12), 1..6), 1..5),
+        prop::collection::vec((any::<u16>(), any::<u16>(), 0u8..3, 0u64..12), 4),
     )
-        .prop_map(|(caterpillar, cat_picks, internals, clients, capacity, dmax, batches)| {
-            Scenario { caterpillar, cat_picks, internals, clients, capacity, dmax, batches }
-        })
+        .prop_map(
+            |(caterpillar, cat_picks, internals, clients, capacity, dmax, batches, sides)| {
+                Scenario {
+                    caterpillar,
+                    cat_picks,
+                    internals,
+                    clients,
+                    capacity,
+                    dmax,
+                    batches,
+                    sides,
+                }
+            },
+        )
+}
+
+/// The demand delta an op pick stands for.
+fn delta_of(op: u8, amount: u64) -> DemandDelta {
+    match op % 3 {
+        0 => DemandDelta::Add(amount),
+        1 => DemandDelta::Sub(amount),
+        _ => DemandDelta::Set(amount),
+    }
+}
+
+/// Positions (in `client_ids`) of the clients on each side of the tree's
+/// top split: the first node from the root down with two children.
+fn split_sides(tree: &Tree, client_ids: &[u32]) -> [Vec<usize>; 2] {
+    let arena = TreeArena::new(tree);
+    let mut top = arena.preorder()[0];
+    while arena.children(top).len() == 1 {
+        top = arena.children(top)[0];
+    }
+    let mut sides = [Vec::new(), Vec::new()];
+    for (side, &child) in arena.children(top).iter().enumerate() {
+        for (i, &c) in client_ids.iter().enumerate() {
+            if arena.is_ancestor_or_self(child, c) {
+                sides[side].push(i);
+            }
+        }
+    }
+    sides
 }
 
 /// Cold reference: build a fresh tree carrying `reqs`, solve it through a
@@ -126,6 +183,7 @@ proptest! {
         // Both families always yield clients (the branchy slot list never
         // empties before placing at least its first four).
         prop_assert!(!client_ids.is_empty());
+        let sides = split_sides(&tree, &client_ids);
         let inst = Instance::new(tree, s.capacity, s.dmax).expect("positive capacity");
 
         let mut engine = ServeEngine::new(&inst).expect("binary, r_i ≤ W");
@@ -140,15 +198,20 @@ proptest! {
         engine.solve().expect("initial solve");
         naive.solve().expect("initial solve");
 
-        for batch in &s.batches {
-            for &(cpick, op, amount) in batch {
-                let i = cpick as usize % client_ids.len();
+        for (batch, &(left, right, side_op, side_amount)) in s.batches.iter().zip(&s.sides) {
+            let mut deltas: Vec<(usize, DemandDelta)> = batch
+                .iter()
+                .map(|&(cpick, op, amount)| {
+                    (cpick as usize % client_ids.len(), delta_of(op, amount))
+                })
+                .collect();
+            for (side, pick) in sides.iter().zip([left, right]) {
+                if !side.is_empty() {
+                    deltas.push((side[pick as usize % side.len()], delta_of(side_op, side_amount)));
+                }
+            }
+            for (i, delta) in deltas {
                 let node = client_ids[i];
-                let delta = match op % 3 {
-                    0 => DemandDelta::Add(amount),
-                    1 => DemandDelta::Sub(amount),
-                    _ => DemandDelta::Set(amount),
-                };
                 // Both engines must agree on acceptance and on the
                 // resulting demand; rejects must change nothing.
                 let a = engine.apply_delta(node, delta);
@@ -195,6 +258,7 @@ fn journal_replay_engages_on_stage_dense_streams() {
         capacity: 12,
         dmax: Some(9),
         batches: vec![],
+        sides: vec![],
     };
     let (tree, client_ids) = s.build(None);
     let inst = Instance::new(tree, s.capacity, s.dmax).expect("positive capacity");
@@ -248,6 +312,7 @@ fn large_batches_stay_incremental_and_match_naive() {
         capacity: 15,
         dmax: Some(7),
         batches: vec![],
+        sides: vec![],
     };
     let (tree, client_ids) = s.build(None);
     let inst = Instance::new(tree, s.capacity, s.dmax).expect("positive capacity");
@@ -302,4 +367,164 @@ fn default_engine_resolves_incrementally() {
     assert_eq!(engine.solution(), naive.solution());
     assert_eq!(engine.stage_stats(), naive.stage_stats());
     assert_eq!((engine.stats().full_solves, engine.stats().incremental_solves), (1, 1));
+}
+
+/// Applies one delta to both engines, solves both, and checks the engine
+/// against the naive reference; returns the engine's outcome.
+fn step_both(
+    engine: &mut ServeEngine,
+    naive: &mut ServeEngine,
+    node: u32,
+    delta: DemandDelta,
+) -> rp_core::ServeOutcome {
+    engine.apply_delta(node, delta).unwrap();
+    naive.apply_delta(node, delta).unwrap();
+    let outcome = engine.solve().expect("engine solve");
+    naive.solve().expect("naive solve");
+    assert_eq!(engine.solution(), naive.solution(), "after {delta:?} @ {node}");
+    assert_eq!(engine.stage_stats(), naive.stage_stats(), "after {delta:?} @ {node}");
+    outcome
+}
+
+/// Two regions under the root, each a node `n` (edge 5) over two clients
+/// (edges 1 and 2). With `dmax = 3` a client reaches its `n` but not the
+/// root, so each region's requests get stuck at its `n`: one stage per
+/// region with demand, none at the root. Returns the instance and the
+/// clients `[a, b, c, d]` (`a`, `b` under the first region).
+fn two_regions(reqs: [u64; 4]) -> (Instance, [u32; 4]) {
+    let mut b = TreeBuilder::new();
+    let root = b.root();
+    let mut ids = [0; 4];
+    for region in 0..2 {
+        let n = b.add_internal(root, 5);
+        ids[2 * region] = b.add_client(n, 1, reqs[2 * region]).0;
+        ids[2 * region + 1] = b.add_client(n, 2, reqs[2 * region + 1]).0;
+    }
+    (Instance::new(b.freeze().unwrap(), 10, Some(3)).unwrap(), ids)
+}
+
+#[test]
+fn a_vanishing_spine_stage_leaves_the_journal() {
+    let (inst, [a, b, c, _]) = two_regions([4, 3, 5, 2]);
+    let mut engine = ServeEngine::new(&inst).unwrap();
+    let mut naive = ServeEngine::new(&inst).unwrap();
+    naive.set_naive_resolve(true);
+    engine.solve().unwrap();
+    naive.solve().unwrap();
+    assert_eq!(engine.stage_stats().stages, 2);
+
+    // Draining `a` keeps the first region's stage (b is still stuck).
+    let out = step_both(&mut engine, &mut naive, a, DemandDelta::Set(0));
+    assert!(out.incremental);
+    assert_eq!((out.stages_reused, out.stages_recomputed), (1, 1));
+    // Draining `b` empties its stuck set: the stage vanishes, its replica
+    // goes, and only the other region's stage is carried.
+    let out = step_both(&mut engine, &mut naive, b, DemandDelta::Sub(3));
+    assert!(out.incremental);
+    assert_eq!((out.stages_reused, out.stages_recomputed), (1, 0));
+    assert_eq!(engine.stage_stats().stages, 1);
+    assert_eq!(out.replicas, 1);
+    // The other region still re-solves incrementally against the journal.
+    let out = step_both(&mut engine, &mut naive, c, DemandDelta::Add(1));
+    assert_eq!((out.stages_reused, out.stages_recomputed), (0, 1));
+}
+
+#[test]
+fn a_new_stage_on_a_spine_node_without_a_journal_entry() {
+    let (inst, [a, _, c, d]) = two_regions([0, 0, 5, 2]);
+    let mut engine = ServeEngine::new(&inst).unwrap();
+    let mut naive = ServeEngine::new(&inst).unwrap();
+    naive.set_naive_resolve(true);
+    engine.solve().unwrap();
+    naive.solve().unwrap();
+    assert_eq!(engine.stage_stats().stages, 1, "the empty region fires no stage");
+
+    let out = step_both(&mut engine, &mut naive, a, DemandDelta::Set(6));
+    assert!(out.incremental);
+    assert_eq!((out.stages_reused, out.stages_recomputed), (1, 1));
+    assert_eq!(engine.stage_stats().stages, 2);
+    assert_eq!(out.replicas, 2);
+    // Both regions at once, then back to empty: spines meet at the root.
+    step_both(&mut engine, &mut naive, c, DemandDelta::Sub(5));
+    step_both(&mut engine, &mut naive, d, DemandDelta::Set(0));
+    let out = step_both(&mut engine, &mut naive, a, DemandDelta::Set(0));
+    assert!(out.incremental);
+    assert_eq!((out.replicas, engine.stage_stats().stages), (0, 0));
+}
+
+#[test]
+fn stamps_past_half_force_one_full_solve_that_matches_naive() {
+    let s = Scenario {
+        caterpillar: true,
+        cat_picks: (0..24).map(|i| (i % 2, (i / 2) % 2, i * 5 % 9)).collect(),
+        internals: vec![],
+        clients: vec![],
+        capacity: 12,
+        dmax: Some(7),
+        batches: vec![],
+        sides: vec![],
+    };
+    let (tree, client_ids) = s.build(None);
+    let inst = Instance::new(tree, s.capacity, s.dmax).expect("positive capacity");
+    let mut engine = ServeEngine::new(&inst).unwrap();
+    let mut naive = ServeEngine::new(&inst).unwrap();
+    naive.set_naive_resolve(true);
+    engine.solve().unwrap();
+    naive.solve().unwrap();
+
+    // One below half: the next solve is still incremental and carries
+    // every stamp past half; the one after runs full and resets them; then
+    // the engine is incremental again.
+    engine.advance_stamps((1 << 31) - 1);
+    let mut modes = Vec::new();
+    for (k, &node) in client_ids.iter().enumerate().take(4) {
+        let out = step_both(&mut engine, &mut naive, node, DemandDelta::Add(1 + k as u64 % 2));
+        modes.push(out.incremental);
+    }
+    assert_eq!(modes, [true, false, true, true]);
+
+    // At the very edge the guard runs the next solve full before anything
+    // can wrap.
+    engine.advance_stamps(u32::MAX - 1);
+    let out = step_both(&mut engine, &mut naive, client_ids[5], DemandDelta::Sub(1));
+    assert!(!out.incremental);
+    let out = step_both(&mut engine, &mut naive, client_ids[6], DemandDelta::Set(3));
+    assert!(out.incremental);
+    assert_eq!(engine.stats().full_solves, 3);
+}
+
+#[test]
+fn a_one_client_delta_sweeps_only_its_root_path() {
+    for (clients, seed) in [(4096, 0x5EED), (65536, 0xB16)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tree = random_binary_tree(
+            clients,
+            &EdgeDist::Uniform { lo: 1, hi: 3 },
+            &RequestDist::Uniform { lo: 1, hi: 9 },
+            &mut rng,
+        );
+        let inst = wrap_instance(tree, 3.0, Some(0.3));
+        let arena = TreeArena::new(inst.tree());
+        let ids: Vec<u32> = (0..arena.len() as u32).filter(|&v| arena.is_client(v)).collect();
+        let mut engine = ServeEngine::new(&inst).unwrap();
+        engine.solve().unwrap();
+        assert_eq!(engine.stats().last_swept, arena.len() as u64, "a full solve sweeps all");
+        for k in [0, ids.len() / 3, ids.len() - 1] {
+            let c = ids[k];
+            let delta = if engine.requests_of(c) > Some(1) {
+                DemandDelta::Sub(1)
+            } else {
+                DemandDelta::Add(1)
+            };
+            engine.apply_delta(c, delta).unwrap();
+            assert!(engine.solve().unwrap().incremental);
+            assert_eq!(
+                engine.stats().last_swept,
+                u64::from(arena.depth(c)) + 1,
+                "{clients} clients: a delta on client {c} sweeps its root path"
+            );
+        }
+        assert!(engine.solve().unwrap().incremental);
+        assert_eq!(engine.stats().last_swept, 0, "no delta, nothing to sweep");
+    }
 }

@@ -54,6 +54,50 @@ impl Solution {
         *self.fragments.entry((client, server)).or_insert(0) += amount;
     }
 
+    /// Builds a solution in bulk from its parts: `forced` replicas (see
+    /// [`Solution::force_replica`]) and assignment `fragments` in any
+    /// order. Equal to calling [`Solution::force_replica`] and
+    /// [`Solution::assign`] once per item, but the fragments are sorted and
+    /// merged first and both maps are built from sorted sequences, instead
+    /// of one tree insert per fragment.
+    pub fn from_fragments(
+        forced: impl IntoIterator<Item = NodeId>,
+        mut fragments: Vec<Fragment>,
+    ) -> Solution {
+        fragments.sort_unstable_by_key(|f| (f.client, f.server));
+        let mut merged: Vec<((NodeId, NodeId), Requests)> = Vec::with_capacity(fragments.len());
+        for f in fragments {
+            if f.amount == 0 {
+                continue;
+            }
+            match merged.last_mut() {
+                Some((key, amount)) if *key == (f.client, f.server) => *amount += f.amount,
+                _ => merged.push(((f.client, f.server), f.amount)),
+            }
+        }
+        Solution { fragments: merged.into_iter().collect(), forced: forced.into_iter().collect() }
+    }
+
+    /// Removes `amount` requests of `client` from `server`, dropping the
+    /// fragment once it is empty: the inverse of [`Solution::assign`]. Zero
+    /// amounts are ignored.
+    ///
+    /// # Panics
+    ///
+    /// If `server` processes fewer than `amount` requests of `client`.
+    pub fn retract(&mut self, client: NodeId, server: NodeId, amount: Requests) {
+        if amount == 0 {
+            return;
+        }
+        match self.fragments.get_mut(&(client, server)) {
+            Some(held) if *held > amount => *held -= amount,
+            Some(held) if *held == amount => {
+                self.fragments.remove(&(client, server));
+            }
+            _ => panic!("retract: {server:?} does not serve {amount} requests of {client:?}"),
+        }
+    }
+
     /// Marks `node` as holding a replica even if no request is assigned to it.
     ///
     /// Algorithms normally never need this, but it allows representing
@@ -61,6 +105,12 @@ impl Solution {
     /// the objective `|R|`).
     pub fn force_replica(&mut self, node: NodeId) {
         self.forced.insert(node);
+    }
+
+    /// Undoes [`Solution::force_replica`]: `node` stays a replica only while
+    /// it still processes some request.
+    pub fn unforce_replica(&mut self, node: NodeId) {
+        self.forced.remove(&node);
     }
 
     /// All fragments, ordered by `(client, server)`.
@@ -211,6 +261,41 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.assigned_to_client(n(3)), 6);
         assert_eq!(a.replicas(), vec![n(1), n(2), n(9)]);
+    }
+
+    #[test]
+    fn bulk_build_and_retract_match_one_at_a_time_edits() {
+        let frag = |c, s, amount| Fragment { client: n(c), server: n(s), amount };
+        let bulk = Solution::from_fragments(
+            [n(2), n(0)],
+            vec![frag(5, 2, 3), frag(4, 0, 1), frag(5, 2, 2), frag(4, 2, 0), frag(4, 2, 6)],
+        );
+        let mut one = Solution::new();
+        one.force_replica(n(0));
+        one.force_replica(n(2));
+        one.assign(n(5), n(2), 5);
+        one.assign(n(4), n(0), 1);
+        one.assign(n(4), n(2), 6);
+        assert_eq!(bulk, one);
+
+        one.retract(n(5), n(2), 2);
+        assert_eq!(one.assigned_to_client(n(5)), 3);
+        one.retract(n(5), n(2), 3);
+        one.retract(n(4), n(2), 0);
+        assert_eq!(one.fragment_count(), 2, "an emptied fragment is dropped");
+        one.unforce_replica(n(0));
+        assert!(one.is_replica(n(0)), "a serving node stays a replica");
+        one.retract(n(4), n(0), 1);
+        assert!(!one.is_replica(n(0)));
+        assert_eq!(one.replicas(), vec![n(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not serve")]
+    fn retracting_more_than_assigned_panics() {
+        let mut s = Solution::new();
+        s.assign(n(3), n(1), 2);
+        s.retract(n(3), n(1), 3);
     }
 
     #[test]

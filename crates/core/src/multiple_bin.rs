@@ -440,19 +440,37 @@ impl PendingFlow {
 
 /// Reads the committed replica set and assignment out of the scratch slabs
 /// into a [`Solution`], built in bulk ([`Solution::from_fragments`]).
+///
+/// The fragments come out already in `(client, server)` order, so the bulk
+/// build's sort finds one run: a counting sort over client ids places each
+/// client's fragments in its own slot range, and scattering them while
+/// scanning the replicas by ascending id keeps the servers ascending within
+/// each range (a repeated pair stays adjacent for the merge).
 pub(crate) fn collect_solution(scratch: &SolverScratch) -> Solution {
-    let replicas = (0..scratch.arena.len() as u32).filter(|&v| scratch.in_r[v as usize]);
-    let fragments = replicas
-        .clone()
-        .flat_map(|v| {
-            scratch.assigned[v as usize].iter().map(move |&(c, amount)| Fragment {
-                client: NodeId(c),
-                server: NodeId(v),
-                amount,
-            })
-        })
-        .collect();
-    Solution::from_fragments(replicas.map(NodeId), fragments)
+    let replicas: Vec<u32> =
+        (0..scratch.arena.len() as u32).filter(|&v| scratch.in_r[v as usize]).collect();
+    let lists = || replicas.iter().map(|&v| (v, &scratch.assigned[v as usize]));
+    // `next[c]`: the slot of client `c`'s next fragment.
+    let mut next = vec![0usize; scratch.arena.len()];
+    for (_, list) in lists() {
+        for &(c, _) in list {
+            next[c as usize] += 1;
+        }
+    }
+    let mut total = 0;
+    for slot in &mut next {
+        total += std::mem::replace(slot, total);
+    }
+    let blank = Fragment { client: NodeId(0), server: NodeId(0), amount: 0 };
+    let mut fragments = vec![blank; total];
+    for (v, list) in lists() {
+        for &(c, amount) in list {
+            let slot = &mut next[c as usize];
+            fragments[*slot] = Fragment { client: NodeId(c), server: NodeId(v), amount };
+            *slot += 1;
+        }
+    }
+    Solution::from_fragments(replicas.into_iter().map(NodeId), fragments)
 }
 
 /// Fails the sweep with [`SolveError::DeadlineExceeded`] once the serve

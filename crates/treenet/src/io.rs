@@ -203,18 +203,76 @@ pub fn parse_instance(text: &str) -> Result<Instance, ParseError> {
     Ok(Instance::new(tree, capacity, dmax)?)
 }
 
-/// Renders a solution as `client server amount` lines.
+/// Renders a solution: a `replicas <count>` header, one `idle <node>` line
+/// per replica that processes no request (see
+/// [`Solution::idle_replicas`]), then one `client server amount` line per
+/// fragment in `(client, server)` order:
+///
+/// ```text
+/// # replica-placement solution v1
+/// replicas 2
+/// idle 4
+/// 2 1 5
+/// 3 1 7
+/// ```
+///
+/// The text is built in one byte buffer sized up front, one line at a time
+/// with the integers formatted by hand.
 pub fn write_solution(solution: &Solution) -> String {
-    let mut out = String::new();
-    out.push_str("# replica-placement solution v1\n");
-    out.push_str(&format!("replicas {}\n", solution.replica_count()));
-    for f in solution.fragments() {
-        out.push_str(&format!("{} {} {}\n", f.client.0, f.server.0, f.amount));
+    const HEAD: &[u8] = b"# replica-placement solution v1\nreplicas ";
+    let (count, idle) = solution.census();
+    // An upper bound on the length while no server id outgrows the largest
+    // client id and no amount has more than three digits; past that the
+    // buffer grows.
+    let id_len = solution.fragments().next_back().map_or(1, |f| decimal_len(f.client.0.into()));
+    let mut out = Vec::with_capacity(
+        HEAD.len() + 21 + idle.len() * 16 + solution.fragment_count() * (2 * id_len + 6),
+    );
+    out.extend_from_slice(HEAD);
+    push_line(&mut out, &[count as u64]);
+    for n in idle {
+        out.extend_from_slice(b"idle ");
+        push_line(&mut out, &[n.0.into()]);
     }
-    out
+    for f in solution.fragments() {
+        push_line(&mut out, &[f.client.0.into(), f.server.0.into(), f.amount]);
+    }
+    String::from_utf8(out).expect("the solution writer emits ASCII only")
 }
 
-/// Parses a solution written by [`write_solution`].
+/// Number of decimal digits of `v`.
+fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends `values` in decimal, separated by spaces and ended by a newline:
+/// the line is formatted back to front in a stack buffer and copied once.
+fn push_line(out: &mut Vec<u8>, values: &[u64]) {
+    let mut buf = [0u8; 63];
+    let mut at = buf.len();
+    let mut sep = b'\n';
+    for &v in values.iter().rev() {
+        at -= 1;
+        buf[at] = sep;
+        sep = b' ';
+        let mut v = v;
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Parses a solution written by [`write_solution`]: `idle <node>` lines
+/// become [`Solution::force_replica`] calls and `client server amount`
+/// lines [`Solution::assign`] calls. The `replicas` header is skipped (the
+/// count follows from the other lines), as are blank lines and `#`
+/// comments.
 pub fn parse_solution(text: &str) -> Result<Solution, ParseError> {
     let mut sol = Solution::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -222,23 +280,21 @@ pub fn parse_solution(text: &str) -> Result<Solution, ParseError> {
         if line.is_empty() || line.starts_with("replicas") {
             continue;
         }
+        let malformed = |reason: String| ParseError::Malformed { line: lineno + 1, reason };
         let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 3 {
-            return Err(ParseError::Malformed {
-                line: lineno + 1,
-                reason: "expected `client server amount`".into(),
-            });
-        }
-        let parse = |s: &str| -> Result<u64, ParseError> {
-            s.parse().map_err(|_| ParseError::Malformed {
-                line: lineno + 1,
-                reason: format!("invalid integer `{s}`"),
-            })
+        let node = |s: &str| -> Result<NodeId, ParseError> {
+            s.parse().map(NodeId).map_err(|_| malformed(format!("invalid node id `{s}`")))
         };
-        let client = NodeId(parse(fields[0])? as u32);
-        let server = NodeId(parse(fields[1])? as u32);
-        let amount = parse(fields[2])?;
-        sol.assign(client, server, amount);
+        match fields[..] {
+            ["idle", n] => sol.force_replica(node(n)?),
+            [client, server, amount] => {
+                let amount = amount
+                    .parse()
+                    .map_err(|_| malformed(format!("invalid request count `{amount}`")))?;
+                sol.assign(node(client)?, node(server)?, amount);
+            }
+            _ => return Err(malformed("expected `client server amount` or `idle node`".into())),
+        }
     }
     Ok(sol)
 }

@@ -58,24 +58,26 @@ impl Solution {
     /// [`Solution::force_replica`]) and assignment `fragments` in any
     /// order. Equal to calling [`Solution::force_replica`] and
     /// [`Solution::assign`] once per item, but the fragments are sorted and
-    /// merged first and both maps are built from sorted sequences, instead
-    /// of one tree insert per fragment.
+    /// merged in place first and both maps are built from sorted sequences,
+    /// instead of one tree insert per fragment. Fragments already in
+    /// `(client, server)` order cost one linear scan to sort.
     pub fn from_fragments(
         forced: impl IntoIterator<Item = NodeId>,
         mut fragments: Vec<Fragment>,
     ) -> Solution {
         fragments.sort_unstable_by_key(|f| (f.client, f.server));
-        let mut merged: Vec<((NodeId, NodeId), Requests)> = Vec::with_capacity(fragments.len());
-        for f in fragments {
-            if f.amount == 0 {
-                continue;
+        fragments.retain(|f| f.amount != 0);
+        fragments.dedup_by(|next, kept| {
+            let same = (next.client, next.server) == (kept.client, kept.server);
+            if same {
+                kept.amount += next.amount;
             }
-            match merged.last_mut() {
-                Some((key, amount)) if *key == (f.client, f.server) => *amount += f.amount,
-                _ => merged.push(((f.client, f.server), f.amount)),
-            }
+            same
+        });
+        Solution {
+            fragments: fragments.into_iter().map(|f| ((f.client, f.server), f.amount)).collect(),
+            forced: forced.into_iter().collect(),
         }
-        Solution { fragments: merged.into_iter().collect(), forced: forced.into_iter().collect() }
     }
 
     /// Removes `amount` requests of `client` from `server`, dropping the
@@ -114,7 +116,7 @@ impl Solution {
     }
 
     /// All fragments, ordered by `(client, server)`.
-    pub fn fragments(&self) -> impl Iterator<Item = Fragment> + '_ {
+    pub fn fragments(&self) -> impl DoubleEndedIterator<Item = Fragment> + '_ {
         self.fragments.iter().map(|(&(client, server), &amount)| Fragment {
             client,
             server,
@@ -127,18 +129,35 @@ impl Solution {
         self.fragments.len()
     }
 
+    /// The servers of the fragments, with repeats.
+    fn servers(&self) -> impl Iterator<Item = NodeId> + Clone + '_ {
+        self.fragments.keys().map(|&(_, s)| s)
+    }
+
     /// The replica set `R`, sorted by node id.
     pub fn replicas(&self) -> Vec<NodeId> {
-        let mut r: Vec<NodeId> = self.fragments.keys().map(|&(_, s)| s).collect();
-        r.extend(self.forced.iter().copied());
-        r.sort_unstable();
-        r.dedup();
-        r
+        let all = self.servers().chain(self.forced.iter().copied());
+        NodeSet::new(all, self.fragments.len() + self.forced.len()).into_sorted()
     }
 
     /// The objective value `|R|`: number of distinct nodes holding a replica.
     pub fn replica_count(&self) -> usize {
-        self.replicas().len()
+        self.census().0
+    }
+
+    /// The replicas that process no request (placed through
+    /// [`Solution::force_replica`] and left idle), sorted by node id.
+    pub fn idle_replicas(&self) -> Vec<NodeId> {
+        self.census().1
+    }
+
+    /// `|R|` and the idle replicas, from one pass over the fragments: the
+    /// distinct servers plus the forced nodes that serve nothing.
+    pub(crate) fn census(&self) -> (usize, Vec<NodeId>) {
+        let serving = NodeSet::new(self.servers(), self.fragments.len());
+        let idle: Vec<NodeId> =
+            self.forced.iter().copied().filter(|&n| !serving.contains(n)).collect();
+        (serving.len() + idle.len(), idle)
     }
 
     /// Whether `node` holds a replica in this solution.
@@ -194,6 +213,68 @@ impl Solution {
         for &n in &other.forced {
             self.force_replica(n);
         }
+    }
+}
+
+/// A set of distinct node ids, built without a comparison sort when the ids
+/// are dense: a bitset over `0..=max` while it takes at most one 64-bit word
+/// per id it is built from, else a sorted, deduplicated list (a solution
+/// naming node `u32::MAX` must not allocate a 512 MiB bitset).
+enum NodeSet {
+    Bits(Vec<u64>),
+    Sorted(Vec<NodeId>),
+}
+
+impl NodeSet {
+    /// The distinct ids among the `count` items of `ids`.
+    fn new(ids: impl Iterator<Item = NodeId> + Clone, count: usize) -> NodeSet {
+        let mut bits: Vec<u64> = Vec::new();
+        for id in ids.clone() {
+            let word = id.0 as usize / 64;
+            if word >= bits.len() {
+                if word >= count {
+                    let mut list: Vec<NodeId> = ids.collect();
+                    list.sort_unstable();
+                    list.dedup();
+                    return NodeSet::Sorted(list);
+                }
+                bits.resize(word + 1, 0);
+            }
+            bits[word] |= 1u64 << (id.0 % 64);
+        }
+        NodeSet::Bits(bits)
+    }
+
+    fn contains(&self, id: NodeId) -> bool {
+        match self {
+            NodeSet::Bits(bits) => {
+                bits.get(id.0 as usize / 64).is_some_and(|w| w & (1u64 << (id.0 % 64)) != 0)
+            }
+            NodeSet::Sorted(list) => list.binary_search(&id).is_ok(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            NodeSet::Bits(bits) => bits.iter().map(|w| w.count_ones() as usize).sum(),
+            NodeSet::Sorted(list) => list.len(),
+        }
+    }
+
+    fn into_sorted(self) -> Vec<NodeId> {
+        let mut out = Vec::with_capacity(self.len());
+        let bits = match self {
+            NodeSet::Bits(bits) => bits,
+            NodeSet::Sorted(list) => return list,
+        };
+        for (i, &word) in bits.iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                out.push(NodeId(i as u32 * 64 + w.trailing_zeros()));
+                w &= w - 1;
+            }
+        }
+        out
     }
 }
 

@@ -117,6 +117,7 @@ fn text_format_roundtrip_preserves_solver_results() {
     let sol_text = io::write_solution(&original);
     let sol = io::parse_solution(&sol_text).expect("solution parse");
     assert!(validate(&parsed, Policy::Multiple, &sol).is_ok());
+    assert_eq!(sol.replica_count(), original.replica_count(), "idle replicas survive the format");
 }
 
 #[test]

@@ -199,6 +199,10 @@ pub struct SolverScratch {
     pub(crate) active_mark: Vec<u32>,
     /// Position of each node in `active_nodes` (valid where active).
     pub(crate) active_pos: Vec<u32>,
+    /// Stage stamp per node; `== stage_id` means on a *stuck* client's
+    /// path to the stage root — the sub-forest the scope collection walks
+    /// first, and the one the DP fallback runs over.
+    pub(crate) stuck_mark: Vec<u32>,
     /// Monotone stamp distinguishing stages without clearing marks.
     pub(crate) stage_id: u32,
     /// Minimum deadline depth of the demand below each node — the
@@ -259,6 +263,11 @@ pub struct SolverScratch {
     pub(crate) dp_demand: Vec<u64>,
     /// Clients with non-zero [`SolverScratch::dp_demand`].
     pub(crate) dp_clients: Vec<u32>,
+    /// The fallback's stuck forest: the `stuck_mark`ed nodes of
+    /// `active_nodes`, in the same post order.
+    pub(crate) dp_nodes: Vec<u32>,
+    /// Position of each node in `dp_nodes` (valid where stuck-marked).
+    pub(crate) dp_pos: Vec<u32>,
     /// Pooled storage of the sparse stage-DP pass (see
     /// [`crate::stage::chain_dp`]).
     pub(crate) sdp: crate::stage::chain_dp::SparseDp,
@@ -397,6 +406,8 @@ impl SolverScratch {
         reset(&mut self.min_dd, n, u32::MAX);
         reset(&mut self.active_mark, n, 0);
         reset(&mut self.active_pos, n, 0);
+        reset(&mut self.stuck_mark, n, 0);
+        reset(&mut self.dp_pos, n, 0);
         self.router.prepare(n);
         self.load_sums.reset(n);
         self.commit_log.clear();
@@ -418,47 +429,13 @@ impl SolverScratch {
         self.spare_nodes.clear();
         self.breakdown.clear();
         self.dp_clients.clear();
-    }
-
-    /// Builds the stage's *active forest* — the union of the `sources`
-    /// nodes' paths up to the stage root `j` — into
-    /// [`SolverScratch::active_nodes`] (sorted by post-order position, so
-    /// children precede parents), stamping [`SolverScratch::active_mark`]
-    /// with the current stage id and filling
-    /// [`SolverScratch::active_pos`]. Built by walking each source's path
-    /// until it merges into an already-marked one — O(|active|) total.
-    /// Every source must lie in `subtree(j)`; with no sources the forest
-    /// degenerates to `{j}`. Callers typically `std::mem::take` the
-    /// source list around the call (it usually lives in this scratch).
-    pub(crate) fn build_active_forest(&mut self, j: u32, sources: &[u32]) {
-        let stamp = self.stage_id;
-        self.active_nodes.clear();
-        for &source in sources {
-            debug_assert!(
-                self.arena.is_ancestor_or_self(j, source),
-                "active-forest sources must live in subtree(j)"
-            );
-            let mut at = source;
-            loop {
-                if self.active_mark[at as usize] == stamp {
-                    break;
-                }
-                self.active_mark[at as usize] = stamp;
-                self.active_nodes.push(at);
-                if at == j {
-                    break;
-                }
-                at = self.arena.parent(at);
-            }
-        }
-        self.seal_active_forest(j);
+        self.dp_nodes.clear();
     }
 
     /// Finishes an active forest whose nodes have been marked and pushed
-    /// (by [`SolverScratch::build_active_forest`] or the stage engine's
-    /// scoped collection walk): ensures the stage root is present, sorts
-    /// by post-order position (children before parents) and fills
-    /// [`SolverScratch::active_pos`].
+    /// (by the stage engine's scope collection walk): ensures the stage
+    /// root is present, sorts by post-order position (children before
+    /// parents) and fills [`SolverScratch::active_pos`].
     pub(crate) fn seal_active_forest(&mut self, j: u32) {
         if self.active_mark[j as usize] != self.stage_id {
             self.active_mark[j as usize] = self.stage_id;

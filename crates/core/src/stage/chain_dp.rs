@@ -43,6 +43,13 @@
 //!   the first `rp` where `ΔG(rp) ≥ 0` — found by binary search over the
 //!   two step sequences.
 //!
+//! The backtrack walks only the frames that receive replicas. A frame with
+//! `r = 0` opens nothing (a free node places only at `r₀ ≥ 1`) and every
+//! split of zero hands each child zero, so no node below it is placed:
+//! such a frame is never pushed, and a frame whose own replica uses up its
+//! share stops there without recomputing its convolution layers. The
+//! walk's cost follows the paths to the chosen nodes, not the forest.
+//!
 //! The pass is total: a node's segment count is bounded by its strict-step
 //! count, which never exceeds the dense vector's length, so the sparse
 //! form is never asymptotically worse than a dense table.
@@ -306,7 +313,8 @@ pub(crate) fn sparse_dp(
         return Err(root.value_at(r_budget));
     }
 
-    // --- backtrack: replay the dense tie-breaks in closed form ---
+    // --- backtrack: replay the dense tie-breaks in closed form, pushing
+    // only frames with a positive share (see the module docs) ---
     best_set.clear();
     sp.stack.clear();
     sp.stack.push((j, rmin));
@@ -320,12 +328,14 @@ pub(crate) fn sparse_dp(
             best_set.push(v);
         }
         let mut rest = r0 - usize::from(placed);
-        sp.kids.clear();
-        sp.kids.extend(arena.children(v).iter().copied().filter(|&c| child_ok(c)));
-        if sp.kids.is_empty() {
-            debug_assert_eq!(rest, 0);
+        if rest == 0 {
+            // Every split of zero gives each child zero: nothing below
+            // `v` is placed, so its layers need no recomputation.
             continue;
         }
+        sp.kids.clear();
+        sp.kids.extend(arena.children(v).iter().copied().filter(|&c| child_ok(c)));
+        debug_assert!(!sp.kids.is_empty(), "a leaf's replicas are its own");
         // Recompute the convolution layers (L₀ = [own], Lₖ₊₁ = Lₖ ⊗ m_c),
         // storing each rep so the reverse walk below can query them.
         sp.lv0.clear();
@@ -378,7 +388,9 @@ pub(crate) fn sparse_dp(
                 step: &sp.lstep[a..b],
             };
             let rp = argmin_min_rp(&layer, &child, rest);
-            sp.stack.push((c, rest - rp));
+            if rest > rp {
+                sp.stack.push((c, rest - rp));
+            }
             rest = rp;
         }
         debug_assert_eq!(rest, 0);

@@ -15,13 +15,16 @@
 //!   assignments kept fixed, exactly as in the paper's oversized-stage
 //!   regime.
 //!
-//! Both modes run one sparse convex pass (`super::chain_dp`) over the
-//! stage's **active forest** — the union of the demand clients' paths to
-//! the stage root, computed once per stage in `stage/mod.rs` — never the
-//! whole subtree. The restriction is exact: a free node whose subtree holds
-//! no stage demand can never reduce pass-up volume (its `m ≡ 0` already),
-//! and an off-forest existing replica is an ancestor of no demanding
-//! client, so its spare is unusable under the Multiple policy.
+//! Both modes run one sparse convex pass (`super::chain_dp`) over a forest
+//! the stage's scope collection in `stage/mod.rs` already built — never
+//! the whole subtree. The lower bound runs over the **scope forest** (the
+//! union of the pool clients' service paths); the fallback runs over the
+//! **stuck forest** (the stuck clients' paths to the stage root), which
+//! the collection marks as it walks and the fallback filters out of the
+//! scope forest. The restriction is exact: a free node whose subtree holds
+//! no demand of the pass can never reduce pass-up volume (its `m ≡ 0`
+//! already), and an off-forest existing replica is an ancestor of no
+//! demanding client, so its spare is unusable under the Multiple policy.
 //!
 //! The pass is uncapped and total, so there is no replica budget to guess
 //! and no widening schedule: one pass per call decides the optimum and its
@@ -50,8 +53,10 @@ pub(crate) fn lower_bound(
 }
 
 /// Reassignment-free fallback for oversized stages: dynamic program over the
-/// (then fungible) stuck volume, existing spare included. Writes the chosen
-/// placement into `scratch.best_set`.
+/// (then fungible) stuck volume, existing spare included, on the stuck
+/// forest filtered out of the stage's scope forest (see [`strict_pass`]).
+/// Writes the chosen placement into `scratch.best_set` and leaves the
+/// scope forest as the collection built it, ready for the commit route.
 ///
 /// # Errors
 ///
@@ -87,11 +92,11 @@ pub(crate) fn fallback_placement(
     }
 }
 
-/// Builds the stuck forest and runs the strict pass over it: demand is the
-/// `dp_demand` rows of `dp_clients`, existing replicas contribute only
-/// their spare. Returns the minimum replica count (placement in
-/// `best_set`), if any, and the forest's free-node count — the pass is
-/// uncapped, since no `r` beyond that count can help.
+/// Filters the stuck forest out of the scope forest and runs the strict
+/// pass over it: demand is the `dp_demand` rows of `dp_clients`, existing
+/// replicas contribute only their spare. Returns the minimum replica count
+/// (placement in `best_set`), if any, and the forest's free-node count —
+/// the pass is uncapped, since no `r` beyond that count can help.
 ///
 /// The forest is narrowed to the *stuck* clients' paths: a free node off
 /// every stuck path has `m ≡ 0` and an off-path existing replica's spare
@@ -99,20 +104,37 @@ pub(crate) fn fallback_placement(
 /// (handing either a replica share would make the stage feasible with
 /// fewer — contradicting `rmin`'s first-zero minimality). The pass
 /// therefore returns the same `rmin` and placement as over the stage's
-/// full scope forest, which the caller restores before the commit route.
+/// full scope forest.
+///
+/// The scope collection stamped the stuck paths into `stuck_mark` while
+/// walking them, and `active_nodes` is already in post order, so one
+/// in-order filter yields the stuck forest in post order — the node
+/// sequence a fresh walk-and-sort would build. It lands in the
+/// fallback's own `dp_nodes` / `dp_pos` rows, leaving the scope forest
+/// (`active_nodes`, `active_pos`, `active_mark`) in place for the commit
+/// route.
 fn strict_pass(scratch: &mut SolverScratch, cap: u64, j: u32) -> (Option<usize>, usize) {
-    scratch.stage_id += 1;
-    let dp_clients = std::mem::take(&mut scratch.dp_clients);
-    scratch.build_active_forest(j, &dp_clients);
-    scratch.dp_clients = dp_clients;
-    let free_active = scratch.active_nodes.iter().filter(|&&u| !scratch.in_r[u as usize]).count();
+    let SolverScratch { in_r, active_nodes, stuck_mark, stage_id, dp_nodes, dp_pos, .. } =
+        &mut *scratch;
+    let stamp = *stage_id;
+    dp_nodes.clear();
+    let mut free_active = 0;
+    // `j` closes the scope forest and roots the stuck one.
+    debug_assert_eq!(active_nodes.last(), Some(&j));
+    for &u in active_nodes.iter() {
+        if stuck_mark[u as usize] == stamp || u == j {
+            dp_pos[u as usize] = dp_nodes.len() as u32;
+            dp_nodes.push(u);
+            free_active += usize::from(!in_r[u as usize]);
+        }
+    }
     (sparse_pass(scratch, cap, j, true, free_active).ok(), free_active)
 }
 
-/// One sparse pass over the current active forest. Relaxed mode reads the
+/// One sparse pass. Relaxed mode runs over the scope forest and reads the
 /// stage `demand` rows with existing replicas at full capacity; strict
-/// mode reads the stuck `dp_demand` rows with existing replicas at their
-/// spare.
+/// mode runs over the stuck forest (`dp_nodes`) and reads the stuck
+/// `dp_demand` rows with existing replicas at their spare.
 fn sparse_pass(
     scratch: &mut SolverScratch,
     cap: u64,
@@ -130,27 +152,35 @@ fn sparse_pass(
         active_nodes,
         active_pos,
         active_mark,
+        stuck_mark,
+        dp_nodes,
+        dp_pos,
         stage_id,
         sdp,
         stats,
         ..
     } = scratch;
     let stamp = *stage_id;
+    let (order, pos, mark, demand) = if strict {
+        (&dp_nodes[..], &dp_pos[..], &stuck_mark[..], &dp_demand[..])
+    } else {
+        (&active_nodes[..], &active_pos[..], &active_mark[..], &demand[..])
+    };
     super::chain_dp::sparse_dp(
         arena,
         in_r,
         load,
-        if strict { dp_demand } else { demand },
+        demand,
         best_set,
         sdp,
-        active_nodes,
+        order,
         j,
         cap,
         !strict,
         r_budget,
         &mut stats.dp_node_visits,
-        &|v| active_pos[v as usize] as usize,
-        &|c| active_mark[c as usize] == stamp,
+        &|v| pos[v as usize] as usize,
+        &|c| mark[c as usize] == stamp,
     )
 }
 
@@ -162,30 +192,50 @@ pub mod testing {
     use super::*;
     use rp_tree::Tree;
 
-    /// Result of one [`sparse_strict_dp`] run.
+    /// Result of one [`sparse_strict_dp`] / [`filtered_strict_dp`] run.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct StrictDpRun {
         /// The stage root's full `m_j(r)` table (`free + 1` entries, where
-        /// `free` counts the active forest's free nodes).
+        /// `free` counts the stuck forest's free nodes).
         pub m_root: Vec<u64>,
         /// Smallest `r` with `m_j(r) = 0`, if any reaches zero.
         pub rmin: Option<usize>,
         /// The chosen placement (raw node indices) when `rmin` exists.
         pub chosen: Vec<u32>,
-        /// Size of the active forest the pass ran over.
+        /// Size of the stuck forest the pass ran over.
         pub active_len: usize,
+        /// Size of the scope forest it was filtered out of.
+        pub scope_len: usize,
     }
 
     /// Runs the strict stage DP exactly as the oversized-stage fallback
-    /// drives it: active forest built from the demand rows, existing
-    /// `replicas` (node, load) contributing their spare, one uncapped
-    /// sparse pass.
+    /// drives it when the scope holds only the stuck clients: scope forest
+    /// built from the demand rows, existing `replicas` (node, load)
+    /// contributing their spare, one uncapped sparse pass.
     pub fn sparse_strict_dp(
         tree: &Tree,
         j: u32,
         cap: u64,
         replicas: &[(u32, u64)],
         demand: &[(u32, u64)],
+    ) -> StrictDpRun {
+        filtered_strict_dp(tree, j, cap, replicas, demand, &[])
+    }
+
+    /// Runs the strict stage DP on the stuck forest filtered out of a
+    /// larger scope forest. The stuck clients of `demand` head the pool
+    /// and walk up to `j`; each `(client, deadline)` of `pool` (clients of
+    /// `subtree(j)`) then walks up to its deadline or `j`, whichever comes
+    /// first, as collected clients do in the scope collection. The stuck
+    /// demand alone decides the pass, so the result must equal
+    /// [`sparse_strict_dp`] on the same `demand`.
+    pub fn filtered_strict_dp(
+        tree: &Tree,
+        j: u32,
+        cap: u64,
+        replicas: &[(u32, u64)],
+        demand: &[(u32, u64)],
+        pool: &[(u32, u32)],
     ) -> StrictDpRun {
         let injected: u128 = demand.iter().map(|&(_, w)| w as u128).sum();
         assert!(
@@ -195,6 +245,7 @@ pub mod testing {
         let mut scratch = SolverScratch::new();
         scratch.load_arena(tree);
         scratch.prepare_multiple_bin();
+        scratch.prepare_deadlines(None);
         for &(u, l) in replicas {
             scratch.in_r[u as usize] = true;
             scratch.load[u as usize] = l;
@@ -204,14 +255,27 @@ pub mod testing {
                 scratch.dp_clients.push(c);
             }
             scratch.dp_demand[c as usize] += w;
+            scratch.deadline[c as usize] = j;
         }
+        let stuck_clients = scratch.dp_clients.len();
+        scratch.demand_clients.clone_from(&scratch.dp_clients);
+        for &(c, dl) in pool {
+            assert!(scratch.arena.is_ancestor_or_self(j, c), "pool clients live in subtree(j)");
+            if !scratch.demand_clients.contains(&c) {
+                scratch.deadline[c as usize] = dl;
+                scratch.demand_clients.push(c);
+            }
+        }
+        scratch.stage_id = 1;
+        super::super::build_scope_forest(&mut scratch, j, stuck_clients);
         let (rmin, _) = strict_pass(&mut scratch, cap, j);
-        let active_len = scratch.active_nodes.len();
+        let active_len = scratch.dp_nodes.len();
         StrictDpRun {
             m_root: super::super::chain_dp::root_table(&scratch.sdp, active_len - 1),
             rmin,
             chosen: if rmin.is_some() { scratch.best_set.clone() } else { Vec::new() },
             active_len,
+            scope_len: scratch.active_nodes.len(),
         }
     }
 }

@@ -21,8 +21,9 @@
 //! * `dp` — the fungible stage dynamic program, serving both as the
 //!   enumeration's lower bound / incumbent seed and as the exact
 //!   reassignment-free fallback for oversized stages; both modes run one
-//!   uncapped sparse pass (`chain_dp`) over the stage's active forest on
-//!   pooled segment slabs (no steady-state allocation).
+//!   uncapped sparse pass (`chain_dp`) on pooled segment slabs (no
+//!   steady-state allocation) — the lower bound over the stage's scope
+//!   forest, the fallback over the stuck paths filtered out of it.
 //!
 //! # Incremental stage commits: the affected scope
 //!
@@ -73,6 +74,13 @@
 //! stage skipped: the [`StageStats::commit_touched`] /
 //! [`StageStats::commit_skipped`] counters split the subtree's assigned
 //! volume into re-routed scope volume and untouched off-scope volume.
+//!
+//! A stage walks its forest once. The stuck clients head the collection
+//! queue and walk all the way to `j`, so the nodes their walks mark are
+//! exactly the *stuck forest*; the collection stamps them into
+//! `stuck_mark` as it goes. A DP fallback filters that sub-forest, in
+//! order, out of the already-sorted scope forest into its own rows, and
+//! the scope forest stays in place for the commit route.
 //!
 //! Every stage starts from the committed state alone: nothing is carried
 //! from one stage to the next. Everything runs on the dense slabs of
@@ -365,12 +373,11 @@ fn serve_stuck_search(
         // every affordable subset size is provably infeasible: fall
         // back to the reassignment-free dynamic program over the stuck
         // volume (stuck-forest restricted — see `dp`). The fallback
-        // narrows the active forest to the stuck paths for its pass;
-        // rebuild the stage's scope forest for the commit
-        // route below.
+        // filters the stuck paths the collection marked out of the scope
+        // forest into its own rows, so the scope forest stays in place
+        // for the commit route below.
         scratch.stats.dp_fallbacks += 1;
         dp::fallback_placement(scratch, w, j, stuck)?;
-        build_scope_forest(scratch, j);
     }
 
     // Commit: clear the scope's assignments (off-scope replicas keep
@@ -415,11 +422,23 @@ fn serve_stuck_search(
     let SolverScratch {
         arena, assigned, load, load_sums, commit_log, demand, demand_clients, ..
     } = s;
+    // The router logs a replica's assignments as one run, so each run
+    // reaches the Fenwick tree as a single update.
+    let mut run = (NO_PARENT, 0u64);
     for &(u, c, amount) in commit_log.iter() {
         let ui = u as usize;
         assigned[ui].push((c, amount));
         load[ui] += amount;
-        load_sums.add(arena.post_position(u), amount as i64);
+        if u != run.0 {
+            if run.1 > 0 {
+                load_sums.add(arena.post_position(run.0), run.1 as i64);
+            }
+            run = (u, 0);
+        }
+        run.1 += amount;
+    }
+    if run.1 > 0 {
+        load_sums.add(arena.post_position(run.0), run.1 as i64);
     }
     // The flushed log is deliberately left in place: the serve-mode
     // journal clones it right after this returns, and the next route
@@ -441,7 +460,10 @@ fn serve_stuck_search(
 /// within its distance budget, so a stuck client's deadline *is* `j`);
 /// collected clients stop at their own deadline, which is what keeps
 /// far-away replica neighbourhoods out of the closure. Walks stop at
-/// already-marked nodes, so the whole closure is O(|scope forest|). Fills
+/// already-marked nodes, so the whole closure is O(|scope forest|). The
+/// stuck clients head the queue, so the nodes their walks mark are
+/// exactly the stuck forest (every stuck path up to `j`); those are
+/// stamped into `stuck_mark` too, for the DP fallback. Fills
 /// `demand` / `demand_clients`, `existing` and the sealed active forest;
 /// returns the collected (previously-assigned) volume.
 fn collect_scope(s: &mut SolverScratch, j: u32, stuck: &[PendingRequest]) -> u64 {
@@ -459,10 +481,12 @@ fn collect_scope(s: &mut SolverScratch, j: u32, stuck: &[PendingRequest]) -> u64
             "a stuck fragment travelled legally to j but cannot leave it"
         );
     }
+    let stuck_clients = s.demand_clients.len();
     let mut collected = 0u64;
     let mut next = 0;
     while next < s.demand_clients.len() {
         let c = s.demand_clients[next];
+        let on_stuck_path = next < stuck_clients;
         next += 1;
         debug_assert!(s.arena.is_ancestor_or_self(j, c), "pool clients live in subtree(j)");
         let dl = s.deadline[c as usize];
@@ -473,6 +497,9 @@ fn collect_scope(s: &mut SolverScratch, j: u32, stuck: &[PendingRequest]) -> u64
             }
             s.active_mark[at as usize] = stamp;
             s.active_nodes.push(at);
+            if on_stuck_path {
+                s.stuck_mark[at as usize] = stamp;
+            }
             if s.in_r[at as usize] {
                 s.existing.push(at);
                 for k in 0..s.assigned[at as usize].len() {
@@ -525,6 +552,7 @@ fn collect_scope_naive(s: &mut SolverScratch, j: u32, stuck: &[PendingRequest]) 
         }
         s.demand[t.client as usize] += t.w;
     }
+    let stuck_clients = s.demand_clients.len();
     let mut collected = 0u64;
     let mut changed = true;
     while changed {
@@ -561,18 +589,18 @@ fn collect_scope_naive(s: &mut SolverScratch, j: u32, stuck: &[PendingRequest]) 
             changed = true;
         }
     }
-    build_scope_forest(s, j);
+    build_scope_forest(s, j, stuck_clients);
     canonicalize_scope(s);
     collected
 }
 
-/// (Re)builds the stage's scope forest — the union of the pool clients'
+/// Builds the stage's scope forest — the union of the pool clients'
 /// service paths, each truncated at its deadline or `j` — from the current
-/// `demand_clients`, under a fresh stage stamp. Used by the naive
-/// collection reference and to restore the scope forest after the DP
-/// fallback narrowed the active forest to the stuck paths.
-fn build_scope_forest(s: &mut SolverScratch, j: u32) {
-    s.stage_id += 1;
+/// `demand_clients` under the current stage stamp, stamping the paths of
+/// the first `stuck_clients` entries (the stuck clients, which walk up to
+/// `j`) into `stuck_mark` as [`collect_scope`] does. Used by the naive
+/// collection reference and the strict-DP test hook.
+fn build_scope_forest(s: &mut SolverScratch, j: u32, stuck_clients: usize) {
     let stamp = s.stage_id;
     s.active_nodes.clear();
     for i in 0..s.demand_clients.len() {
@@ -585,6 +613,9 @@ fn build_scope_forest(s: &mut SolverScratch, j: u32) {
             }
             s.active_mark[at as usize] = stamp;
             s.active_nodes.push(at);
+            if i < stuck_clients {
+                s.stuck_mark[at as usize] = stamp;
+            }
             if at == j || at == dl {
                 break;
             }

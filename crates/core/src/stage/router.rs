@@ -592,10 +592,20 @@ pub mod testing {
             }
             s.demand[c as usize] += w;
         }
+        // The active forest: every demand client's path up to `j`.
         s.stage_id = 1;
-        let demand_clients = std::mem::take(&mut s.demand_clients);
-        s.build_active_forest(j, &demand_clients);
-        s.demand_clients = demand_clients;
+        for i in 0..s.demand_clients.len() {
+            let mut at = s.demand_clients[i];
+            while s.active_mark[at as usize] != s.stage_id {
+                s.active_mark[at as usize] = s.stage_id;
+                s.active_nodes.push(at);
+                if at == j {
+                    break;
+                }
+                at = s.arena.parent(at);
+            }
+        }
+        s.seal_active_forest(j);
         for &u in replicas {
             s.in_r[u as usize] = true;
         }

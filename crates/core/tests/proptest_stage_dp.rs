@@ -14,9 +14,15 @@
 //!
 //! The reference is deliberately **128-bit wide**, so it doubles as the
 //! width cross-check for the narrowed 64-bit production slabs.
+//!
+//! The fallback runs on the stuck forest *filtered out of* the stage's
+//! scope forest, which also holds the paths of collected pool clients cut
+//! off at their own deadlines. With such extra pool clients the filtered
+//! run must match the stuck-only run exactly: table, `rmin` and the
+//! chosen placement in emission order.
 
 use proptest::prelude::*;
-use rp_core::stage::dp_testing::sparse_strict_dp;
+use rp_core::stage::dp_testing::{filtered_strict_dp, sparse_strict_dp, StrictDpRun};
 use rp_tree::{NodeId, Tree, TreeBuilder};
 
 /// A generated stage scenario: tree, stage root, capacity, existing
@@ -72,6 +78,24 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             }
             Scenario { tree, j, cap, replicas: rep, demand: dem }
         })
+}
+
+/// A scenario plus extra pool clients `(client, deadline)` of `subtree(j)`,
+/// each deadline 0–5 steps above its client (possibly above `j`).
+fn scenario_with_pool() -> impl Strategy<Value = (Scenario, Vec<(u32, u32)>)> {
+    (scenario(), prop::collection::vec((any::<u16>(), 0usize..6), 0..10)).prop_map(|(s, picks)| {
+        let inside: Vec<NodeId> =
+            s.tree.clients().iter().copied().filter(|c| in_subtree(&s.tree, s.j, c.0)).collect();
+        let mut pool = Vec::new();
+        if !inside.is_empty() {
+            for (pick, up) in picks {
+                let c = inside[pick as usize % inside.len()];
+                let deadline = s.tree.ancestors_inclusive(c).take(up + 1).last().unwrap_or(c);
+                pool.push((c.0, deadline.0));
+            }
+        }
+        (s, pool)
+    })
 }
 
 /// Whether `v` lies in `subtree(j)`.
@@ -266,7 +290,12 @@ fn sorted(v: &[u32]) -> Vec<u32> {
 
 /// Pins one sparse run against the dense reference over the same forest.
 fn assert_matches_dense(s: &Scenario) {
-    let sparse = sparse_strict_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand);
+    assert_run_matches_dense(s, &sparse_strict_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand));
+}
+
+/// Pins `sparse`, a run on `s`, against the dense reference over the
+/// stuck forest.
+fn assert_run_matches_dense(s: &Scenario, sparse: &StrictDpRun) {
     let mark = active_forest(s);
     let dense = dense_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand, &|v| mark[v as usize]);
     assert_eq!(sparse.active_len, dense.visited, "forests differ: {s:?}");
@@ -319,6 +348,20 @@ proptest! {
     }
 
     #[test]
+    fn stuck_forest_filtered_from_the_scope_forest_matches_the_stuck_only_run(
+        (s, pool) in scenario_with_pool()
+    ) {
+        let plain = sparse_strict_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand);
+        let filtered = filtered_strict_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand, &pool);
+        prop_assert!(filtered.scope_len >= filtered.active_len);
+        prop_assert_eq!(filtered.active_len, plain.active_len, "stuck forests differ");
+        prop_assert_eq!(&filtered.m_root, &plain.m_root, "tables diverged");
+        prop_assert_eq!(filtered.rmin, plain.rmin, "rmin diverged");
+        prop_assert_eq!(&filtered.chosen, &plain.chosen, "chosen placements differ");
+        assert_run_matches_dense(&s, &filtered);
+    }
+
+    #[test]
     fn sparse_chain_dp_matches_dense_exact_table(s in scenario()) {
         // The production sparse pass against the plain dense DP over the
         // same forest: full table, rmin and the chosen placement,
@@ -365,4 +408,23 @@ fn many_distinct_spares_under_one_root_match_the_dense_dp() {
     assert!(distinct.len() >= 128, "the root must carry ≥ 128 distinct steps: {steps:?}");
     assert_eq!(run.rmin, Some(BRANCHES as usize), "every client needs a replica of its own");
     assert_matches_dense(&s);
+}
+
+#[test]
+fn a_pool_client_path_outside_the_stuck_forest_stays_out_of_the_pass() {
+    // j has two legs: the stuck client below `a`, and a pool client below
+    // `b` whose deadline is `b` — so the scope forest holds `b` and its
+    // client, two free nodes the stuck forest does not.
+    let mut b = TreeBuilder::new();
+    let root = b.root();
+    let a = b.add_internal(root, 1);
+    let leg = b.add_internal(root, 1);
+    let stuck = b.add_client(a, 1, 7);
+    let pooled = b.add_client(leg, 1, 4);
+    let tree = b.freeze().expect("two-leg construction is always valid");
+    let demand = [(stuck.0, 7)];
+    let plain = sparse_strict_dp(&tree, root.0, 10, &[], &demand);
+    let filtered = filtered_strict_dp(&tree, root.0, 10, &[], &demand, &[(pooled.0, leg.0)]);
+    assert_eq!((plain.active_len, filtered.scope_len), (3, 5));
+    assert_eq!(filtered, StrictDpRun { scope_len: 5, ..plain });
 }

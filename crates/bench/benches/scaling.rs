@@ -27,8 +27,8 @@ use rp_bench::alloc_track::{peak_bytes, reset_peak, CountingAlloc};
 use rp_bench::scaling::{family_grid_sizes, huge_grid_sizes, ScalingCell, ScalingReport};
 use rp_bench::{binary_instance, deep_fallback_instance, kary_instance, long_spine_instance};
 use rp_core::{
-    baselines, multiple_bin_par, multiple_bin_with, single_gen_par, single_gen_with,
-    single_nod_par, single_nod_with, SolverScratch,
+    baselines, multiple_bin_par, multiple_bin_with, single_gen_arena, single_gen_with,
+    single_nod_arena, single_nod_with, SolverScratch,
 };
 use rp_instances::{binary_tree_len, instance_params_from_arena, stream_binary_tree};
 use rp_instances::{EdgeDist, RequestDist};
@@ -89,7 +89,7 @@ fn is_stage_algorithm(algorithm: &str) -> bool {
 
 /// One solve of the million-client tier: the arena is already loaded in
 /// `scratch` (streamed — there is no `Instance`), so the tier goes through
-/// the frontier-parallel entry points the arena layer exposes.
+/// the arena entry points; `multiple-bin` uses its frontier-parallel one.
 fn solve_huge(
     algorithm: &str,
     scratch: &mut SolverScratch,
@@ -98,8 +98,8 @@ fn solve_huge(
     threads: usize,
 ) -> Solution {
     match algorithm {
-        "single-gen" => single_gen_par(scratch, w, dmax, threads).expect("feasible"),
-        "single-nod" => single_nod_par(scratch, w, threads).expect("feasible"),
+        "single-gen" => single_gen_arena(scratch, w, dmax).expect("feasible"),
+        "single-nod" => single_nod_arena(scratch, w).expect("feasible"),
         "multiple-bin" => multiple_bin_par(scratch, w, dmax, threads).expect("feasible"),
         other => unreachable!("unknown huge-tier algorithm {other}"),
     }
@@ -180,8 +180,8 @@ fn main() {
     // 65536 → 1048576 clients (quick mode: 65536 only), generated by the
     // *streaming* generator straight into the solver arena — no
     // `Tree`/`Instance` is ever materialised, which is what keeps the
-    // 2M-node rows memory-lean — and solved through the frontier-parallel
-    // entry points. One timed sample and no warm-up: at this size a single
+    // 2M-node rows memory-lean — and solved through the arena entry points
+    // (frontier-parallel for `multiple-bin`). One timed sample and no warm-up: at this size a single
     // extra `multiple-bin` solve costs more wall clock than every smaller
     // cell combined, and the tier exists to watch trends, not nanoseconds.
     let mut huge_criterion = Criterion::default()

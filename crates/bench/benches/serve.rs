@@ -19,9 +19,8 @@
 //!   warm p50 ≈27 ms against a ≈0.98 s cold solve (≈63 ms when every
 //!   re-solve swept the whole tree; 2-core x86-64 VM, release build).
 //! * `binary-dmax` (fraction 0.7, full only): root-level deadlines
-//!   concentrate the work in a few giant stages that every delta's path
-//!   makes flow-dirty, so their searches honestly re-run — the
-//!   root-coupled regime.
+//!   concentrate the work in a few giant stages on every delta's root
+//!   path, so their searches honestly re-run — the root-coupled regime.
 //! * `spine` (full only): Θ(clients) chained bounded-window stages; a
 //!   delta recomputes its whole root-ward chain (upstream pools genuinely
 //!   absorb the changed volume), so the speedup is proportional to how

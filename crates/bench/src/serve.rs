@@ -31,9 +31,9 @@ pub struct ServeBenchCell {
     pub solves: u64,
     /// How many of those fell back to a cold full solve.
     pub full_solves: u64,
-    /// Stage-journal entries replayed across all incremental solves.
+    /// Journaled stages carried unchanged across all incremental solves.
     pub stages_reused: u64,
-    /// Stages re-searched across all incremental solves.
+    /// Stages searched across all incremental solves.
     pub stages_recomputed: u64,
     /// Median of the cold reference solves, in nanoseconds.
     pub cold_median_ns: u64,

@@ -23,7 +23,7 @@ commands:
               [--seed S] [--out FILE]
   solve       run an algorithm on an instance
               --instance FILE  --algorithm single-gen|single-nod|multiple-bin|clients-only|multiple-greedy
-              [--out FILE] [--stage-stats] [--threads N]
+              [--out FILE] [--stage-stats] [--threads N]  (multiple-bin only)
   exact       compute the exact optimum (small instances)
               --instance FILE  --policy single|multiple
   validate    check a solution file against an instance
@@ -198,29 +198,23 @@ fn cmd_solve(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// `solve --threads N`: routes the three arena-based algorithms through
-/// their frontier-parallel entry points. Solutions (and stage counters) are
-/// bit-identical to the serial path for every thread count — pinned by
-/// `rp-core`'s determinism tests — so `--threads` is purely a wall-clock
-/// knob. The baselines have no parallel path.
+/// `solve --threads N`: routes `multiple-bin` through its frontier-parallel
+/// entry point. Solutions (and stage counters) are bit-identical to the
+/// serial path for every thread count — pinned by `rp-core`'s determinism
+/// tests — so `--threads` is purely a wall-clock knob. The other algorithms
+/// have no parallel path.
 fn solve_parallel(
     instance: &Instance,
     algorithm: Algorithm,
     scratch: &mut rp_core::SolverScratch,
     threads: usize,
 ) -> Result<Solution, String> {
-    let w = instance.capacity();
-    let dmax = instance.dmax();
-    scratch.load_arena(instance.tree());
-    match algorithm {
-        Algorithm::SingleGen => rp_core::single_gen_par(scratch, w, dmax, threads),
-        Algorithm::SingleNod => rp_core::single_nod_par(scratch, w, threads),
-        Algorithm::MultipleBin => rp_core::multiple_bin_par(scratch, w, dmax, threads),
-        Algorithm::ClientsOnly | Algorithm::MultipleGreedy => {
-            return Err(format!("--threads is not supported for `{}`", algorithm.name()))
-        }
+    if algorithm != Algorithm::MultipleBin {
+        return Err(format!("--threads is not supported for `{}`", algorithm.name()));
     }
-    .map_err(|e| e.to_string())
+    scratch.load_arena(instance.tree());
+    rp_core::multiple_bin_par(scratch, instance.capacity(), instance.dmax(), threads)
+        .map_err(|e| e.to_string())
 }
 
 fn cmd_exact(args: &Args) -> Result<String, String> {
@@ -1010,21 +1004,19 @@ mod tests {
         ])
         .unwrap();
 
-        for algorithm in ["single-gen", "single-nod", "multiple-bin"] {
+        let solve = |algorithm: &str, threads: &str| {
+            run(&["solve", "--instance", inst_s, "--algorithm", algorithm, "--threads", threads])
+        };
+        let serial = run(&["solve", "--instance", inst_s, "--algorithm", "multiple-bin"]).unwrap();
+        for threads in ["1", "4"] {
+            let par = solve("multiple-bin", threads).unwrap();
+            assert_eq!(par, serial, "multiple-bin diverged at --threads {threads}");
+        }
+        for algorithm in ["single-gen", "single-nod"] {
             let serial = run(&["solve", "--instance", inst_s, "--algorithm", algorithm]).unwrap();
-            for threads in ["1", "4"] {
-                let par = run(&[
-                    "solve",
-                    "--instance",
-                    inst_s,
-                    "--algorithm",
-                    algorithm,
-                    "--threads",
-                    threads,
-                ])
-                .unwrap();
-                assert_eq!(par, serial, "{algorithm} diverged at --threads {threads}");
-            }
+            assert_eq!(solve(algorithm, "1").unwrap(), serial, "{algorithm} at --threads 1");
+            let err = solve(algorithm, "2").unwrap_err();
+            assert!(err.contains("--threads"), "{algorithm} at --threads 2: {err}");
         }
 
         let err = run(&[

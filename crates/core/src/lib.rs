@@ -55,7 +55,7 @@ pub mod stage;
 
 pub use error::SolveError;
 pub use multiple_bin::{multiple_bin, multiple_bin_arena, multiple_bin_with};
-pub use par::{multiple_bin_par, single_gen_par, single_nod_par};
+pub use par::multiple_bin_par;
 pub use scratch::SolverScratch;
 pub use serve::{DemandDelta, LatencyHistogram, ServeEngine, ServeError, ServeOutcome, ServeStats};
 pub use single_gen::{single_gen, single_gen_arena, single_gen_with};

@@ -212,10 +212,8 @@ pub(crate) fn mb_sweep(
                 if scratch.serve.is_some() {
                     // Serve-mode journal upkeep: a journaled stage whose
                     // stuck set emptied (a delta drained it) fires no stage
-                    // this solve, but the state it used to write must still
-                    // be poisoned — see `crate::serve::note_no_stage`.
-                    // Flow-clean nodes cannot change stuckness, so the hook
-                    // exits on them without a lookup.
+                    // this solve and must leave the journal — see
+                    // `crate::serve::note_no_stage`.
                     crate::serve::note_no_stage(scratch, j);
                 }
             }

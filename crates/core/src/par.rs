@@ -1,7 +1,12 @@
-//! Frontier-parallel drivers for the three solvers: disjoint subtrees are
+//! The frontier-parallel `multiple-bin` driver: disjoint subtrees are
 //! solved by worker threads, then a serial *finish pass* sweeps the
 //! leftover upper nodes — results are **bit-identical to the serial
-//! sweeps** (pinned by `tests/parallel_determinism.rs`).
+//! sweep** (pinned by `tests/parallel_determinism.rs`).
+//!
+//! Only `multiple-bin` has one. The single-policy frontier drivers were
+//! removed because they ran slower than the serial sweep on the streamed
+//! huge tier at 2 threads; their per-chunk solution fragments and merge
+//! cost more than the split saved (see the README's million-client tier).
 //!
 //! ## The frontier
 //!
@@ -16,25 +21,17 @@
 //! ## Why the merge is exact
 //!
 //! Post-order sweeps finalise every node of `subtree(f)` before any proper
-//! ancestor of `f`, and nothing outside `subtree(f)` influences those steps:
-//!
-//! * `single-gen` / `single-nod` keep their per-node slots in rows indexed
-//!   by **pre-order position**, so `subtree(f)`'s slots are one contiguous
-//!   slice — each worker gets a disjoint `&mut` slice of the session slabs
-//!   (no copying, no reconciliation), sweeps `subtree_post(f)` against the
-//!   shared global arena, and leaves `f`'s slot exactly as the serial sweep
-//!   would. The finish pass then runs the same sweep over the upper nodes
-//!   with the full slabs.
-//! * `multiple-bin` workers get a private [`SolverScratch`] over a
-//!   [`rebuild_subtree`](rp_tree::TreeArena::rebuild_subtree) sub-arena.
-//!   Local ids are assigned by global-id *rank*, so every raw-id tie-break
-//!   inside the stage engine orders exactly like the serial solve; deadlines
-//!   above `f` become the [`NO_PARENT`] sentinel (such clients are never
-//!   stuck inside the subtree — their stages run in the finish pass), while
-//!   deadline *depths* keep their true global values, preserving the
-//!   router's must-serve ordering. The worker's committed state (replica
-//!   set, loads, assignments, Fenwick load sums, pending requests at `f`,
-//!   stage counters) is merged back id-for-id before the finish pass.
+//! ancestor of `f`, and nothing outside `subtree(f)` influences those
+//! steps. Each worker gets a private [`SolverScratch`] over a
+//! [`rebuild_subtree`](rp_tree::TreeArena::rebuild_subtree) sub-arena.
+//! Local ids are assigned by global-id *rank*, so every raw-id tie-break
+//! inside the stage engine orders exactly like the serial solve; deadlines
+//! above `f` become the [`NO_PARENT`] sentinel (such clients are never
+//! stuck inside the subtree — their stages run in the finish pass), while
+//! deadline *depths* keep their true global values, preserving the
+//! router's must-serve ordering. The worker's committed state (replica
+//! set, loads, assignments, Fenwick load sums, pending requests at `f`,
+//! stage counters) is merged back id-for-id before the finish pass.
 //!
 //! The split threshold, chunk ordering and merge order are all functions of
 //! the tree shape alone — never of thread scheduling — so any thread count
@@ -43,12 +40,10 @@
 use crate::error::SolveError;
 use crate::multiple_bin::{collect_solution, mb_sweep};
 use crate::scratch::{
-    check_binary, check_clients_fit, check_distances_fit, check_total_fits, Group, SolverScratch,
+    check_binary, check_clients_fit, check_distances_fit, check_total_fits, SolverScratch,
 };
-use crate::single_gen::sweep_single_gen;
-use crate::single_nod::sweep_single_nod;
 use crate::stage::StageStats;
-use rp_parallel::{par_map_take, par_map_with_threads};
+use rp_parallel::par_map_with_threads;
 use rp_tree::arena::{TreeArena, NO_PARENT};
 use rp_tree::{Dist, Requests, Solution};
 
@@ -119,172 +114,6 @@ fn build_frontier(arena: &TreeArena, threads: usize, min_chunk: usize) -> Option
     let upper_post: Vec<u32> =
         arena.postorder().iter().copied().filter(|&v| !covered[arena.pre_position(v)]).collect();
     Some(Frontier { roots, upper_post })
-}
-
-/// [`crate::single_gen::single_gen_arena`] solved with up to `threads`
-/// worker threads over disjoint frontier subtrees. Bit-identical to the
-/// serial entry point for every thread count.
-///
-/// # Errors
-///
-/// Same as [`fn@crate::single_gen`].
-pub fn single_gen_par(
-    scratch: &mut SolverScratch,
-    w: Requests,
-    dmax: Option<Dist>,
-    threads: usize,
-) -> Result<Solution, SolveError> {
-    check_clients_fit(scratch.arena(), w)?;
-    scratch.prepare_single_gen();
-    let frontier = build_frontier(scratch.arena(), threads, MIN_CHUNK);
-    let mut solution = Solution::new();
-    let Some(fr) = frontier else {
-        let SolverScratch { arena, sg_clients, sg_total, sg_allow, .. } = scratch;
-        sweep_single_gen(
-            arena,
-            w,
-            dmax,
-            arena.postorder(),
-            0,
-            sg_clients,
-            sg_total,
-            sg_allow,
-            &mut solution,
-        );
-        return Ok(solution);
-    };
-
-    /// One worker's disjoint view: the slot rows of `subtree(f)`.
-    struct Chunk<'a> {
-        f: u32,
-        base: usize,
-        clients: &'a mut [Vec<(u32, Requests)>],
-        total: &'a mut [u128],
-        allow: &'a mut [Option<Dist>],
-    }
-    {
-        let SolverScratch { arena, sg_clients, sg_total, sg_allow, .. } = scratch;
-        let arena: &TreeArena = arena;
-        let mut rest_c: &mut [Vec<(u32, Requests)>] = sg_clients;
-        let mut rest_t: &mut [u128] = sg_total;
-        let mut rest_a: &mut [Option<Dist>] = sg_allow;
-        let mut consumed = 0usize;
-        let mut chunks: Vec<Chunk<'_>> = Vec::with_capacity(fr.roots.len());
-        for &f in &fr.roots {
-            let base = arena.pre_position(f);
-            let size = arena.subtree_size(f);
-            let (_, tail) = std::mem::take(&mut rest_c).split_at_mut(base - consumed);
-            let (clients, tail) = tail.split_at_mut(size);
-            rest_c = tail;
-            let (_, tail) = std::mem::take(&mut rest_t).split_at_mut(base - consumed);
-            let (total, tail) = tail.split_at_mut(size);
-            rest_t = tail;
-            let (_, tail) = std::mem::take(&mut rest_a).split_at_mut(base - consumed);
-            let (allow, tail) = tail.split_at_mut(size);
-            rest_a = tail;
-            consumed = base + size;
-            chunks.push(Chunk { f, base, clients, total, allow });
-        }
-        let fragments = par_map_take(chunks, threads, |_, chunk| {
-            let mut fragment = Solution::new();
-            sweep_single_gen(
-                arena,
-                w,
-                dmax,
-                arena.subtree_post(chunk.f),
-                chunk.base,
-                chunk.clients,
-                chunk.total,
-                chunk.allow,
-                &mut fragment,
-            );
-            fragment
-        });
-        for fragment in &fragments {
-            solution.merge(fragment);
-        }
-    }
-
-    // Finish pass: the upper nodes against the full slabs. Frontier-root
-    // slots were written in place by the workers, so the sweep sees exactly
-    // the serial sweep's state.
-    let SolverScratch { arena, sg_clients, sg_total, sg_allow, .. } = scratch;
-    sweep_single_gen(
-        arena,
-        w,
-        dmax,
-        &fr.upper_post,
-        0,
-        sg_clients,
-        sg_total,
-        sg_allow,
-        &mut solution,
-    );
-    Ok(solution)
-}
-
-/// [`crate::single_nod::single_nod_arena`] solved with up to `threads`
-/// worker threads over disjoint frontier subtrees. Bit-identical to the
-/// serial entry point for every thread count.
-///
-/// # Errors
-///
-/// Same as [`fn@crate::single_nod`].
-pub fn single_nod_par(
-    scratch: &mut SolverScratch,
-    w: Requests,
-    threads: usize,
-) -> Result<Solution, SolveError> {
-    check_clients_fit(scratch.arena(), w)?;
-    scratch.prepare_single_nod();
-    let frontier = build_frontier(scratch.arena(), threads, MIN_CHUNK);
-    let mut solution = Solution::new();
-    let Some(fr) = frontier else {
-        let SolverScratch { arena, sn_groups, .. } = scratch;
-        sweep_single_nod(arena, w, arena.postorder(), 0, sn_groups, &mut solution);
-        return Ok(solution);
-    };
-
-    struct Chunk<'a> {
-        f: u32,
-        base: usize,
-        groups: &'a mut [Vec<Group>],
-    }
-    {
-        let SolverScratch { arena, sn_groups, .. } = scratch;
-        let arena: &TreeArena = arena;
-        let mut rest: &mut [Vec<Group>] = sn_groups;
-        let mut consumed = 0usize;
-        let mut chunks: Vec<Chunk<'_>> = Vec::with_capacity(fr.roots.len());
-        for &f in &fr.roots {
-            let base = arena.pre_position(f);
-            let size = arena.subtree_size(f);
-            let (_, tail) = std::mem::take(&mut rest).split_at_mut(base - consumed);
-            let (groups, tail) = tail.split_at_mut(size);
-            rest = tail;
-            consumed = base + size;
-            chunks.push(Chunk { f, base, groups });
-        }
-        let fragments = par_map_take(chunks, threads, |_, chunk| {
-            let mut fragment = Solution::new();
-            sweep_single_nod(
-                arena,
-                w,
-                arena.subtree_post(chunk.f),
-                chunk.base,
-                chunk.groups,
-                &mut fragment,
-            );
-            fragment
-        });
-        for fragment in &fragments {
-            solution.merge(fragment);
-        }
-    }
-
-    let SolverScratch { arena, sn_groups, .. } = scratch;
-    sweep_single_nod(arena, w, &fr.upper_post, 0, sn_groups, &mut solution);
-    Ok(solution)
 }
 
 /// [`crate::multiple_bin::multiple_bin_arena`] solved with up to `threads`

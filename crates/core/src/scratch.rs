@@ -218,7 +218,7 @@ pub struct SolverScratch {
     pub(crate) pick_buf: Vec<u32>,
     /// Stage counters of the current / last solve.
     pub(crate) stats: StageStats,
-    /// Serve-mode journal + dirty marks (`crate::serve`), installed by
+    /// Serve-mode journal + spine marks (`crate::serve`), installed by
     /// [`crate::serve::ServeEngine`] around its own sweeps and `None` for
     /// every other entry point — batch solves and the parallel workers
     /// never look at it. Boxed so the idle scratch stays lean; survives
@@ -368,10 +368,8 @@ impl SolverScratch {
         self.arena.rebuild_from_stream(size_hint, nodes)
     }
 
-    /// Sizes and resets the `single-gen` slot rows for the loaded arena
-    /// (the rows are indexed by pre-order position — contiguous per
-    /// subtree, which is what lets the frontier-parallel sweep hand each
-    /// worker a disjoint `&mut` slice). Called once per solve.
+    /// Sizes and resets the `single-gen` slot rows (indexed by node id) for
+    /// the loaded arena. Called once per solve.
     pub(crate) fn prepare_single_gen(&mut self) {
         let n = self.arena.len();
         clear_nested(&mut self.sg_clients, n);
@@ -380,9 +378,8 @@ impl SolverScratch {
         self.stats = StageStats::default();
     }
 
-    /// Sizes and resets the `single-nod` slot rows for the loaded arena
-    /// (indexed by pre-order position, like the `single-gen` rows). Called
-    /// once per solve.
+    /// Sizes and resets the `single-nod` slot rows (indexed by node id) for
+    /// the loaded arena. Called once per solve.
     pub(crate) fn prepare_single_nod(&mut self) {
         let n = self.arena.len();
         clear_nested(&mut self.sn_groups, n);

@@ -25,9 +25,9 @@
 //!
 //! The engine keeps a **stage journal**: one record per stage of the last
 //! solve, holding its scope's replicas and their assignment lists at
-//! collection time, its placement, its buffered commit writes and its
-//! whole [`StageStats`] delta. An incremental solve touches only the spine
-//! and calls none of the whole-tree `prepare_*` steps:
+//! collection time, its placement and its whole [`StageStats`] delta. An
+//! incremental solve touches only the spine and calls none of the
+//! whole-tree `prepare_*` steps:
 //!
 //! 1. undo the journaled stages rooted on the spine, in reverse post
 //!    order: free their placements and put back their scopes' assignment
@@ -47,17 +47,11 @@
 //! bit for bit. The carried records' counters are unchanged too: a clean
 //! stage's subtree, and so its load-summary range, is unchanged.
 //!
-//! Spine stages still avoid their search when they can: a stage whose
-//! root is *flow-clean* (off every changed client's service path) and
-//! whose collected scope touches no *state-dirty* node (no node written
-//! differently by an earlier re-searched stage) replays its journaled
-//! commit — placement, buffered assignment writes and search counters —
-//! without enumerating, routing or running the DP. A re-searched stage
-//! whose commit comes out identical to its record marks nothing dirty, so
-//! dirtiness stops spreading up the spine. The live counters
-//! (`stages`, `commit_touched`, `commit_skipped`) are recomputed on
-//! replay: the skipped share prices subtree load outside the scope, which
-//! changes when stages below re-route.
+//! Every stage the spine sweep fires is searched and journaled afresh; a
+//! spine node that fires no stage leaves the journal. The `stats`
+//! counters follow that split: `reused=` counts the journaled stages
+//! carried unchanged from the previous solve (the clean subtrees'),
+//! `recomputed=` the stages searched this solve.
 //!
 //! The published [`Solution`] is patched in place: every node the solve
 //! wrote had its pre-solve state captured at its first write, and only
@@ -287,16 +281,16 @@ pub struct ServeStats {
     pub full_solves: u64,
     /// Spine solves over a valid journal.
     pub incremental_solves: u64,
-    /// Stages carried or replayed from the journal rather than
-    /// re-searched, across all solves.
+    /// Journaled stages carried unchanged rather than searched, across
+    /// all solves.
     pub stages_reused: u64,
-    /// Stages re-searched (and re-journaled), across all solves.
+    /// Stages searched (and journaled), across all solves.
     pub stages_recomputed: u64,
     /// Dirty clients of the most recent solve.
     pub last_dirty_clients: u64,
-    /// Stages carried or replayed by the most recent solve.
+    /// Journaled stages carried unchanged by the most recent solve.
     pub last_reused: u64,
-    /// Stages re-searched by the most recent solve.
+    /// Stages searched by the most recent solve.
     pub last_recomputed: u64,
     /// Nodes swept by the most recent solve: every node for a full solve,
     /// the dirty spine (changed clients and their ancestors) for an
@@ -323,10 +317,9 @@ pub struct ServeOutcome {
     pub stale: bool,
     /// Clients whose demand changed since the previous solve.
     pub dirty_clients: u64,
-    /// Stages carried or replayed from the journal rather than
-    /// re-searched.
+    /// Journaled stages carried unchanged rather than searched.
     pub stages_reused: u64,
-    /// Stages re-searched.
+    /// Stages searched.
     pub stages_recomputed: u64,
 }
 
@@ -434,14 +427,12 @@ impl LatencyHistogram {
 }
 
 /// One journaled stage: what its commit read and wrote, so that a later
-/// solve can replay it without the search or undo it exactly. Keyed by the
-/// stage root `j` — a node fires at most one stage per solve (its stuck set
-/// is determined by the post-order sweep), so the key is unique.
+/// solve can undo it exactly. Keyed by the stage root `j` — a node fires at
+/// most one stage per solve (its stuck set is determined by the post-order
+/// sweep), so the key is unique.
 #[derive(Debug, Default)]
 pub(crate) struct StageRecord {
-    /// The scope's replicas at collection time (canonical post order) —
-    /// kept for the replay debug-assert (a stage judged clean must collect
-    /// exactly this scope) and for undo.
+    /// The scope's replicas at collection time (canonical post order).
     existing: Vec<u32>,
     /// The assignment lists of `existing` at collection time, as
     /// `(node, client, amount)` entries in list order: what undoing the
@@ -449,8 +440,6 @@ pub(crate) struct StageRecord {
     pre_log: Vec<CommitEntry>,
     /// The committed placement (new replicas).
     best_set: Vec<u32>,
-    /// The buffered assignment writes of the commit route.
-    commit_log: Vec<CommitEntry>,
     /// The stage's whole [`StageStats`] delta: the live counters
     /// (`stages`, `commit_touched`, `commit_skipped`) and the search
     /// counters. `router_carried_peak` holds the stage's own peak (a max
@@ -489,8 +478,8 @@ impl FirstTouch {
     }
 }
 
-/// The serve-mode solve context: the stage journal, the per-solve dirty
-/// marks and the spine-solve buffers. Installed into
+/// The serve-mode solve context: the stage journal, the spine marks and
+/// the spine-solve buffers. Installed into
 /// [`SolverScratch::serve`] around the engine's sweeps and `None`
 /// everywhere else, so batch solvers never pay for it.
 #[derive(Debug, Default)]
@@ -502,26 +491,20 @@ pub(crate) struct ServeCtx {
     /// Multiset (peak → count) of the journaled stages'
     /// `router_carried_peak`, so the solve-wide max survives undo.
     peaks: BTreeMap<u64, u32>,
-    /// Stamp per node; `== generation` means the node lies on a changed
-    /// client's service path, so stage inputs there may have changed.
-    flow_mark: Vec<u32>,
-    /// Stamp per node; `== generation` means the node's persistent state
-    /// diverged from the previous solve (written by a re-searched stage,
-    /// or a changed client's self-serve slot).
-    state_mark: Vec<u32>,
     /// Stamp per node; `== generation` means the node is on the spine.
     spine_mark: Vec<u32>,
     /// Current solve's stamp. Grows by one per solve; full solves reset
     /// it (and the engine runs one before it passes half its range).
     generation: u32,
-    /// Stages re-searched this solve.
+    /// Stages searched this solve.
     recomputed: u64,
-    /// Whether this solve captures first touches (spine solves only: a
-    /// full solve rebuilds the published solution anyway).
+    /// Whether this is a spine solve, which captures first touches and
+    /// drops vanished stages from the journal (a full solve rebuilds the
+    /// published solution and the journal anyway).
     track: bool,
     first: FirstTouch,
     /// The collected scope's pre-state of the stage being searched,
-    /// staged by [`try_replay`] for [`record_stage`].
+    /// staged by [`capture_scope`] for [`record_stage`].
     pre_log: Vec<CommitEntry>,
     /// The current spine in post order.
     spine: Vec<u32>,
@@ -541,9 +524,7 @@ impl ServeCtx {
     fn begin_full(&mut self, s: &SolverScratch) {
         let n = s.arena.len();
         self.invalidate();
-        let rows =
-            [&mut self.flow_mark, &mut self.state_mark, &mut self.spine_mark, &mut self.first.mark];
-        for row in rows {
+        for row in [&mut self.spine_mark, &mut self.first.mark] {
             row.clear();
             row.resize(n, 0);
         }
@@ -576,22 +557,6 @@ impl ServeCtx {
     fn invalidate(&mut self) {
         self.journal.clear();
         self.peaks.clear();
-    }
-
-    fn mark_flow(&mut self, u: u32) {
-        self.flow_mark[u as usize] = self.generation;
-    }
-
-    fn is_flow_dirty(&self, u: u32) -> bool {
-        self.flow_mark[u as usize] == self.generation
-    }
-
-    fn mark_state(&mut self, u: u32) {
-        self.state_mark[u as usize] = self.generation;
-    }
-
-    fn is_state_dirty(&self, u: u32) -> bool {
-        self.state_mark[u as usize] == self.generation
     }
 
     fn on_spine(&self, u: u32) -> bool {
@@ -646,7 +611,8 @@ fn flush(s: &mut SolverScratch, log: &[CommitEntry]) {
 /// takes its counters out of the solve stats. Exact only when no later
 /// stage wrote the same nodes, which the spine solve guarantees by undoing
 /// in reverse post order (see the module docs). The record stays in the
-/// journal, for replay.
+/// journal until the sweep reaches `j`: [`record_stage`] rewrites it in
+/// place, [`note_no_stage`] drops it.
 fn undo_stage(s: &mut SolverScratch, ctx: &mut ServeCtx, j: u32) {
     let ServeCtx { journal, peaks, first, generation, .. } = ctx;
     let Some(rec) = journal.get(&j) else { return };
@@ -663,75 +629,24 @@ fn undo_stage(s: &mut SolverScratch, ctx: &mut ServeCtx, j: u32) {
 }
 
 /// Stage hook (called by `StageEngine::serve_stuck` right after scope
-/// collection, `pre` being the stats before it): replays stage `j`'s
-/// journaled commit and returns `true` when the stage is provably clean —
-/// `j` is flow-clean (identical stuck and travelling inputs, by the
-/// service-path argument in the module docs) and its freshly collected
-/// scope visits no state-dirty node (identical collected pool, replicas
-/// and assignments: the closure walk reads only `in_r` / `assigned` on
-/// visited nodes, and walks diverge first at a visited dirty node). Replay
-/// performs exactly the writes of the cold commit path — clear the scope's
-/// loads, place the journaled best set, flush the journaled log, release
-/// the demand rows — plus the journaled search-counter delta. Otherwise it
-/// stages the scope's pre-state for [`record_stage`] and returns `false`.
-pub(crate) fn try_replay(
-    s: &mut SolverScratch,
-    ctx: &mut ServeCtx,
-    j: u32,
-    pre: &StageStats,
-) -> bool {
-    if ctx.track {
-        for &u in s.existing.iter() {
-            ctx.first.capture(ctx.generation, u, true, &s.assigned[u as usize]);
+/// collection, before the commit clears the scope): captures the first
+/// touch of every scope replica and stages the scope's assignment lists —
+/// what undoing the stage puts back — for [`record_stage`].
+pub(crate) fn capture_scope(s: &SolverScratch, ctx: &mut ServeCtx) {
+    ctx.pre_log.clear();
+    for &u in s.existing.iter() {
+        let assigned = &s.assigned[u as usize];
+        if ctx.track {
+            ctx.first.capture(ctx.generation, u, true, assigned);
         }
+        ctx.pre_log.extend(assigned.iter().map(|&(c, amount)| (u, c, amount)));
     }
-    let clean = !ctx.is_flow_dirty(j)
-        && ctx.journal.contains_key(&j)
-        && s.active_nodes.iter().all(|&u| !ctx.is_state_dirty(u));
-    if !clean {
-        ctx.pre_log.clear();
-        for &u in s.existing.iter() {
-            ctx.pre_log.extend(s.assigned[u as usize].iter().map(|&(c, amount)| (u, c, amount)));
-        }
-        return false;
-    }
-    let rec = ctx.journal.get_mut(&j).expect("presence checked above");
-    debug_assert_eq!(rec.existing, s.existing, "a clean stage re-collects its journaled scope");
-    for i in 0..s.existing.len() {
-        let u = s.existing[i];
-        clear_slot(s, u);
-    }
-    for &u in &rec.best_set {
-        debug_assert!(!s.in_r[u as usize], "journaled placements target free nodes");
-        s.in_r[u as usize] = true;
-    }
-    flush(s, &rec.commit_log);
-    {
-        let SolverScratch { demand, demand_clients, .. } = &mut *s;
-        for &c in demand_clients.iter() {
-            demand[c as usize] = 0;
-        }
-        demand_clients.clear();
-    }
-    // The live counters just recomputed replace the journaled ones: the
-    // skipped share prices subtree load outside the scope, which changes
-    // when stages below re-route.
-    let search = StageStats { stages: 0, commit_touched: 0, commit_skipped: 0, ..rec.stats };
-    s.stats.absorb(&search);
-    rec.stats = StageStats {
-        router_carried_peak: search.router_carried_peak,
-        ..stats_delta(&s.stats, pre)
-    };
-    add_peak(&mut ctx.peaks, search.router_carried_peak);
-    true
 }
 
-/// Stage hook (after a re-searched stage committed): journals the stage's
-/// outputs and marks the state it wrote — old and new — dirty, so later
-/// stages whose scopes overlap fall back to the real search. `pre` is the
-/// stats snapshot taken before scope collection, so the recorded delta
-/// covers the whole stage. `stage_peak` is the stage's own carried peak (a
-/// max, not a count — journaled verbatim so carried and replayed stages
+/// Stage hook (after a stage committed): journals the stage's outputs.
+/// `pre` is the stats snapshot taken before scope collection, so the
+/// recorded delta covers the whole stage. `stage_peak` is the stage's own
+/// carried peak (a max, not a count — journaled verbatim so carried stages
 /// reproduce the cold solve's peak exactly).
 pub(crate) fn record_stage(
     s: &SolverScratch,
@@ -746,50 +661,23 @@ pub(crate) fn record_stage(
             ctx.first.capture(ctx.generation, u, false, &[]);
         }
     }
-    let old = ctx.journal.remove(&j);
-    // Output-equality damping: a re-searched stage whose commit came out
-    // bit-identical to its journal entry (same scope cleared, same
-    // placements, same buffered writes in the same order) wrote exactly
-    // the state the previous solve left behind — later journal entries
-    // stay valid, so nothing is marked and the dirtiness cascade stops
-    // here. Without this, one deep delta on a scope-overlapping chain (a
-    // tight-dmax caterpillar) re-searches every stage above it.
-    let unchanged = old.as_ref().is_some_and(|old| {
-        old.existing == s.existing && old.best_set == s.best_set && old.commit_log == s.commit_log
-    });
-    if !unchanged {
-        for u in old.iter().flat_map(StageRecord::written) {
-            ctx.mark_state(u);
-        }
-        for &u in s.existing.iter().chain(&s.best_set) {
-            ctx.mark_state(u);
-        }
-    }
-    let mut rec = old.unwrap_or_default();
+    let rec = ctx.journal.entry(j).or_default();
     rec.existing.clone_from(&s.existing);
     rec.best_set.clone_from(&s.best_set);
-    rec.commit_log.clone_from(&s.commit_log);
     std::mem::swap(&mut rec.pre_log, &mut ctx.pre_log);
     rec.stats = StageStats { router_carried_peak: stage_peak, ..stats_delta(&s.stats, pre) };
     add_peak(&mut ctx.peaks, stage_peak);
-    ctx.journal.insert(j, rec);
     ctx.recomputed += 1;
 }
 
-/// Sweep hook for nodes that trigger *no* stage this solve: a journaled
-/// stage that disappears (its stuck set emptied by a delta) leaves the
-/// journal, and the state it used to write is poisoned. Its undo already
-/// ran. Flow-clean nodes cannot change stuckness, so the journal lookup
-/// only runs on the (short) dirty paths.
+/// Sweep hook for nodes that fire *no* stage this solve: in a spine solve,
+/// a journaled stage whose stuck set a delta emptied leaves the journal
+/// (its undo already ran). A full solve has just cleared the journal, so
+/// it skips the lookup.
 pub(crate) fn note_no_stage(s: &mut SolverScratch, j: u32) {
     let Some(ctx) = s.serve.as_deref_mut() else { return };
-    if !ctx.is_flow_dirty(j) {
-        return;
-    }
-    if let Some(old) = ctx.journal.remove(&j) {
-        for u in old.written() {
-            ctx.mark_state(u);
-        }
+    if ctx.track {
+        ctx.journal.remove(&j);
     }
 }
 
@@ -841,7 +729,7 @@ fn retract_stats(total: &mut StageStats, stage: &StageStats) {
 }
 
 /// A warm `multiple-bin` solver answering demand deltas — see the module
-/// docs for the journal-memoized incremental re-solve and its equivalence
+/// docs for the journaled incremental re-solve and its equivalence
 /// guarantee. Topology, capacity and `dmax` are fixed for the engine's
 /// lifetime; demand is not.
 #[derive(Debug)]
@@ -1327,21 +1215,7 @@ impl ServeEngine {
         let mut spine = std::mem::take(&mut ctx.spine);
         spine.clear();
         for &c in &self.changed {
-            // The client's own slot may flip between self-serve and
-            // pending, so its state is dirty either way…
-            ctx.mark_state(c);
-            // …its fragments flow exactly along the service path
-            // c → deadline(c)…
-            let dl = s.deadline[c as usize];
-            let mut at = c;
-            loop {
-                ctx.mark_flow(at);
-                if at == dl || s.arena.parent(at) == NO_PARENT {
-                    break;
-                }
-                at = s.arena.parent(at);
-            }
-            // …and only stages on its root path can see it.
+            // Only stages on the client's root path can see its demand.
             let mut at = c;
             while at != NO_PARENT && !ctx.on_spine(at) {
                 ctx.spine_mark[at as usize] = ctx.generation;

@@ -52,24 +52,14 @@ pub fn single_gen_with(
     instance: &Instance,
     scratch: &mut SolverScratch,
 ) -> Result<Solution, SolveError> {
-    let tree = instance.tree();
-    let w = instance.capacity();
-    for &c in tree.clients() {
-        let r = tree.requests(c);
-        if r > w {
-            return Err(SolveError::ClientExceedsCapacity { client: c, requests: r, capacity: w });
-        }
-    }
-    scratch.load_arena(tree);
-    scratch.prepare_single_gen();
-    Ok(run_serial(scratch, w, instance.dmax()))
+    scratch.load_arena(instance.tree());
+    single_gen_arena(scratch, instance.capacity(), instance.dmax())
 }
 
 /// [`single_gen`] on the arena already loaded into `scratch` (via
 /// [`SolverScratch::load_arena`] or
 /// [`SolverScratch::load_arena_from_stream`]) — the entry point of the
-/// streaming scaling tier, where no [`rp_tree::Tree`] ever exists. The
-/// parallel driver is [`crate::par::single_gen_par`].
+/// streaming scaling tier, where no [`rp_tree::Tree`] ever exists.
 ///
 /// # Errors
 ///
@@ -81,56 +71,30 @@ pub fn single_gen_arena(
 ) -> Result<Solution, SolveError> {
     crate::scratch::check_clients_fit(scratch.arena(), w)?;
     scratch.prepare_single_gen();
-    Ok(run_serial(scratch, w, dmax))
-}
-
-/// Full-tree serial sweep: the whole post-order with slot base 0.
-fn run_serial(scratch: &mut SolverScratch, w: Requests, dmax: Option<Dist>) -> Solution {
     let mut solution = Solution::new();
     let SolverScratch { arena, sg_clients, sg_total, sg_allow, .. } = scratch;
-    sweep_single_gen(
-        arena,
-        w,
-        dmax,
-        arena.postorder(),
-        0,
-        sg_clients,
-        sg_total,
-        sg_allow,
-        &mut solution,
-    );
-    solution
+    sweep_single_gen(arena, w, dmax, sg_clients, sg_total, sg_allow, &mut solution);
+    Ok(solution)
 }
 
-/// One bottom-up sweep of Algorithm 1 over `order` (a list in post-order:
-/// children always before parents).
+/// One bottom-up sweep of Algorithm 1 over the arena's post-order
+/// (children always before parents).
 ///
 /// Each node's slot (`sg_clients` — the pending client fragments,
 /// `sg_total`, `sg_allow` — the remaining distance allowance of the most
-/// constrained of them) plays the role of the recursive implementation's
-/// return value. Slots are indexed by `pre_position(v) - base`, so a
-/// subtree's slots form one contiguous slice: the frontier-parallel driver
-/// ([`crate::par`]) hands each worker a disjoint `&mut` slice of the same
-/// slabs, sweeps the leftover upper nodes afterwards with the full slabs
-/// (`base = 0`), and gets results bit-identical to the serial sweep.
-///
-/// The root-absorb step keys off the *global* arena parent, so a worker
-/// sweeping `subtree(f)` never absorbs at `f`; its pending requests are left
-/// in `f`'s slot for the upper sweep, exactly like the serial sweep would.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_single_gen(
+/// constrained of them), indexed by node id, plays the role of the
+/// recursive implementation's return value.
+fn sweep_single_gen(
     arena: &TreeArena,
     w: Requests,
     dmax: Option<Dist>,
-    order: &[u32],
-    base: usize,
     sg_clients: &mut [Vec<(u32, Requests)>],
     sg_total: &mut [u128],
     sg_allow: &mut [Option<Dist>],
     solution: &mut Solution,
 ) {
-    for &j in order {
-        let ji = arena.pre_position(j) - base;
+    for &j in arena.postorder() {
+        let ji = j as usize;
         if arena.is_client(j) {
             let r = arena.requests(j);
             if r > 0 {
@@ -143,7 +107,7 @@ pub(crate) fn sweep_single_gen(
 
         let mut total: u128 = 0;
         for &c in arena.children(j) {
-            let ci = arena.pre_position(c) - base;
+            let ci = c as usize;
             let edge = arena.edge(c);
             // Step 1: if the child's pending requests cannot travel over the
             // edge to `j`, place a replica on the child.
@@ -168,7 +132,7 @@ pub(crate) fn sweep_single_gen(
             // Step 2: too many pending requests; close every child that
             // still has pending requests so that nothing reaches `j`.
             for &c in arena.children(j) {
-                let ci = arena.pre_position(c) - base;
+                let ci = c as usize;
                 if sg_total[ci] > 0 {
                     for &(client, requests) in &sg_clients[ci] {
                         solution.assign(NodeId(client), NodeId(c), requests);
@@ -186,7 +150,7 @@ pub(crate) fn sweep_single_gen(
         // Step 3: the pending requests fit within one server; merge them.
         let mut allowance = None;
         for &c in arena.children(j) {
-            if let Some(a) = sg_allow[arena.pre_position(c) - base] {
+            if let Some(a) = sg_allow[c as usize] {
                 allowance = Some(allowance.map_or(a, |m: u64| m.min(a)));
             }
         }
@@ -194,7 +158,7 @@ pub(crate) fn sweep_single_gen(
         let mut merged = std::mem::take(&mut sg_clients[ji]);
         debug_assert!(merged.is_empty());
         for &c in arena.children(j) {
-            merged.append(&mut sg_clients[arena.pre_position(c) - base]);
+            merged.append(&mut sg_clients[c as usize]);
         }
         if arena.parent(j) == NO_PARENT {
             // Step 3a: the root absorbs whatever remains.
@@ -294,14 +258,17 @@ mod tests {
 
     #[test]
     fn rejects_clients_larger_than_capacity() {
+        // Two oversized clients: both entry points report the lower id.
         let mut b = TreeBuilder::new();
         let root = b.root();
         let c = b.add_client(root, 1, 15);
+        b.add_client(root, 1, 12);
         let inst = Instance::new(b.freeze().unwrap(), 10, None).unwrap();
-        assert_eq!(
-            single_gen(&inst).unwrap_err(),
-            SolveError::ClientExceedsCapacity { client: c, requests: 15, capacity: 10 }
-        );
+        let refused = SolveError::ClientExceedsCapacity { client: c, requests: 15, capacity: 10 };
+        assert_eq!(single_gen(&inst).unwrap_err(), refused);
+        let mut scratch = SolverScratch::new();
+        scratch.load_arena(inst.tree());
+        assert_eq!(single_gen_arena(&mut scratch, 10, None).unwrap_err(), refused);
     }
 
     #[test]

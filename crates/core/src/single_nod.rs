@@ -64,24 +64,14 @@ pub fn single_nod_with(
     instance: &Instance,
     scratch: &mut SolverScratch,
 ) -> Result<Solution, SolveError> {
-    let tree = instance.tree();
-    let w = instance.capacity();
-    for &c in tree.clients() {
-        let r = tree.requests(c);
-        if r > w {
-            return Err(SolveError::ClientExceedsCapacity { client: c, requests: r, capacity: w });
-        }
-    }
-    scratch.load_arena(tree);
-    scratch.prepare_single_nod();
-    Ok(run_serial(scratch, w))
+    scratch.load_arena(instance.tree());
+    single_nod_arena(scratch, instance.capacity())
 }
 
 /// [`single_nod`] on the arena already loaded into `scratch` (via
 /// [`SolverScratch::load_arena`] or
 /// [`SolverScratch::load_arena_from_stream`]) — the entry point of the
-/// streaming scaling tier, where no [`rp_tree::Tree`] ever exists. The
-/// parallel driver is [`crate::par::single_nod_par`].
+/// streaming scaling tier, where no [`rp_tree::Tree`] ever exists.
 ///
 /// # Errors
 ///
@@ -89,38 +79,25 @@ pub fn single_nod_with(
 pub fn single_nod_arena(scratch: &mut SolverScratch, w: Requests) -> Result<Solution, SolveError> {
     crate::scratch::check_clients_fit(scratch.arena(), w)?;
     scratch.prepare_single_nod();
-    Ok(run_serial(scratch, w))
-}
-
-/// Full-tree serial sweep: the whole post-order with slot base 0.
-fn run_serial(scratch: &mut SolverScratch, w: Requests) -> Solution {
     let mut solution = Solution::new();
     let SolverScratch { arena, sn_groups, .. } = scratch;
-    sweep_single_nod(arena, w, arena.postorder(), 0, sn_groups, &mut solution);
-    solution
+    sweep_single_nod(arena, w, sn_groups, &mut solution);
+    Ok(solution)
 }
 
-/// One bottom-up sweep of Algorithm 2 over `order` (a list in post-order:
-/// children always before parents). Each node's slot holds the groups the
-/// node forwards to its parent — either a single aggregated group rooted at
-/// the node (paper's case 2a) or the groups left over after packing there
-/// (paper's case 1a, the re-parenting step).
-///
-/// Slots are indexed by `pre_position(v) - base`, so a subtree's slots form
-/// one contiguous slice; see [`crate::single_gen::sweep_single_gen`] for how
-/// the frontier-parallel driver exploits this. The root checks key off the
-/// *global* arena parent, so a worker sweeping `subtree(f)` always
-/// re-parents leftovers into `f`'s slot instead of taking a root branch.
-pub(crate) fn sweep_single_nod(
+/// One bottom-up sweep of Algorithm 2 over the arena's post-order
+/// (children always before parents). Each node's slot, indexed by node id,
+/// holds the groups the node forwards to its parent — either a single
+/// aggregated group rooted at the node (paper's case 2a) or the groups left
+/// over after packing there (paper's case 1a, the re-parenting step).
+fn sweep_single_nod(
     arena: &TreeArena,
     w: Requests,
-    order: &[u32],
-    base: usize,
     sn_groups: &mut [Vec<Group>],
     solution: &mut Solution,
 ) {
-    for &j in order {
-        let ji = arena.pre_position(j) - base;
+    for &j in arena.postorder() {
+        let ji = j as usize;
         if arena.is_client(j) {
             let r = arena.requests(j);
             if r > 0 {
@@ -134,7 +111,7 @@ pub(crate) fn sweep_single_nod(
         let mut groups = std::mem::take(&mut sn_groups[ji]);
         debug_assert!(groups.is_empty());
         for &c in arena.children(j) {
-            groups.append(&mut sn_groups[arena.pre_position(c) - base]);
+            groups.append(&mut sn_groups[c as usize]);
         }
         let total: u128 = groups.iter().map(|g| g.total as u128).sum();
         let is_root = arena.parent(j) == NO_PARENT;
@@ -273,14 +250,17 @@ mod tests {
 
     #[test]
     fn rejects_clients_larger_than_capacity() {
+        // Two oversized clients: both entry points report the lower id.
         let mut b = TreeBuilder::new();
         let root = b.root();
-        b.add_client(root, 1, 9);
+        let c = b.add_client(root, 1, 9);
+        b.add_client(root, 1, 7);
         let inst = Instance::new(b.freeze().unwrap(), 5, None).unwrap();
-        assert!(matches!(
-            single_nod(&inst).unwrap_err(),
-            SolveError::ClientExceedsCapacity { requests: 9, capacity: 5, .. }
-        ));
+        let refused = SolveError::ClientExceedsCapacity { client: c, requests: 9, capacity: 5 };
+        assert_eq!(single_nod(&inst).unwrap_err(), refused);
+        let mut scratch = SolverScratch::new();
+        scratch.load_arena(inst.tree());
+        assert_eq!(single_nod_arena(&mut scratch, 5).unwrap_err(), refused);
     }
 
     #[test]

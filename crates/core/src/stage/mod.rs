@@ -282,28 +282,21 @@ impl<'a> StageEngine<'a> {
             s.stats.commit_skipped += subtree_vol - collected;
         }
 
-        // Serve-mode memo gate (`crate::serve`): with a journal installed,
-        // a stage proven clean — flow-clean root, no state-dirty node in
-        // the scope just collected — replays its journaled commit and
-        // skips the whole search below. The live counters above
-        // (`stages`, `commit_touched` / `commit_skipped`) are recomputed
-        // either way: the skipped share prices off-scope subtree load, so
-        // journaling it would falsify re-solves. Taken out of the scratch
-        // around the search so the hooks can borrow both halves; restored
-        // on every path, including errors.
+        // Serve-mode journal (`crate::serve`): with a journal installed,
+        // the scope just collected is captured before the commit clears
+        // it, so a later spine solve can undo this stage. Taken out of the
+        // scratch around the search so the hooks can borrow both halves;
+        // restored on every path, including errors.
         let mut serve_ctx = scratch.serve.take();
         if let Some(ctx) = serve_ctx.as_deref_mut() {
-            if crate::serve::try_replay(scratch, ctx, j, &pre_stats) {
-                scratch.serve = serve_ctx;
-                return Ok(());
-            }
+            crate::serve::capture_scope(scratch, ctx);
         }
         let result = serve_stuck_search(scratch, w, j, stuck, travelling);
         if result.is_ok() {
             // Fold the stage's router counters into the solve stats. The
             // fold happens here, per stage, so the serve journal can
             // record the stage's *own* peak (a max is not recoverable
-            // from a post − pre delta) — replayed stages then reproduce
+            // from a post − pre delta) — carried stages then reproduce
             // the cold solve's peak exactly, whichever stage dominates.
             let stage_merges = std::mem::take(&mut scratch.router.carry_merges);
             let stage_peak = std::mem::take(&mut scratch.router.carried_peak);
@@ -320,12 +313,10 @@ impl<'a> StageEngine<'a> {
     }
 }
 
-/// The search half of a stage, past the memo point: candidate selection,
-/// placement search (enumeration or DP fallback), commit and flush. The
-/// collection half (and its live counters) runs in
-/// [`StageEngine::serve_stuck`] before the serve-mode memo gate; this half
-/// is what a journal replay skips, and its [`StageStats`] delta is what the
-/// journal records.
+/// The search half of a stage: candidate selection, placement search
+/// (enumeration or DP fallback), commit and flush. The collection half (and
+/// its live counters) runs in [`StageEngine::serve_stuck`] before the
+/// serve-mode scope capture.
 fn serve_stuck_search(
     scratch: &mut SolverScratch,
     w: Requests,
@@ -440,9 +431,8 @@ fn serve_stuck_search(
     if run.1 > 0 {
         load_sums.add(arena.post_position(run.0), run.1 as i64);
     }
-    // The flushed log is deliberately left in place: the serve-mode
-    // journal clones it right after this returns, and the next route
-    // clears it on entry (`route_on_committed`) anyway.
+    // The flushed log is left in place: the next route clears it on entry
+    // (`route_on_committed`).
     for &c in demand_clients.iter() {
         demand[c as usize] = 0;
     }

@@ -1,6 +1,6 @@
-//! Serial-vs-parallel determinism: the frontier-parallel drivers of
-//! `rp_core::par` must produce **bit-identical** results to the serial
-//! sweeps — same [`rp_tree::Solution`], and for `multiple-bin` the same
+//! Serial-vs-parallel determinism: the frontier-parallel `multiple-bin`
+//! driver of `rp_core::par` must produce **bit-identical** results to the
+//! serial sweep — same [`rp_tree::Solution`] and the same
 //! [`rp_core::StageStats`] — for every thread count, including thread
 //! counts far above the machine's core count. This is the pinned contract
 //! of the million-client scaling tier: parallelism must never change a
@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rp_core::{
-    multiple_bin_par, multiple_bin_with, single_gen_par, single_gen_with, single_nod_par,
+    multiple_bin_par, multiple_bin_with, single_gen_arena, single_gen_with, single_nod_arena,
     single_nod_with, SolverScratch,
 };
 use rp_instances::families::caterpillar;
@@ -21,25 +21,19 @@ use rp_tree::{validate, Instance, Policy, TreeBuilder};
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 16];
 
-/// Runs all three algorithms serially and through the parallel drivers at
-/// every thread count, asserting exact equality (and stats equality for
-/// `multiple-bin`). `instance` must be binary with `r_i ≤ W`.
+/// Runs `multiple-bin` serially and through the parallel driver at every
+/// thread count, asserting exact solution and stats equality. `instance`
+/// must be binary with `r_i ≤ W`.
 fn assert_parallel_matches_serial(instance: &Instance, label: &str) {
     let w = instance.capacity();
     let dmax = instance.dmax();
     let mut serial = SolverScratch::new();
-    let sg = single_gen_with(instance, &mut serial).expect("single-gen feasible");
-    let sn = single_nod_with(instance, &mut serial).expect("single-nod feasible");
     let mb = multiple_bin_with(instance, &mut serial).expect("multiple-bin feasible");
     let mb_stats = *serial.stage_stats();
 
     let mut par = SolverScratch::new();
     par.load_arena(instance.tree());
     for threads in THREAD_COUNTS {
-        let got = single_gen_par(&mut par, w, dmax, threads).expect("single-gen par feasible");
-        assert_eq!(got, sg, "{label}: single-gen diverged at {threads} threads");
-        let got = single_nod_par(&mut par, w, threads).expect("single-nod par feasible");
-        assert_eq!(got, sn, "{label}: single-nod diverged at {threads} threads");
         let got = multiple_bin_par(&mut par, w, dmax, threads).expect("multiple-bin par feasible");
         assert_eq!(got, mb, "{label}: multiple-bin diverged at {threads} threads");
         assert_eq!(
@@ -137,16 +131,15 @@ fn parallel_solutions_validate() {
     scratch.load_arena(inst.tree());
     let sol = multiple_bin_par(&mut scratch, inst.capacity(), inst.dmax(), 4).unwrap();
     validate(&inst, Policy::Multiple, &sol).expect("parallel multiple-bin must stay feasible");
-    let sol = single_gen_par(&mut scratch, inst.capacity(), inst.dmax(), 4).unwrap();
-    validate(&inst, Policy::Single, &sol).expect("parallel single-gen must stay feasible");
 }
 
 #[test]
 fn single_node_and_tiny_trees_through_parallel_entry_points() {
     // A root-only tree has max_depth == 0 (empty binary-lifting tables) and
     // no clients; a root-plus-client tree is the smallest solvable input.
-    // Both must pass through every parallel entry point (which falls back
-    // to the serial sweep) without panicking.
+    // Both must pass through the parallel entry point (which falls back to
+    // the serial sweep) and the single-policy arena entry points without
+    // panicking.
     for build_client in [false, true] {
         let mut b = TreeBuilder::new();
         let root = b.root();
@@ -157,8 +150,8 @@ fn single_node_and_tiny_trees_through_parallel_entry_points() {
         let mut scratch = SolverScratch::new();
         scratch.load_arena(&tree);
         for threads in [1, 8] {
-            let sg = single_gen_par(&mut scratch, 10, Some(5), threads).unwrap();
-            let sn = single_nod_par(&mut scratch, 10, threads).unwrap();
+            let sg = single_gen_arena(&mut scratch, 10, Some(5)).unwrap();
+            let sn = single_nod_arena(&mut scratch, 10).unwrap();
             let mb = multiple_bin_par(&mut scratch, 10, Some(5), threads).unwrap();
             let expect = usize::from(build_client);
             assert_eq!(sg.replica_count(), expect);
@@ -173,7 +166,7 @@ fn single_node_and_tiny_trees_through_parallel_entry_points() {
 fn streamed_arena_solves_match_instance_solves() {
     // The streaming generator must reproduce the materialised tree exactly:
     // loading it through `load_arena_from_stream` and solving with the
-    // `*_par` entry points must equal the Tree/Instance pipeline.
+    // arena entry points must equal the Tree/Instance pipeline.
     let clients = 4096;
     let seed = 0x5EED;
     let tree = random_binary_tree(
@@ -201,7 +194,7 @@ fn streamed_arena_solves_match_instance_solves() {
     let sg = single_gen_with(&inst, &mut serial).unwrap();
     let sn = single_nod_with(&inst, &mut serial).unwrap();
     let mb = multiple_bin_with(&inst, &mut serial).unwrap();
-    assert_eq!(single_gen_par(&mut scratch, w, dmax, 4).unwrap(), sg);
-    assert_eq!(single_nod_par(&mut scratch, w, 4).unwrap(), sn);
+    assert_eq!(single_gen_arena(&mut scratch, w, dmax).unwrap(), sg);
+    assert_eq!(single_nod_arena(&mut scratch, w).unwrap(), sn);
     assert_eq!(multiple_bin_par(&mut scratch, w, dmax, 4).unwrap(), mb);
 }

@@ -1,7 +1,7 @@
 //! Property tests for the serving tier (`rp_core::serve`): on random
 //! stage-dense binary trees (the same caterpillar / branchy families as
 //! `proptest_stage_commit.rs`) and random demand-delta streams, the
-//! journal-memoized incremental re-solve must be **bit-identical** to a
+//! journaled incremental re-solve must be **bit-identical** to a
 //! cold solve after every batch — three ways at once:
 //!
 //! * against a second [`ServeEngine`] with the naive differential switch
@@ -10,8 +10,9 @@
 //! * against a from-scratch [`multiple_bin`] solve over a freshly *built*
 //!   tree carrying the current demands (same construction order, so node
 //!   ids line up) — no warm state at all;
-//! * on `StageStats` too, not just placements: a replayed stage must
-//!   absorb exactly the search counters the cold solve would have earned.
+//! * on `StageStats` too, not just placements: undoing a spine stage must
+//!   take out exactly the counters its journal record holds, and a carried
+//!   stage must keep exactly the counters the cold solve would earn.
 //!
 //! Invalid deltas (underflow, over-capacity) must be rejected identically
 //! by both engines and leave both solving the same instance afterwards —
@@ -243,13 +244,12 @@ proptest! {
 #[test]
 fn journal_replay_engages_on_stage_dense_streams() {
     // The equivalence above must not hold vacuously (every stage
-    // re-searched). On a tight-capacity caterpillar, a demand delta
-    // genuinely invalidates the overlapping-scope chain *above* the
-    // changed client (the changed volume flows into every upstream pool —
-    // a cold solve's commits differ there too), so what the journal can
-    // and must reuse is everything *below*: deltas near the root replay
-    // the bulk of the stages, and reuse shrinks with the delta's depth.
-    // The spine grows downward, so small creation indices are shallow.
+    // searched). On a tight-capacity caterpillar, a demand delta's dirty
+    // spine is the changed client's root path, so the spine solve searches
+    // only the stages *above* the changed client and carries every stage
+    // below it unchanged: deltas near the root carry the bulk of the
+    // stages, and reuse shrinks with the delta's depth. The spine grows
+    // downward, so small creation indices are shallow.
     let s = Scenario {
         caterpillar: true,
         cat_picks: (0..96).map(|i| (i % 2, (i / 2) % 2, i * 5 % 9)).collect(),
@@ -300,8 +300,8 @@ fn journal_replay_engages_on_stage_dense_streams() {
 
 #[test]
 fn large_batches_stay_incremental_and_match_naive() {
-    // A batch dirtying half the clients still replays from the journal
-    // (more stages are simply re-searched); results stay identical to the
+    // A batch dirtying half the clients still re-solves from the journal
+    // (more stages are simply searched); results stay identical to the
     // naive reference, and the next small delta reuses the journal that
     // the large batch rebuilt.
     let s = Scenario {
@@ -348,7 +348,7 @@ fn large_batches_stay_incremental_and_match_naive() {
 #[test]
 fn default_engine_resolves_incrementally() {
     // Two clients, so any one-delta batch is half the instance: with no
-    // knob set the engine still replays from its journal, and the result
+    // knob set the engine still re-solves from its journal, and the result
     // equals the naive reference.
     let mut b = TreeBuilder::new();
     let n1 = b.add_internal(b.root(), 2);

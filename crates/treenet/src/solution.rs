@@ -202,18 +202,6 @@ impl Solution {
     pub fn is_empty(&self) -> bool {
         self.fragments.is_empty() && self.forced.is_empty()
     }
-
-    /// Merges another solution into this one (fragments are added, forced
-    /// replicas are unioned). Useful when solving independent subtrees
-    /// separately.
-    pub fn merge(&mut self, other: &Solution) {
-        for f in other.fragments() {
-            self.assign(f.client, f.server, f.amount);
-        }
-        for &n in &other.forced {
-            self.force_replica(n);
-        }
-    }
 }
 
 /// A set of distinct node ids, built without a comparison sort when the ids
@@ -329,19 +317,6 @@ mod tests {
         assert_eq!(loads[&n(1)], 7);
         assert_eq!(loads[&n(0)], 2);
         assert_eq!(s.total_assigned(), 9);
-    }
-
-    #[test]
-    fn merge_combines_solutions() {
-        let mut a = Solution::new();
-        a.assign(n(3), n(1), 5);
-        let mut b = Solution::new();
-        b.assign(n(3), n(1), 1);
-        b.assign(n(4), n(2), 2);
-        b.force_replica(n(9));
-        a.merge(&b);
-        assert_eq!(a.assigned_to_client(n(3)), 6);
-        assert_eq!(a.replicas(), vec![n(1), n(2), n(9)]);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use scratch::SolverScratch;
 pub use serve::{DemandDelta, LatencyHistogram, ServeEngine, ServeError, ServeOutcome, ServeStats};
 pub use single_gen::{single_gen, single_gen_arena, single_gen_with};
 pub use single_nod::{single_nod, single_nod_arena, single_nod_with};
-pub use stage::{StageEngine, StageStats};
+pub use stage::StageStats;
 
 use rp_tree::{Instance, Policy, Solution};
 

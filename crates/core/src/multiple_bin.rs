@@ -21,11 +21,10 @@
 //! never forces a replica — under the Multiple policy a volume larger than
 //! `W` can still be split over several replicas higher up, so placing early
 //! would waste a server that the optimum defers. A stuck event hands the
-//! stuck prefix to the stage engine
-//! ([`StageEngine::serve_stuck`](crate::stage::StageEngine)), which places
-//! the minimum number of new replicas inside `subtree(j)` and re-routes the
-//! subtree's assignments; see [`crate::stage`] for the router, the pruned
-//! placement search and the DP fallback.
+//! stuck prefix to the stage engine (`crate::stage::serve_stuck`), which
+//! places the minimum number of new replicas inside `subtree(j)` and
+//! re-routes the subtree's assignments; see [`crate::stage`] for the
+//! router, the pruned placement search and the DP fallback.
 //!
 //! The whole pass runs on the flat [`rp_tree::TreeArena`] plus the dense
 //! slabs of [`SolverScratch`]; [`multiple_bin_with`] reuses one scratch
@@ -40,7 +39,7 @@
 use crate::error::SolveError;
 use crate::heap::HeapForest;
 use crate::scratch::SolverScratch;
-use crate::stage::{PendingRequest, StageEngine};
+use crate::stage::{serve_stuck, PendingRequest};
 use rp_tree::arena::{TreeArena, NO_PARENT};
 use rp_tree::{Dist, Fragment, Instance, NodeId, Requests, Solution};
 
@@ -82,20 +81,8 @@ pub fn multiple_bin_with(
     instance: &Instance,
     scratch: &mut SolverScratch,
 ) -> Result<Solution, SolveError> {
-    let tree = instance.tree();
-    if tree.arity() > 2 {
-        return Err(SolveError::NotBinary { arity: tree.arity() });
-    }
-    let w = instance.capacity();
-    for &c in tree.clients() {
-        let r = tree.requests(c);
-        if r > w {
-            return Err(SolveError::ClientExceedsCapacity { client: c, requests: r, capacity: w });
-        }
-    }
-
-    scratch.load_arena(tree);
-    run_full(scratch, w, instance.dmax())
+    scratch.load_arena(instance.tree());
+    multiple_bin_arena(scratch, instance.capacity(), instance.dmax())
 }
 
 /// [`multiple_bin`] on the arena already loaded into `scratch` (via
@@ -112,19 +99,7 @@ pub fn multiple_bin_arena(
     w: Requests,
     dmax: Option<Dist>,
 ) -> Result<Solution, SolveError> {
-    crate::scratch::check_binary(scratch.arena())?;
-    crate::scratch::check_clients_fit(scratch.arena(), w)?;
-    run_full(scratch, w, dmax)
-}
-
-/// Prepares the Multiple-policy state and runs the whole-tree serial sweep.
-fn run_full(
-    scratch: &mut SolverScratch,
-    w: Requests,
-    dmax: Option<Dist>,
-) -> Result<Solution, SolveError> {
-    crate::scratch::check_total_fits(scratch.arena())?;
-    crate::scratch::check_distances_fit(scratch.arena())?;
+    crate::scratch::check_multiple_bin(scratch.arena(), w)?;
     scratch.prepare_multiple_bin();
     scratch.prepare_deadlines(dmax);
     mb_sweep(scratch, w, dmax, None, None)?;
@@ -151,8 +126,7 @@ fn run_full(
 ///
 /// # Errors
 ///
-/// Propagates the stage-engine errors of
-/// [`StageEngine::serve_stuck`].
+/// Propagates the stage-engine errors of `crate::stage::serve_stuck`.
 pub(crate) fn mb_sweep(
     scratch: &mut SolverScratch,
     w: Requests,
@@ -179,17 +153,21 @@ pub(crate) fn mb_sweep(
             None => scratch.arena.postorder()[pos],
             Some(list) => list[pos],
         };
+        // Requests issued in `subtree(j)`: what a stage at `j` conserves
+        // (see `crate::stage`). Children were swept first, or are clean
+        // subtrees whose demand has not changed since they were.
+        let below: u64 =
+            scratch.arena.children(j).iter().map(|&c| scratch.sub_demand[c as usize]).sum();
+        scratch.sub_demand[j as usize] = scratch.arena.requests(j) + below;
         match scratch.flow.step(&scratch.arena, dmax, root_exit, j) {
             Step::Pass => {}
             Step::SelfServe(r) => {
                 // The client is too far even from its own parent: serve it
-                // locally (paper line 5). The committed-load summary is
-                // kept in step so stage commits can price skipped volume.
+                // locally (paper line 5).
                 let ji = j as usize;
                 scratch.in_r[ji] = true;
                 scratch.load[ji] = r;
                 scratch.assigned[ji].push((j, r));
-                scratch.load_sums.add(scratch.arena.post_position(j), r as i64);
             }
             Step::Stage => {
                 check_deadline(scratch)?;
@@ -203,7 +181,7 @@ pub(crate) fn mb_sweep(
                 // heap.
                 let stuck = std::mem::take(&mut scratch.flow.stuck);
                 let travelling = std::mem::take(&mut scratch.flow.travelling);
-                let result = StageEngine::new(scratch, w).serve_stuck(j, &stuck, &travelling);
+                let result = serve_stuck(scratch, w, j, &stuck, &travelling);
                 scratch.flow.stuck = stuck;
                 scratch.flow.travelling = travelling;
                 result?;
@@ -684,6 +662,19 @@ mod tests {
         assert!(sol.is_replica(far) && sol.is_replica(n1));
     }
 
+    /// The precondition error of `inst`, after checking that the `Tree`,
+    /// arena, parallel and serving entry points all report the same one.
+    fn gate_error(inst: &Instance) -> SolveError {
+        let err = multiple_bin(inst).unwrap_err();
+        let mut scratch = SolverScratch::new();
+        scratch.load_arena(inst.tree());
+        let (w, dmax) = (inst.capacity(), inst.dmax());
+        assert_eq!(multiple_bin_arena(&mut scratch, w, dmax).unwrap_err(), err);
+        assert_eq!(crate::multiple_bin_par(&mut scratch, w, dmax, 2).unwrap_err(), err);
+        assert_eq!(crate::ServeEngine::new(inst).unwrap_err(), err);
+        err
+    }
+
     #[test]
     fn rejects_non_binary_trees() {
         let mut b = TreeBuilder::new();
@@ -692,19 +683,23 @@ mod tests {
             b.add_client(root, 1, 1);
         }
         let inst = Instance::new(b.freeze().unwrap(), 10, None).unwrap();
-        assert_eq!(multiple_bin(&inst).unwrap_err(), SolveError::NotBinary { arity: 3 });
+        assert_eq!(gate_error(&inst), SolveError::NotBinary { arity: 3 });
     }
 
     #[test]
     fn rejects_clients_larger_than_capacity() {
+        // Two oversized clients: every entry point names the lower id.
         let mut b = TreeBuilder::new();
         let root = b.root();
-        b.add_client(root, 1, 30);
+        let n1 = b.add_internal(root, 1);
+        let low = b.add_client(n1, 1, 30);
+        b.add_client(n1, 1, 5);
+        b.add_client(root, 1, 40);
         let inst = Instance::new(b.freeze().unwrap(), 10, None).unwrap();
-        assert!(matches!(
-            multiple_bin(&inst).unwrap_err(),
-            SolveError::ClientExceedsCapacity { requests: 30, .. }
-        ));
+        assert_eq!(
+            gate_error(&inst),
+            SolveError::ClientExceedsCapacity { client: low, requests: 30, capacity: 10 }
+        );
     }
 
     #[test]

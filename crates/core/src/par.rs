@@ -30,8 +30,9 @@
 //! stuck inside the subtree — their stages run in the finish pass), while
 //! deadline *depths* keep their true global values, preserving the
 //! router's must-serve ordering. The worker's committed state (replica
-//! set, loads, assignments, Fenwick load sums, pending requests at `f`,
-//! stage counters) is merged back id-for-id before the finish pass.
+//! set, loads, assignments, pending requests at `f`, the requests issued
+//! in `subtree(f)`, stage counters) is merged back id-for-id before the
+//! finish pass.
 //!
 //! The split threshold, chunk ordering and merge order are all functions of
 //! the tree shape alone — never of thread scheduling — so any thread count
@@ -39,9 +40,7 @@
 
 use crate::error::SolveError;
 use crate::multiple_bin::{collect_solution, mb_sweep};
-use crate::scratch::{
-    check_binary, check_clients_fit, check_distances_fit, check_total_fits, SolverScratch,
-};
+use crate::scratch::{check_multiple_bin, SolverScratch};
 use crate::stage::StageStats;
 use rp_parallel::par_map_with_threads;
 use rp_tree::arena::{TreeArena, NO_PARENT};
@@ -131,10 +130,7 @@ pub fn multiple_bin_par(
     dmax: Option<Dist>,
     threads: usize,
 ) -> Result<Solution, SolveError> {
-    check_binary(scratch.arena())?;
-    check_clients_fit(scratch.arena(), w)?;
-    check_total_fits(scratch.arena())?;
-    check_distances_fit(scratch.arena())?;
+    check_multiple_bin(scratch.arena(), w)?;
     scratch.prepare_multiple_bin();
     scratch.prepare_deadlines(dmax);
     let frontier = build_frontier(scratch.arena(), threads, MIN_CHUNK);
@@ -150,8 +146,9 @@ pub fn multiple_bin_par(
 
     // Finish pass (the whole sweep without a frontier): stages at upper
     // nodes may still re-route volume the workers committed (the merged
-    // loads, assignments and Fenwick sums are exactly the serial mid-sweep
-    // state, so those stages behave identically).
+    // loads and assignments are exactly the serial mid-sweep state, and the
+    // frontier roots' `sub_demand` is all the finish pass reads below them,
+    // so those stages behave identically).
     mb_sweep(scratch, w, dmax, None, frontier.as_ref().map(|fr| &fr.upper_post[..]))?;
     debug_assert!(scratch.arena.preorder().first().is_none_or(|&r| scratch.flow.is_empty_at(r)));
     Ok(collect_solution(scratch))
@@ -215,9 +212,11 @@ fn merge_mb_worker(gs: &mut SolverScratch, mut ls: SolverScratch) {
             debug_assert!(gs.assigned[gi].is_empty());
             gs.assigned[gi]
                 .extend(ls.assigned[v].iter().map(|&(c, amount)| (origin[c as usize], amount)));
-            gs.load_sums.add(gs.arena.post_position(g), ls.load[v] as i64);
         }
     }
+    // The finish pass sums `f`'s issued demand into its parent's, and never
+    // reads a row below `f`.
+    gs.sub_demand[f as usize] = ls.sub_demand[0];
     // Requests still pending at the local root bubble into `f`'s global
     // heap, re-keyed through `origin`: root distances are global already,
     // and the global post positions order exactly like the local ones, so

@@ -29,18 +29,17 @@
 //!
 //! # Width narrowing: why the Multiple-policy volume slabs are 64-bit
 //!
-//! The memory audit of the million-client tier showed the `u128` DP slabs
-//! and the `i128` load Fenwick dominating the 10.8 GB peak of the 2²⁰
-//! `multiple-bin` cell. Every one of those cells holds a *request volume*
-//! (or a signed delta of one), and volumes are globally bounded: the
-//! `multiple-bin` entry points reject instances whose **summed** demand
+//! The memory audit of the million-client tier showed 128-bit volume slabs
+//! dominating the 10.8 GB peak of the 2²⁰ `multiple-bin` cell. Every one of
+//! those cells holds a *request volume*, and volumes are globally bounded:
+//! the `multiple-bin` entry points reject instances whose **summed** demand
 //! exceeds [`Tree::MAX_REQUESTS`] (`u64::MAX / 4 ≈ 2⁶²`) via
-//! `check_total_fits`, and [`crate::serve::ServeEngine`] maintains the
+//! `check_multiple_bin`, and [`crate::serve::ServeEngine`] maintains the
 //! same bound across demand deltas. From that single invariant:
 //!
 //! * any genuine volume (a demand row, a routed load, a DP `m`-value, a
-//!   Fenwick range) is ≤ the instance total ≤ 2⁶² — it fits `u64` with two
-//!   spare bits, and a *signed* delta fits `i64`;
+//!   subtree's issued demand in `sub_demand`) is ≤ the instance total
+//!   ≤ 2⁶² — it fits `u64` with two spare bits;
 //! * the sum of two genuine volumes from **disjoint** demand (the only
 //!   sums the solvers form: sibling DP parts, a node's own demand plus its
 //!   children's) is again ≤ the instance total — still ≤ 2⁶², so `u64`
@@ -73,59 +72,6 @@ pub(crate) type AssignPair = (u32, Requests);
 /// directly, so one routing pass both proves feasibility and produces the
 /// writes to flush (see `crate::stage`).
 pub(crate) type CommitEntry = (u32, u32, Requests);
-
-/// A Fenwick (binary indexed) tree over post-order positions holding the
-/// committed load of the replica (if any) at each position — the persistent
-/// per-replica load summary behind the stage engine's
-/// `commit_touched` / `commit_skipped` accounting: the total assigned
-/// volume inside any subtree is one O(log n) range query over the
-/// contiguous post-order slice, so a stage can price what its scoped
-/// collection *skipped* without scanning the subtree it deliberately did
-/// not walk. Updated wherever a `multiple-bin` solve writes `load` (the
-/// sweep's local self-serves and the stage commit flush); the single
-/// solvers never read it, so their `load` writes bypass it.
-#[derive(Debug, Default)]
-pub(crate) struct LoadFenwick {
-    /// 1-based partial sums; cell deltas are signed (commits clear loads),
-    /// totals are always non-negative. `i64` is safe: every partial sum is
-    /// a ± combination of committed loads whose positive total is bounded
-    /// by the instance total ≤ [`Tree::MAX_REQUESTS`] ≈ 2⁶² (see the
-    /// width-narrowing module docs).
-    tree: Vec<i64>,
-}
-
-impl LoadFenwick {
-    /// Zeroes the structure for `n` post-order positions (capacity kept).
-    pub(crate) fn reset(&mut self, n: usize) {
-        self.tree.clear();
-        self.tree.resize(n + 1, 0);
-    }
-
-    /// Adds `delta` to the load recorded at post-order position `pos`.
-    pub(crate) fn add(&mut self, pos: usize, delta: i64) {
-        let mut i = pos + 1;
-        while i < self.tree.len() {
-            self.tree[i] += delta;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of the first `i` positions.
-    fn prefix(&self, mut i: usize) -> i64 {
-        let mut s = 0;
-        while i > 0 {
-            s += self.tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-
-    /// Total committed load at post-order positions `lo..=hi`.
-    pub(crate) fn range(&self, lo: usize, hi: usize) -> u64 {
-        debug_assert!(lo <= hi && hi + 1 < self.tree.len());
-        (self.prefix(hi + 1) - self.prefix(lo)) as u64
-    }
-}
 
 /// A pending `single-nod` group: requests of `clients`, aggregated at
 /// `node` (an ancestor of each of them), still to be served at `node` or
@@ -162,6 +108,10 @@ pub struct SolverScratch {
     pub(crate) in_r: Vec<bool>,
     /// Total load of the replica at each node.
     pub(crate) load: Vec<Requests>,
+    /// Requests issued inside `subtree(v)`, written by the sweep as it
+    /// passes `v`. A stage at `j` prices the volume its scope skipped from
+    /// this row alone (see [`crate::stage`]'s request-conservation note).
+    pub(crate) sub_demand: Vec<u64>,
 
     // --- per-stage state ---
     /// Demand that must be served inside the stage subtree, per client.
@@ -174,9 +124,6 @@ pub struct SolverScratch {
     /// Replicas in the stage's affected scope (their assignments are
     /// collected into the demand pool and re-routed by the commit).
     pub(crate) existing: Vec<u32>,
-    /// Per-replica committed-load summary over post-order positions (see
-    /// [`LoadFenwick`]).
-    pub(crate) load_sums: LoadFenwick,
     /// Buffered assignment writes of the stage commit route (flushed into
     /// `assigned` / `load` only once the route proves feasible).
     pub(crate) commit_log: Vec<CommitEntry>,
@@ -406,7 +353,7 @@ impl SolverScratch {
         reset(&mut self.stuck_mark, n, 0);
         reset(&mut self.dp_pos, n, 0);
         self.router.prepare(n);
-        self.load_sums.reset(n);
+        reset(&mut self.sub_demand, n, 0);
         self.commit_log.clear();
         self.stats = StageStats::default();
         self.stage_id = 0;
@@ -446,6 +393,13 @@ impl SolverScratch {
         debug_assert_eq!(self.active_nodes.last(), Some(&j), "j closes its own forest");
     }
 
+    /// Empties the replica slot of `u`: no assignment, no load. `in_r` is
+    /// left to the caller.
+    pub(crate) fn clear_slot(&mut self, u: u32) {
+        self.assigned[u as usize].clear();
+        self.load[u as usize] = 0;
+    }
+
     /// Computes the deadline arrays for `dmax` (the Multiple sweep's
     /// distance budgets) — O(log depth) per node via the arena's
     /// binary-lifting tables.
@@ -473,6 +427,30 @@ fn clear_nested<T>(vec: &mut Vec<Vec<T>>, n: usize) {
     for inner in vec.iter_mut() {
         inner.clear();
     }
+}
+
+/// Appends buffered `(node, client, amount)` writes to the replica slots:
+/// the stage commit flushes its route's log, a spine solve's undo puts
+/// back a journaled scope.
+pub(crate) fn flush(assigned: &mut [Vec<AssignPair>], load: &mut [Requests], log: &[CommitEntry]) {
+    for &(u, c, amount) in log {
+        assigned[u as usize].push((c, amount));
+        load[u as usize] += amount;
+    }
+}
+
+/// The `multiple-bin` precondition gate, shared by the serial, parallel
+/// and serving entry points: the arity, per-client capacity, total-volume
+/// and root-distance checks, in that order.
+///
+/// # Errors
+///
+/// The first failing check's error (see each check).
+pub(crate) fn check_multiple_bin(arena: &TreeArena, w: Requests) -> Result<(), SolveError> {
+    check_binary(arena)?;
+    check_clients_fit(arena, w)?;
+    check_total_fits(arena)?;
+    check_distances_fit(arena)
 }
 
 /// Checks the feasibility precondition `r_i ≤ W` straight off an arena —
@@ -541,8 +519,8 @@ pub(crate) fn check_distances_fit(arena: &TreeArena) -> Result<(), SolveError> {
     Ok(())
 }
 
-/// Arena-side counterpart of the `tree.arity() > 2` check of
-/// [`crate::multiple_bin`].
+/// Checks that no node has more than two children — Algorithm 3 runs on
+/// binary trees only.
 ///
 /// # Errors
 ///

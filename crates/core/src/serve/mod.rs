@@ -31,8 +31,7 @@
 //!
 //! 1. undo the journaled stages rooted on the spine, in reverse post
 //!    order: free their placements and put back their scopes' assignment
-//!    lists (the committed-load summary kept in step), and take their
-//!    counters out of the solve stats;
+//!    lists, and take their counters out of the solve stats;
 //! 2. free the changed clients' self-serve slots;
 //! 3. refill the pending heap of every clean child `v` of a spine node
 //!    with the clients below `v` whose deadline lies above it — exactly
@@ -45,7 +44,10 @@
 //! spine; undoing those in reverse order (no later stage wrote the same
 //! nodes: later stages off the spine sit in disjoint subtrees) restores it
 //! bit for bit. The carried records' counters are unchanged too: a clean
-//! stage's subtree, and so its load-summary range, is unchanged.
+//! stage's subtree, and so its issued and pending demand, is unchanged.
+//! The sweep rewrites the per-subtree demand row (`sub_demand`) at every
+//! spine node, so the spine's stages price their skipped volume from
+//! current demand.
 //!
 //! Every stage the spine sweep fires is searched and journaled afresh; a
 //! spine node that fires no stage leaves the journal. The `stats`
@@ -90,10 +92,7 @@ pub mod persist;
 
 use crate::error::SolveError;
 use crate::multiple_bin::{collect_solution, mb_sweep};
-use crate::scratch::{
-    check_binary, check_clients_fit, check_distances_fit, check_total_fits, AssignPair,
-    CommitEntry, SolverScratch,
-};
+use crate::scratch::{check_multiple_bin, flush, AssignPair, CommitEntry, SolverScratch};
 use crate::stage::StageStats;
 use persist::{PersistConfig, PersistCounters, PersistState, Recovery};
 use rp_tree::arena::{TreeArena, NO_PARENT};
@@ -585,27 +584,6 @@ fn remove_peak(peaks: &mut BTreeMap<u64, u32>, peak: u64) {
     }
 }
 
-/// Empties the replica slot of `u`: no assignment, no load, and the load
-/// summary kept in step. `in_r` is left to the caller.
-fn clear_slot(s: &mut SolverScratch, u: u32) {
-    let ui = u as usize;
-    if s.load[ui] > 0 {
-        s.load_sums.add(s.arena.post_position(u), -(s.load[ui] as i64));
-    }
-    s.assigned[ui].clear();
-    s.load[ui] = 0;
-}
-
-/// Flushes `(node, client, amount)` writes into the assignment slabs.
-fn flush(s: &mut SolverScratch, log: &[CommitEntry]) {
-    for &(u, c, amount) in log {
-        let ui = u as usize;
-        s.assigned[ui].push((c, amount));
-        s.load[ui] += amount;
-        s.load_sums.add(s.arena.post_position(u), amount as i64);
-    }
-}
-
 /// Undoes the journaled stage rooted at `j`, if any: frees its placements,
 /// puts back the assignment lists its scope held at collection time and
 /// takes its counters out of the solve stats. Exact only when no later
@@ -618,17 +596,17 @@ fn undo_stage(s: &mut SolverScratch, ctx: &mut ServeCtx, j: u32) {
     let Some(rec) = journal.get(&j) else { return };
     for u in rec.written() {
         first.capture(*generation, u, s.in_r[u as usize], &s.assigned[u as usize]);
-        clear_slot(s, u);
+        s.clear_slot(u);
     }
     for &u in &rec.best_set {
         s.in_r[u as usize] = false;
     }
-    flush(s, &rec.pre_log);
+    flush(&mut s.assigned, &mut s.load, &rec.pre_log);
     retract_stats(&mut s.stats, &rec.stats);
     remove_peak(peaks, rec.stats.router_carried_peak);
 }
 
-/// Stage hook (called by `StageEngine::serve_stuck` right after scope
+/// Stage hook (called by `crate::stage::serve_stuck` right after scope
 /// collection, before the commit clears the scope): captures the first
 /// touch of every scope replica and stages the scope's assignment lists —
 /// what undoing the stage puts back — for [`record_stage`].
@@ -799,10 +777,7 @@ impl ServeEngine {
         w: Requests,
         dmax: Option<Dist>,
     ) -> Result<ServeEngine, SolveError> {
-        check_binary(scratch.arena())?;
-        check_clients_fit(scratch.arena(), w)?;
-        check_total_fits(scratch.arena())?;
-        check_distances_fit(scratch.arena())?;
+        check_multiple_bin(scratch.arena(), w)?;
         let n = scratch.arena().len();
         let clients = (0..n as u32).filter(|&v| scratch.arena().is_client(v)).count() as u64;
         let total_requests = (0..n as u32)
@@ -1235,7 +1210,7 @@ impl ServeEngine {
             let ci = c as usize;
             ctx.first.capture(ctx.generation, c, s.in_r[ci], &s.assigned[ci]);
             if s.in_r[ci] {
-                clear_slot(s, c);
+                s.clear_slot(c);
                 s.in_r[ci] = false;
             }
         }

@@ -10,8 +10,8 @@
 //! distance- and QoS-constrained variants of the problem, so it lives here
 //! as its own subsystem, split by concern:
 //!
-//! * [`mod@self`] — the [`StageEngine`] driver: scoped demand collection,
-//!   candidate eligibility, the fused buffered commit, and the
+//! * [`mod@self`] — the stage driver (`serve_stuck`): scoped demand
+//!   collection, candidate eligibility, the fused buffered commit, and the
 //!   [`StageStats`] counters;
 //! * `router` — earliest-deadline-first feasibility routing, with
 //!   checkpointed incremental re-routing across similar placements and a
@@ -69,11 +69,23 @@
 //! sweep over the committed replica set appends `(node, client, amount)`
 //! entries to a log, and the log is flushed into the persistent
 //! `assigned` / `load` slabs only on a feasible verdict — replacing the
-//! historical check-then-commit double route. A post-order Fenwick tree of
-//! committed loads ([`SolverScratch`]'s `load_sums`) prices what each
-//! stage skipped: the [`StageStats::commit_touched`] /
-//! [`StageStats::commit_skipped`] counters split the subtree's assigned
-//! volume into re-routed scope volume and untouched off-scope volume.
+//! historical check-then-commit double route.
+//!
+//! # Pricing the skipped volume: request conservation
+//!
+//! The [`StageStats::commit_touched`] / [`StageStats::commit_skipped`]
+//! counters split the volume assigned inside `subtree(j)` into re-routed
+//! scope volume and untouched off-scope volume. The subtree total needs no
+//! walk of the region the scope avoided, because the sweep conserves
+//! requests: when the stage at `j` fires, every request issued below `j`
+//! is either still pending in `req(j)` (the `stuck` and `travelling`
+//! slices the stage receives) or assigned to a replica inside
+//! `subtree(j)` — under the Multiple policy a request is served only by
+//! an ancestor of its client, and no ancestor above `j` has been swept
+//! yet. So the assigned volume is `sub_demand[j]` (the requests issued in
+//! `subtree(j)`, which the sweep writes as it passes each node) minus the
+//! pending volume. The naive reference sums `load` over the subtree
+//! instead, so `tests/proptest_stage_commit.rs` checks the identity.
 //!
 //! A stage walks its forest once. The stuck clients head the collection
 //! queue and walk all the way to `j`, so the nodes their walks mark are
@@ -96,7 +108,7 @@ pub use dp::testing as dp_testing;
 pub use router::testing as router_testing;
 
 use crate::error::SolveError;
-use crate::scratch::SolverScratch;
+use crate::scratch::{flush, SolverScratch};
 use router::RouteEnv;
 use rp_tree::arena::NO_PARENT;
 use rp_tree::{Dist, NodeId, Requests};
@@ -215,108 +227,87 @@ impl StageStats {
     }
 }
 
-/// A scoped view driving one stage over a prepared [`SolverScratch`]: the
-/// `multiple-bin` sweep constructs one per stuck event. Public so callers
-/// can name the subsystem (stats via
-/// [`SolverScratch::stage_stats`](crate::SolverScratch::stage_stats)); the
-/// driving methods are crate-internal because they assume sweep invariants
-/// (demand rows, deadline arrays) only the solvers uphold.
-#[derive(Debug)]
-pub struct StageEngine<'a> {
-    scratch: &'a mut SolverScratch,
+/// Runs one stage over a prepared [`SolverScratch`] (the `multiple-bin`
+/// sweep calls it once per stuck event): serve the newly stuck requests
+/// inside `subtree(j)` with the minimum number of new replicas, re-routing
+/// the assignments of the stage's *affected scope* (replica positions are
+/// fixed; loads are not) and leaving the rest of the subtree untouched —
+/// see the module docs for the scope closure and its exactness argument.
+/// `stuck` and `travelling` are the whole of `req(j)`.
+///
+/// # Errors
+///
+/// [`SolveError::StageRepair`] if the chosen placement fails to route at
+/// commit time, and [`SolveError::StageDpExhausted`] if the DP fallback
+/// cannot serve the stuck volume even with a replica on every free node —
+/// solver invariant violations that release builds surface instead of
+/// silently degrading.
+pub(crate) fn serve_stuck(
+    scratch: &mut SolverScratch,
     w: Requests,
-}
+    j: u32,
+    stuck: &[PendingRequest],
+    travelling: &[PendingRequest],
+) -> Result<(), SolveError> {
+    debug_assert!(!stuck.is_empty());
+    let pre_stats = scratch.stats;
+    scratch.stats.stages += 1;
+    scratch.stage_id += 1;
+    // Scoped demand collection (see the module docs): the demand pool, the
+    // affected scope's replicas and the active forest all come out of one
+    // closure walk seeded by the stuck clients. The naive reference
+    // recomputes the same fixpoint by whole-subtree scans and sums the
+    // subtree's loads directly (test-only).
+    let (collected, subtree_vol) = if scratch.naive_stage_commit {
+        let collected = collect_scope_naive(scratch, j, stuck);
+        let s = &*scratch;
+        (collected, s.arena.subtree_post(j).iter().map(|&u| s.load[u as usize]).sum())
+    } else {
+        // Touched vs. skipped volume by request conservation (see the
+        // module docs): what was issued below `j` and is no longer pending
+        // is assigned inside `subtree(j)`.
+        let collected = collect_scope(scratch, j, stuck);
+        let pending: u64 = stuck.iter().chain(travelling).map(|t| t.w).sum();
+        (collected, scratch.sub_demand[j as usize] - pending)
+    };
+    debug_assert!(subtree_vol >= collected, "scope volume is part of the subtree volume");
+    scratch.stats.commit_touched += collected;
+    scratch.stats.commit_skipped += subtree_vol - collected;
 
-impl<'a> StageEngine<'a> {
-    /// Creates the stage view for one stuck event.
-    pub(crate) fn new(scratch: &'a mut SolverScratch, w: Requests) -> Self {
-        StageEngine { scratch, w }
+    // Serve-mode journal (`crate::serve`): with a journal installed, the
+    // scope just collected is captured before the commit clears it, so a
+    // later spine solve can undo this stage. Taken out of the scratch
+    // around the search so the hooks can borrow both halves; restored on
+    // every path, including errors.
+    let mut serve_ctx = scratch.serve.take();
+    if let Some(ctx) = serve_ctx.as_deref_mut() {
+        crate::serve::capture_scope(scratch, ctx);
     }
-
-    /// Runs one stage: serve the newly stuck requests inside `subtree(j)`
-    /// with the minimum number of new replicas, re-routing the assignments
-    /// of the stage's *affected scope* (replica positions are fixed; loads
-    /// are not) and leaving the rest of the subtree untouched — see the
-    /// module docs for the scope closure and its exactness argument.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::StageRepair`] if the chosen placement fails to route
-    /// at commit time, and [`SolveError::StageDpExhausted`] if the DP
-    /// fallback cannot serve the stuck volume even with a replica on every
-    /// free node — solver invariant violations that release builds surface
-    /// instead of silently degrading.
-    pub(crate) fn serve_stuck(
-        &mut self,
-        j: u32,
-        stuck: &[PendingRequest],
-        travelling: &[PendingRequest],
-    ) -> Result<(), SolveError> {
-        debug_assert!(!stuck.is_empty());
-        let scratch = &mut *self.scratch;
-        let w = self.w;
-        let pre_stats = scratch.stats;
-        scratch.stats.stages += 1;
-        {
-            let s = &mut *scratch;
-            s.stage_id += 1;
-            // Scoped demand collection (see the module docs): the demand
-            // pool, the affected scope's replicas and the active forest
-            // all come out of one closure walk seeded by the stuck
-            // clients. The naive reference recomputes the same fixpoint by
-            // whole-subtree scans (test-only).
-            let collected = if s.naive_stage_commit {
-                collect_scope_naive(s, j, stuck)
-            } else {
-                collect_scope(s, j, stuck)
-            };
-            // Touched vs. skipped volume: the post-order Fenwick of
-            // committed loads prices the whole subtree in O(log n), so the
-            // skipped share needs no scan of the region the scope
-            // deliberately avoided.
-            let hi = s.arena.post_position(j);
-            let lo = hi + 1 - s.arena.subtree_size(j);
-            let subtree_vol = s.load_sums.range(lo, hi);
-            debug_assert!(subtree_vol >= collected, "scope volume is part of the subtree volume");
-            s.stats.commit_touched += collected;
-            s.stats.commit_skipped += subtree_vol - collected;
+    let result = serve_stuck_search(scratch, w, j, stuck, travelling);
+    if result.is_ok() {
+        // Fold the stage's router counters into the solve stats. The fold
+        // happens here, per stage, so the serve journal can record the
+        // stage's *own* peak (a max is not recoverable from a post − pre
+        // delta) — carried stages then reproduce the cold solve's peak
+        // exactly, whichever stage dominates.
+        let stage_merges = std::mem::take(&mut scratch.router.carry_merges);
+        let stage_peak = std::mem::take(&mut scratch.router.carried_peak);
+        scratch.stats.router_carry_merges += stage_merges;
+        if stage_peak > scratch.stats.router_carried_peak {
+            scratch.stats.router_carried_peak = stage_peak;
         }
-
-        // Serve-mode journal (`crate::serve`): with a journal installed,
-        // the scope just collected is captured before the commit clears
-        // it, so a later spine solve can undo this stage. Taken out of the
-        // scratch around the search so the hooks can borrow both halves;
-        // restored on every path, including errors.
-        let mut serve_ctx = scratch.serve.take();
         if let Some(ctx) = serve_ctx.as_deref_mut() {
-            crate::serve::capture_scope(scratch, ctx);
+            crate::serve::record_stage(scratch, ctx, j, &pre_stats, stage_peak);
         }
-        let result = serve_stuck_search(scratch, w, j, stuck, travelling);
-        if result.is_ok() {
-            // Fold the stage's router counters into the solve stats. The
-            // fold happens here, per stage, so the serve journal can
-            // record the stage's *own* peak (a max is not recoverable
-            // from a post − pre delta) — carried stages then reproduce
-            // the cold solve's peak exactly, whichever stage dominates.
-            let stage_merges = std::mem::take(&mut scratch.router.carry_merges);
-            let stage_peak = std::mem::take(&mut scratch.router.carried_peak);
-            scratch.stats.router_carry_merges += stage_merges;
-            if stage_peak > scratch.stats.router_carried_peak {
-                scratch.stats.router_carried_peak = stage_peak;
-            }
-            if let Some(ctx) = serve_ctx.as_deref_mut() {
-                crate::serve::record_stage(scratch, ctx, j, &pre_stats, stage_peak);
-            }
-        }
-        scratch.serve = serve_ctx;
-        result
     }
+    scratch.serve = serve_ctx;
+    result
 }
 
 /// The search half of a stage: candidate selection, placement search
 /// (enumeration or DP fallback), commit and flush. The collection half (and
-/// its live counters) runs in [`StageEngine::serve_stuck`] before the
-/// serve-mode scope capture.
+/// its live counters) runs in [`serve_stuck`] before the serve-mode scope
+/// capture.
 fn serve_stuck_search(
     scratch: &mut SolverScratch,
     w: Requests,
@@ -377,13 +368,7 @@ fn serve_stuck_search(
     {
         let s = &mut *scratch;
         for i in 0..s.existing.len() {
-            let u = s.existing[i];
-            let ui = u as usize;
-            if s.load[ui] > 0 {
-                s.load_sums.add(s.arena.post_position(u), -(s.load[ui] as i64));
-            }
-            s.assigned[ui].clear();
-            s.load[ui] = 0;
+            s.clear_slot(s.existing[i]);
         }
         for i in 0..s.best_set.len() {
             let u = s.best_set[i];
@@ -409,28 +394,8 @@ fn serve_stuck_search(
     }
 
     // Flush the buffered writes and release the stage's demand rows.
-    let s = &mut *scratch;
-    let SolverScratch {
-        arena, assigned, load, load_sums, commit_log, demand, demand_clients, ..
-    } = s;
-    // The router logs a replica's assignments as one run, so each run
-    // reaches the Fenwick tree as a single update.
-    let mut run = (NO_PARENT, 0u64);
-    for &(u, c, amount) in commit_log.iter() {
-        let ui = u as usize;
-        assigned[ui].push((c, amount));
-        load[ui] += amount;
-        if u != run.0 {
-            if run.1 > 0 {
-                load_sums.add(arena.post_position(run.0), run.1 as i64);
-            }
-            run = (u, 0);
-        }
-        run.1 += amount;
-    }
-    if run.1 > 0 {
-        load_sums.add(arena.post_position(run.0), run.1 as i64);
-    }
+    let SolverScratch { assigned, load, commit_log, demand, demand_clients, .. } = scratch;
+    flush(assigned, load, commit_log);
     // The flushed log is left in place: the next route clears it on entry
     // (`route_on_committed`).
     for &c in demand_clients.iter() {

@@ -194,8 +194,8 @@ fn stage_dense_commit_counters_reuse_scratch() {
     // instance: re-solving through a dirty shared scratch reproduces them
     // exactly, along with the solution. The mix interleaves long spines
     // of different lengths with a wide fallback-heavy shape so the
-    // Fenwick load summary and the scope walks see stale state whenever a
-    // bug would expose it.
+    // per-subtree demand row and the scope walks see stale state whenever
+    // a bug would expose it.
     let mut shared = SolverScratch::new();
     let mut skipped_heavy = 0;
     let mix: Vec<(String, Instance)> = [120usize, 24, 80, 12, 96]

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`fn@single_gen`] | Algorithm 1 | (Δ+1)-approximation for **Single** (Δ-approximation without distance constraints), `O(Δ·|T|)` |
 //! | [`fn@single_nod`] | Algorithm 2 | 2-approximation for **Single-NoD**, `O((Δ log Δ + |C|)·|T|)` |
-//! | [`fn@multiple_bin`] | Algorithm 3 | optimal for **Multiple-Bin** when every `r_i ≤ W` on binary trees (runs on the [`TreeArena`](rp_tree::TreeArena)/[`SolverScratch`] flat layer), `O(|T|²)` |
+//! | [`fn@multiple_bin`] | Algorithm 3 | the paper proves it optimal for **Multiple-Bin** when every `r_i ≤ W` on binary trees (Theorem 6); this reconstruction matches the exact optimum on the differential suite and is optimal on stages its enumeration solves, but its reassignment-free DP fallback can open extra replicas (runs on the [`TreeArena`](rp_tree::TreeArena)/[`SolverScratch`] flat layer), `O(|T|²)` |
 //!
 //! Baselines live in [`baselines`] (trivial clients-only placement, a greedy
 //! Multiple heuristic for general trees) and lower bounds in [`bounds`].
@@ -44,7 +44,6 @@ pub mod bounds;
 pub mod error;
 pub mod fault;
 mod heap;
-pub mod improve;
 pub mod multiple_bin;
 pub mod par;
 pub mod scratch;
@@ -73,7 +72,8 @@ pub enum Algorithm {
     /// Algorithm 2: `single-nod`, the 2-approximation for Single-NoD
     /// (ignores any distance constraint of the instance).
     SingleNod,
-    /// Algorithm 3: `multiple-bin`, optimal for Multiple-Bin when `r_i ≤ W`.
+    /// Algorithm 3: `multiple-bin` for Multiple-Bin (`r_i ≤ W`); optimal in
+    /// the paper, optimal here on stages the enumeration solves.
     MultipleBin,
     /// Baseline: a replica on every client.
     ClientsOnly,

@@ -1,5 +1,5 @@
-//! Algorithm 3 of the paper: `multiple-bin`, an optimal algorithm for the
-//! Multiple policy on binary trees with distance constraints, valid when
+//! Algorithm 3 of the paper: `multiple-bin`, which the paper proves optimal
+//! for the Multiple policy on binary trees with distance constraints when
 //! every client can be served locally (`r_i ≤ W`, Theorem 6).
 //!
 //! This module is the thin sweep driver; the stage machinery it triggers
@@ -31,10 +31,18 @@
 //! across solves and [`multiple_bin`] is the one-shot wrapper.
 //!
 //! The paper proves the optimal replica count is achievable in polynomial
-//! time (Theorem 6); this reconstruction is validated differentially — the
-//! suite in `tests/differential.rs` checks it against the independent exact
-//! solver of `rp-exact` on every binary instance it generates, and asserts
-//! exact agreement whenever `r_i ≤ W`.
+//! time (Theorem 6). This reconstruction does not carry that proof over:
+//!
+//! * it equals the independent exact solver of `rp-exact` on the
+//!   differential suite (`tests/differential.rs`: every tree shape up to 7
+//!   nodes and random binary trees up to 12 clients, whenever `r_i ≤ W`);
+//! * a stage the placement enumeration solves places the minimum number of
+//!   new replicas for that stage;
+//! * a stage that falls back to the stage DP keeps existing assignments
+//!   fixed, so it can open replicas that a reassignment would avoid. The
+//!   128-client `rp gen --kind binary --seed 7 --dmax-fraction 0.7`
+//!   instance gets 45 replicas with the root idle; dropping the root
+//!   leaves a valid 44-replica placement.
 
 use crate::error::SolveError;
 use crate::heap::HeapForest;
@@ -44,8 +52,9 @@ use rp_tree::arena::{TreeArena, NO_PARENT};
 use rp_tree::{Dist, Fragment, Instance, NodeId, Requests, Solution};
 
 /// Runs Algorithm 3 (`multiple-bin`) and returns its placement and
-/// assignment. The result is optimal for binary trees when every client
-/// satisfies `r_i ≤ W` (Theorem 6).
+/// assignment. The paper proves the algorithm optimal for binary trees when
+/// every client satisfies `r_i ≤ W` (Theorem 6); see the module docs for
+/// where this reconstruction is known to be exact.
 ///
 /// One-shot wrapper around [`multiple_bin_with`]; callers solving many
 /// instances should hold a [`SolverScratch`] and use that entry point.

@@ -155,8 +155,6 @@ pub struct SolverScratch {
     /// Minimum deadline depth of the demand below each node — the
     /// eligibility aggregate of the stage engine (valid on active nodes).
     pub(crate) min_dd: Vec<u32>,
-    /// Replica bitmap handed to the router while enumerating candidates.
-    pub(crate) route_replica: Vec<bool>,
     /// Current candidate subset (indices into `candidates`).
     pub(crate) subset_idx: Vec<usize>,
     /// Best feasible placement found so far in a stage.
@@ -344,7 +342,6 @@ impl SolverScratch {
         reset(&mut self.in_r, n, false);
         reset(&mut self.load, n, 0);
         reset(&mut self.demand, n, 0);
-        reset(&mut self.route_replica, n, false);
         reset(&mut self.remaining, n, 0);
         reset(&mut self.dp_demand, n, 0);
         reset(&mut self.min_dd, n, u32::MAX);
@@ -401,8 +398,8 @@ impl SolverScratch {
     }
 
     /// Computes the deadline arrays for `dmax` (the Multiple sweep's
-    /// distance budgets) — O(log depth) per node via the arena's
-    /// binary-lifting tables.
+    /// distance budgets) — one pre-order pass of the arena, O(log depth)
+    /// per node.
     pub(crate) fn prepare_deadlines(&mut self, dmax: Option<Dist>) {
         self.arena.compute_deadlines(dmax, &mut self.deadline);
         let n = self.arena.len();

@@ -12,8 +12,9 @@
 //! * **Fallback** ([`fallback_placement`], strict mode): for stages whose
 //!   candidate space exceeds the enumeration cost model — the dynamic
 //!   program over the (then fungible) stuck volume with existing
-//!   assignments kept fixed, exactly as in the paper's oversized-stage
-//!   regime.
+//!   assignments kept fixed. Because nothing is reassigned, a fallback
+//!   stage can open more replicas than the optimum needs (see
+//!   `crate::multiple_bin`).
 //!
 //! Both modes run one sparse convex pass (`super::chain_dp`) over a forest
 //! the stage's scope collection in `stage/mod.rs` already built — never

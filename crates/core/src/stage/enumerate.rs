@@ -118,7 +118,7 @@ pub(crate) fn best_placement(
         candidates,
         cand_pos,
         active_nodes,
-        route_replica,
+        in_r,
         subset_idx,
         best_set,
         router,
@@ -190,10 +190,9 @@ pub(crate) fn best_placement(
         cand_reach.push(m);
     }
 
-    // Existing replicas stay flagged for every probe of the stage.
-    for &u in existing.iter() {
-        route_replica[u as usize] = true;
-    }
+    // Probes flip candidate flags in `in_r` itself: a route visits only the
+    // scope forest, whose replicas are exactly `existing`.
+    debug_assert_eq!(active_nodes.iter().filter(|&&u| in_r[u as usize]).count(), existing.len());
 
     let mut best: Option<PlacementScore> = None;
     let mut cur = PlacementScore::default();
@@ -204,12 +203,12 @@ pub(crate) fn best_placement(
     // and the incumbent bound prunes from the very first subset.
     {
         for &u in best_set.iter() {
-            route_replica[u as usize] = true;
+            in_r[u as usize] = true;
         }
-        let routed = router::route_full(&env, route_replica, demand, demand_clients, router, None);
+        let routed = router::route_full(&env, in_r, demand, demand_clients, router, None);
         stats.subsets_routed += 1;
         for &u in best_set.iter() {
-            route_replica[u as usize] = false;
+            in_r[u as usize] = false;
         }
         if routed == Some(0) {
             score_spare(
@@ -260,7 +259,7 @@ pub(crate) fn best_placement(
             let mut prefix_cover = 0u64;
             let mut prefix_reach = exist_reach;
             for &i in subset_idx[..r - 1].iter() {
-                route_replica[candidates[i] as usize] = true;
+                in_r[candidates[i] as usize] = true;
                 prefix_cover |= cand_cover[i];
                 prefix_reach |= cand_reach[i];
             }
@@ -295,7 +294,7 @@ pub(crate) fn best_placement(
                     prefix_state = Some(router::route_prefix(
                         &env,
                         barrier,
-                        route_replica,
+                        in_r,
                         demand,
                         demand_clients,
                         router,
@@ -318,7 +317,7 @@ pub(crate) fn best_placement(
                         &env,
                         ck_pos,
                         pk,
-                        route_replica,
+                        in_r,
                         demand,
                         demand_clients,
                         router,
@@ -330,10 +329,10 @@ pub(crate) fn best_placement(
                     }
                     ck_pos = pk;
                 }
-                route_replica[candidates[k] as usize] = true;
-                let routed = router::route_suffix(&env, ck_pos, route_replica, demand, router);
+                in_r[candidates[k] as usize] = true;
+                let routed = router::route_suffix(&env, ck_pos, in_r, demand, router);
                 stats.subsets_routed += 1;
-                route_replica[candidates[k] as usize] = false;
+                in_r[candidates[k] as usize] = false;
                 if routed == Some(0) {
                     pick_buf.clear();
                     pick_buf.extend(subset_idx[..r - 1].iter().map(|&i| candidates[i]));
@@ -367,7 +366,7 @@ pub(crate) fn best_placement(
                 router::end_inner_run(router, demand_clients);
             }
             for &i in subset_idx[..r - 1].iter() {
-                route_replica[candidates[i] as usize] = false;
+                in_r[candidates[i] as usize] = false;
             }
             // The last position is exhausted; advance the earlier ones.
             subset_idx[r - 1] = n - 1;
@@ -378,9 +377,6 @@ pub(crate) fn best_placement(
         if best.is_some() {
             break;
         }
-    }
-    for &u in existing.iter() {
-        route_replica[u as usize] = false;
     }
     best.is_some()
 }

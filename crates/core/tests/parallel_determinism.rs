@@ -135,11 +135,10 @@ fn parallel_solutions_validate() {
 
 #[test]
 fn single_node_and_tiny_trees_through_parallel_entry_points() {
-    // A root-only tree has max_depth == 0 (empty binary-lifting tables) and
-    // no clients; a root-plus-client tree is the smallest solvable input.
-    // Both must pass through the parallel entry point (which falls back to
-    // the serial sweep) and the single-policy arena entry points without
-    // panicking.
+    // A root-only tree has depth 0 (a one-node root path) and no clients;
+    // a root-plus-client tree is the smallest solvable input. Both must pass
+    // through the parallel entry point (which falls back to the serial
+    // sweep) and the single-policy arena entry points without panicking.
     for build_client in [false, true] {
         let mut b = TreeBuilder::new();
         let root = b.root();

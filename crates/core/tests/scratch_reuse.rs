@@ -65,9 +65,9 @@ fn instance_mix() -> Vec<(String, Instance)> {
     out.push(("chain/64".into(), wrap_instance(chain(64, 1, 6), 4.0, Some(0.4))));
 
     // Family 4b: deep-path trees (depth ≫ log n) — the regime where the
-    // arena's binary-lifting deadline queries and the stage engine's
+    // arena's root-path deadline search and the stage engine's
     // active-forest walks replace O(depth) scans; naive-walk parity is
-    // separately pinned by `crates/treenet/tests/proptest_lifting.rs`.
+    // separately pinned by `crates/treenet/tests/proptest_deadlines.rs`.
     out.push(("chain/200".into(), wrap_instance(chain(200, 1, 5), 4.0, Some(0.3))));
     let deep_requests: Vec<u64> = (0..160).map(|i| 1 + (i * 5) % 8).collect();
     out.push((

@@ -15,10 +15,6 @@
 //!   containment;
 //! * **parent / edge / depth / root-distance** arrays, replacing pointer
 //!   chasing through `Tree`'s node structs;
-//! * **binary-lifting ancestor tables** — `up[k][v]` is the `2^k`-th
-//!   ancestor of `v` — turning the O(depth) ancestor walks of the solvers
-//!   ([`TreeArena::kth_ancestor`], [`TreeArena::deadline_of`]) into
-//!   O(log depth) jumps;
 //! * the children of every node flattened into one array addressed by a
 //!   per-node **child range** (CSR layout);
 //! * per-node **request counts** and client flags.
@@ -136,14 +132,6 @@ pub struct TreeArena {
     requests: Vec<Requests>,
     /// Whether each node is a client leaf.
     is_client: Vec<bool>,
-    /// Binary-lifting ancestor table: `up[k][v]` is the `2^k`-th ancestor of
-    /// `v` ([`NO_PARENT`] when the jump leaves the tree). Level 0 is the
-    /// parent array. This is the only O(n log depth) table the arena keeps;
-    /// the former per-level max-edge companion table was dropped in the 1M+
-    /// node memory audit (its single consumer,
-    /// [`TreeArena::max_edge_to_ancestor`], is diagnostic-only and now walks
-    /// parents).
-    up: Vec<Vec<u32>>,
     /// For a sub-arena built by [`TreeArena::rebuild_subtree`]: the *global*
     /// id (in the source arena) of every local node, indexed by local id.
     /// Since local ids are global-id ranks, this is simply the subtree's
@@ -195,7 +183,6 @@ impl TreeArena {
 
         self.index_orders();
         self.build_subtree_sizes();
-        self.build_lifting();
     }
 
     /// Rebuilds the arena from a parents-first stream of [`StreamNode`]
@@ -327,7 +314,6 @@ impl TreeArena {
 
         self.index_orders();
         self.build_subtree_sizes();
-        self.build_lifting();
         Ok(())
     }
 
@@ -388,7 +374,6 @@ impl TreeArena {
 
         self.index_orders();
         self.build_subtree_sizes();
-        self.build_lifting();
     }
 
     /// Drops all nodes, leaving an unbuilt arena (capacities are kept).
@@ -407,9 +392,6 @@ impl TreeArena {
         self.requests.clear();
         self.is_client.clear();
         self.origin.clear();
-        for level in &mut self.up {
-            level.clear();
-        }
     }
 
     /// Fills `post_pos` / `pre_pos` from the traversal sequences.
@@ -437,32 +419,6 @@ impl TreeArena {
                 size += self.subtree_size[c as usize];
             }
             self.subtree_size[v as usize] = size;
-        }
-    }
-
-    /// Binary-lifting tables: level k doubles level k - 1. Levels reuse
-    /// their allocations across rebuilds; stale deeper levels are dropped.
-    fn build_lifting(&mut self) {
-        let n = self.post.len();
-        let max_depth = self.depth.iter().copied().max().unwrap_or(0);
-        let levels = (u32::BITS - max_depth.leading_zeros()).max(1) as usize;
-        self.up.truncate(levels);
-        while self.up.len() < levels {
-            self.up.push(Vec::new());
-        }
-        self.up[0].clear();
-        self.up[0].extend_from_slice(&self.parent);
-        for k in 1..levels {
-            let (done, rest) = self.up.split_at_mut(k);
-            let prev = &done[k - 1];
-            let cur = &mut rest[0];
-            resize_with(cur, n, NO_PARENT);
-            for v in 0..n {
-                let half = prev[v];
-                if half != NO_PARENT {
-                    cur[v] = prev[half as usize];
-                }
-            }
         }
     }
 
@@ -608,98 +564,37 @@ impl TreeArena {
         d >= a && d < a + self.subtree_size[ancestor as usize]
     }
 
-    /// The `k`-th ancestor of `v` (`k = 0` is `v` itself, `k = 1` its
-    /// parent), or [`NO_PARENT`] when the walk leaves the tree — for a
-    /// sub-arena built by [`TreeArena::rebuild_subtree`] this can happen
-    /// below `k = depth(v)`, because depths are global while the walk stops
-    /// at the local root. O(log depth) via the binary-lifting table.
-    pub fn kth_ancestor(&self, v: u32, k: u32) -> u32 {
-        if k > self.depth[v as usize] {
-            return NO_PARENT;
-        }
-        let mut at = v;
-        let mut rem = k;
-        while rem > 0 {
-            let bit = rem.trailing_zeros() as usize;
-            if bit >= self.up.len() {
-                return NO_PARENT;
-            }
-            at = self.up[bit][at as usize];
-            if at == NO_PARENT {
-                return NO_PARENT;
-            }
-            rem &= rem - 1;
-        }
-        at
-    }
-
-    /// The maximum single edge length on the path from `v` up to `ancestor`
-    /// (the edges of `v..=ancestor`'s lower endpoints), or `None` when
-    /// `ancestor` is not an ancestor of `v`. `Some(0)` for `v` itself.
-    ///
-    /// Diagnostic helper, O(path length): the former per-level max-edge
-    /// lifting table was dropped in the 1M+ node memory audit because no
-    /// solver hot path uses this query.
-    pub fn max_edge_to_ancestor(&self, v: u32, ancestor: u32) -> Option<Dist> {
-        if !self.is_ancestor_or_self(ancestor, v) {
-            return None;
-        }
-        let mut at = v;
-        let mut max_edge = 0;
-        while at != ancestor {
-            max_edge = max_edge.max(self.edge[at as usize]);
-            at = self.parent[at as usize];
-            debug_assert_ne!(at, NO_PARENT, "guarded by the ancestor check");
-        }
-        Some(max_edge)
-    }
-
-    /// The *deadline* of `v` under the distance bound `dmax`: the highest
-    /// ancestor `a` with `root_dist(v) - root_dist(a) ≤ dmax` — i.e. the
-    /// last node at which requests issued at `v` can still be served
-    /// (`δ_r = +∞` in the paper: nothing travels above the root). With
-    /// `dmax = None` the deadline is the root. O(log depth): the served
-    /// distance is monotone in the jump height, so each lifting level is
-    /// tried once, highest first.
-    pub fn deadline_of(&self, v: u32, dmax: Option<Dist>) -> u32 {
-        let Some(dmax) = dmax else {
-            return *self.pre.first().unwrap_or(&0);
-        };
-        let from = self.root_dist[v as usize];
-        let mut at = v;
-        for k in (0..self.up.len()).rev() {
-            let a = self.up[k][at as usize];
-            if a != NO_PARENT && from - self.root_dist[a as usize] <= dmax {
-                at = a;
-            }
-        }
-        at
-    }
-
     /// Per-node *deadline* under the distance bound `dmax`: the highest
-    /// ancestor allowed to serve requests issued at the node (requests
-    /// travelling upwards get stuck exactly there; the paper's `δ_r = +∞`
-    /// means nothing travels above the root). With `dmax = None` every
-    /// deadline is the root.
+    /// ancestor `a` with `root_dist(v) - root_dist(a) ≤ dmax`, i.e. the last
+    /// node allowed to serve requests issued at `v` (requests travelling
+    /// upwards get stuck exactly there; the paper's `δ_r = +∞` means nothing
+    /// travels above the root, which for a sub-arena is its local root).
+    /// With `dmax = None` every deadline is the root.
+    ///
+    /// One pre-order pass keeps the current root path as a stack of
+    /// `(root_dist, node)`. Root distances never decrease down a path, so
+    /// the ancestors within `dmax` form a suffix of the stack and the
+    /// deadline is its head, found by binary search: O(n log depth) time,
+    /// O(depth) transient memory.
     ///
     /// Only client rows are meaningful to the solvers, but the array is
     /// filled for every node so it can be indexed without guards.
     pub fn compute_deadlines(&self, dmax: Option<Dist>, out: &mut Vec<u32>) {
         let n = self.len();
         resize_with(out, n, 0);
-        match dmax {
-            None => {
-                let root = *self.pre.first().unwrap_or(&0);
-                out[..n].fill(root);
-            }
-            Some(dmax) => {
-                // Deadlines are per-source, so each node answers its own
-                // [`TreeArena::deadline_of`] query — O(log depth) binary
-                // lifting instead of the former O(depth) parent walk.
-                for v in 0..n as u32 {
-                    out[v as usize] = self.deadline_of(v, Some(dmax));
-                }
-            }
+        let Some(&root) = self.pre.first() else { return };
+        let Some(dmax) = dmax else {
+            out.fill(root);
+            return;
+        };
+        let top = self.depth[root as usize];
+        let mut path: Vec<(Dist, u32)> = Vec::new();
+        for &v in &self.pre {
+            let from = self.root_dist[v as usize];
+            path.truncate((self.depth[v as usize] - top) as usize);
+            path.push((from, v));
+            let head = path.partition_point(|&(d, _)| from - d > dmax);
+            out[v as usize] = path[head].1;
         }
     }
 }
@@ -755,13 +650,16 @@ mod tests {
             assert_eq!(a.is_client(v), b.is_client(v), "is_client({v})");
             assert_eq!(a.children(v), b.children(v), "children({v})");
             assert_eq!(a.subtree_size(v), b.subtree_size(v), "subtree_size({v})");
-            for k in 0..4 {
-                assert_eq!(a.kth_ancestor(v, k), b.kth_ancestor(v, k), "kth({v}, {k})");
-            }
-            for dmax in [None, Some(2), Some(4)] {
-                assert_eq!(a.deadline_of(v, dmax), b.deadline_of(v, dmax));
-            }
         }
+        for dmax in [None, Some(2), Some(4)] {
+            assert_eq!(deadlines(a, dmax), deadlines(b, dmax), "deadlines({dmax:?})");
+        }
+    }
+
+    fn deadlines(arena: &TreeArena, dmax: Option<Dist>) -> Vec<u32> {
+        let mut out = Vec::new();
+        arena.compute_deadlines(dmax, &mut out);
+        out
     }
 
     #[test]
@@ -839,48 +737,19 @@ mod tests {
     }
 
     #[test]
-    fn lifting_matches_naive_walks() {
+    fn compute_deadlines_matches_parent_walks() {
         let tree = sample();
         let arena = TreeArena::new(&tree);
-        for v in 0..arena.len() as u32 {
-            // kth_ancestor against a parent walk, past the root included.
-            let mut at = v;
-            let mut k = 0;
-            loop {
-                assert_eq!(arena.kth_ancestor(v, k), at, "kth_ancestor({v}, {k})");
-                if arena.parent(at) == NO_PARENT {
-                    break;
-                }
-                at = arena.parent(at);
-                k += 1;
-            }
-            assert_eq!(arena.kth_ancestor(v, k + 1), NO_PARENT);
-
-            // max_edge_to_ancestor against a max over the walked edges.
-            let mut at = v;
-            let mut max_edge = 0;
-            loop {
-                assert_eq!(arena.max_edge_to_ancestor(v, at), Some(max_edge));
-                if arena.parent(at) == NO_PARENT {
-                    break;
-                }
-                max_edge = max_edge.max(arena.edge(at));
-                at = arena.parent(at);
-            }
-        }
-        // Non-ancestors have no path.
-        assert_eq!(arena.max_edge_to_ancestor(2, 4), None);
-    }
-
-    #[test]
-    fn deadline_of_matches_compute_deadlines() {
-        let tree = sample();
-        let arena = TreeArena::new(&tree);
-        let mut out = Vec::new();
-        for dmax in [None, Some(0), Some(2), Some(4), Some(100)] {
-            arena.compute_deadlines(dmax, &mut out);
+        for dmax in [0, 2, 3, 4, 5, 100] {
+            let out = deadlines(&arena, Some(dmax));
             for v in 0..arena.len() as u32 {
-                assert_eq!(arena.deadline_of(v, dmax), out[v as usize], "deadline({v}, {dmax:?})");
+                let mut at = v;
+                while arena.parent(at) != NO_PARENT
+                    && arena.root_dist(v) - arena.root_dist(arena.parent(at)) <= dmax
+                {
+                    at = arena.parent(at);
+                }
+                assert_eq!(out[v as usize], at, "deadline({v}, {dmax})");
             }
         }
     }
@@ -900,14 +769,7 @@ mod tests {
         assert_eq!(arena.preorder(), fresh.preorder());
         assert_eq!(arena.len(), other.len());
         assert_eq!(arena.subtree_size(0), 3);
-        // The lifting tables are rebuilt too, including dropping stale
-        // levels when the new tree is shallower.
-        for v in 0..arena.len() as u32 {
-            for k in 0..4 {
-                assert_eq!(arena.kth_ancestor(v, k), fresh.kth_ancestor(v, k));
-            }
-            assert_eq!(arena.deadline_of(v, Some(2)), fresh.deadline_of(v, Some(2)));
-        }
+        assert_eq!(deadlines(&arena, Some(2)), deadlines(&fresh, Some(2)));
     }
 
     #[test]
@@ -918,14 +780,8 @@ mod tests {
         assert_eq!(arena.subtree_post(0), &[0]);
         assert_eq!(arena.subtree_pre(0), &[0]);
         assert_eq!(arena.children(0), &[] as &[u32]);
-        // Degenerate lifting table: max_depth == 0 still produces one level,
-        // and ancestor queries stay in bounds.
-        assert_eq!(arena.kth_ancestor(0, 0), 0);
-        assert_eq!(arena.kth_ancestor(0, 1), NO_PARENT);
-        assert_eq!(arena.kth_ancestor(0, 17), NO_PARENT);
-        assert_eq!(arena.deadline_of(0, None), 0);
-        assert_eq!(arena.deadline_of(0, Some(3)), 0);
-        assert_eq!(arena.max_edge_to_ancestor(0, 0), Some(0));
+        assert_eq!(deadlines(&arena, None), [0]);
+        assert_eq!(deadlines(&arena, Some(3)), [0]);
     }
 
     #[test]
@@ -950,7 +806,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(arena.len(), 1);
-        assert_eq!(arena.kth_ancestor(0, 1), NO_PARENT);
+        assert_eq!(arena.parent(0), NO_PARENT);
         assert_eq!(arena.subtree_post(0), &[0]);
     }
 
@@ -1050,17 +906,15 @@ mod tests {
         assert_eq!(sub.depth(0), src.depth(1));
         assert_eq!(sub.depth(1), src.depth(2));
         assert_eq!(sub.root_dist(2), src.root_dist(3));
-        // Ancestor queries clamp at the local root even though depths are
-        // global (kth_ancestor cannot climb past it).
-        assert_eq!(sub.kth_ancestor(1, 1), 0);
-        assert_eq!(sub.kth_ancestor(1, sub.depth(1)), NO_PARENT);
-        // Deadlines computed locally clamp at the local root; distances are
-        // differences of global root distances, so they match the full tree
-        // wherever the full tree's deadline lies inside the subtree.
-        assert_eq!(sub.deadline_of(2, Some(4)), 0, "c3's global deadline is n1");
-        assert_eq!(src.deadline_of(3, Some(4)), 1);
-        assert_eq!(sub.deadline_of(2, Some(2)), 2, "c3 cannot even reach n1 under dmax=2");
-        assert_eq!(sub.deadline_of(1, Some(2)), 0, "c2 reaches n1 under dmax=2");
+        // Deadlines computed locally clamp at the local root even though
+        // depths are global; distances are differences of global root
+        // distances, so they match the full tree wherever the full tree's
+        // deadline lies inside the subtree.
+        assert_eq!(deadlines(&sub, Some(4))[2], 0, "c3's global deadline is n1");
+        assert_eq!(deadlines(&src, Some(4))[3], 1);
+        assert_eq!(deadlines(&sub, Some(2))[2], 2, "c3 cannot even reach n1 under dmax=2");
+        assert_eq!(deadlines(&sub, Some(2))[1], 0, "c2 reaches n1 under dmax=2");
+        assert_eq!(deadlines(&sub, Some(100)), [0, 0, 0], "nothing climbs past the local root");
         // The local→global mapping is the subtree's ids in ascending order.
         assert_eq!(sub.origin(), &[1, 2, 3]);
         assert!(src.origin().is_empty(), "only sub-arenas carry a mapping");

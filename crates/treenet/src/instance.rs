@@ -93,9 +93,9 @@ impl Instance {
     }
 
     /// Whether every client can be served entirely by a local replica
-    /// (`r_i ≤ W` for all clients) — the precondition of Theorem 6 under
-    /// which `multiple-bin` is optimal, and the condition under which the
-    /// Single problem always admits a solution.
+    /// (`r_i ≤ W` for all clients) — the precondition under which the
+    /// paper's Theorem 6 proves `multiple-bin` optimal, and the condition
+    /// under which the Single problem always admits a solution.
     pub fn all_requests_fit_locally(&self) -> bool {
         self.tree.clients().iter().all(|c| self.tree.requests(*c) <= self.capacity)
     }

@@ -1,8 +1,9 @@
-//! Property tests for the binary-lifting ancestor tables of
-//! [`rp_tree::TreeArena`]: `kth_ancestor`, `max_edge_to_ancestor` and the
-//! deadline queries must agree with naive parent walks on random trees,
-//! including trees far deeper (depth up to ~200) than the balanced shapes
-//! the unit tests cover — the regime where the O(log depth) jumps matter.
+//! Property test for [`rp_tree::TreeArena::compute_deadlines`]: the
+//! one-pass root-path search must agree with naive parent walks on random
+//! trees, including trees far deeper (depth up to ~200) than the balanced
+//! shapes the unit tests cover. Zero-length edges are drawn too: they tie
+//! root distances along a path, which is where "the highest ancestor within
+//! `dmax`" differs from "some ancestor within `dmax`".
 
 use proptest::prelude::*;
 use rp_tree::arena::{TreeArena, NO_PARENT};
@@ -13,8 +14,8 @@ use rp_tree::{Tree, TreeBuilder};
 /// earlier internal node; clients hang off a suffix of the internal nodes.
 fn deep_tree() -> impl Strategy<Value = Tree> {
     (
-        prop::collection::vec((any::<bool>(), any::<u16>(), 1u64..9), 1..200),
-        prop::collection::vec((any::<u16>(), 1u64..9, 0u64..30), 0..20),
+        prop::collection::vec((any::<bool>(), any::<u16>(), 0u64..9), 1..200),
+        prop::collection::vec((any::<u16>(), 0u64..9, 0u64..30), 0..20),
     )
         .prop_map(|(spine, clients)| {
             let mut b = TreeBuilder::new();
@@ -36,7 +37,7 @@ fn deep_tree() -> impl Strategy<Value = Tree> {
         })
 }
 
-/// Naive O(depth) reference for [`TreeArena::deadline_of`].
+/// Naive O(depth) reference: the highest ancestor within `dmax`.
 fn naive_deadline(arena: &TreeArena, v: u32, dmax: u64) -> u32 {
     let from = arena.root_dist(v);
     let mut at = v;
@@ -53,56 +54,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn kth_ancestor_matches_parent_walks(tree in deep_tree()) {
-        let arena = TreeArena::new(&tree);
-        for v in 0..arena.len() as u32 {
-            let mut at = v;
-            let mut k = 0u32;
-            loop {
-                prop_assert_eq!(arena.kth_ancestor(v, k), at, "kth_ancestor({}, {})", v, k);
-                let p = arena.parent(at);
-                if p == NO_PARENT {
-                    break;
-                }
-                at = p;
-                k += 1;
-            }
-            prop_assert_eq!(k, arena.depth(v), "walk length is the depth");
-            prop_assert_eq!(arena.kth_ancestor(v, k + 1), NO_PARENT);
-            prop_assert_eq!(arena.kth_ancestor(v, u32::MAX), NO_PARENT);
-        }
-    }
-
-    #[test]
-    fn max_edge_matches_walked_maximum(tree in deep_tree()) {
-        let arena = TreeArena::new(&tree);
-        for v in 0..arena.len() as u32 {
-            let mut at = v;
-            let mut max_edge = 0;
-            loop {
-                prop_assert_eq!(
-                    arena.max_edge_to_ancestor(v, at),
-                    Some(max_edge),
-                    "max_edge_to_ancestor({}, {})", v, at
-                );
-                let p = arena.parent(at);
-                if p == NO_PARENT {
-                    break;
-                }
-                max_edge = max_edge.max(arena.edge(at));
-                at = p;
-            }
-        }
-    }
-
-    #[test]
     fn deadlines_match_naive_walks(tree in deep_tree(), dmax in 0u64..400) {
         let arena = TreeArena::new(&tree);
         let mut out = Vec::new();
         arena.compute_deadlines(Some(dmax), &mut out);
         for v in 0..arena.len() as u32 {
             let expect = naive_deadline(&arena, v, dmax);
-            prop_assert_eq!(arena.deadline_of(v, Some(dmax)), expect, "deadline_of({})", v);
             prop_assert_eq!(out[v as usize], expect, "compute_deadlines[{}]", v);
         }
         arena.compute_deadlines(None, &mut out);

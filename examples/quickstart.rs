@@ -64,7 +64,7 @@ fn main() {
         sol.replicas()
     );
 
-    // Algorithm 3: optimal for the Multiple policy on binary trees.
+    // Algorithm 3: the paper proves it optimal for Multiple on binary trees.
     let sol = multiple_bin(&instance).expect("binary tree with r_i ≤ W");
     let stats = validate(&instance, Policy::Multiple, &sol).expect("feasible");
     println!("multiple-bin (Multiple): {} replicas at {:?}", stats.replica_count, sol.replicas());

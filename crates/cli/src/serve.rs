@@ -323,7 +323,9 @@ fn parse_node(raw: Option<&str>) -> Result<u32, String> {
 /// beyond that (`Tree::MAX_REQUESTS`, capacity) are the engine's
 /// structured errors, not parse errors.
 fn parse_op(raw: &str) -> Result<DemandDelta, String> {
-    let (kind, amount) = raw.split_at(1);
+    // Split after the first char, not byte: a multi-byte op is malformed,
+    // not a panic.
+    let (kind, amount) = raw.split_at(raw.chars().next().map_or(0, char::len_utf8));
     let k: u64 = match amount.parse() {
         Ok(k) => k,
         Err(_) => return Err(format!("err malformed invalid delta op `{raw}`")),
@@ -562,6 +564,7 @@ nonsense
 delta
 delta 2
 delta 2 *3
+delta 3 é5
 delta abc +1
 delta 99 +1
 delta 1 +1
@@ -578,17 +581,19 @@ quit
         assert!(lines[1].starts_with("err malformed delta needs at least one"), "{out}");
         assert!(lines[2].starts_with("err malformed delta for node 2 is missing its op"), "{out}");
         assert!(lines[3].starts_with("err malformed invalid delta op `*3`"), "{out}");
-        assert!(lines[4].starts_with("err malformed invalid node id `abc`"), "{out}");
-        assert!(lines[5].starts_with("err unknown-node"), "{out}");
-        assert!(lines[6].starts_with("err not-a-client"), "{out}");
-        assert!(lines[7].starts_with("err underflow"), "{out}");
-        assert!(lines[8].starts_with("err capacity"), "{out}");
+        // A multi-byte op is malformed, not a panic that ends the session.
+        assert_eq!(lines[4], "err malformed invalid delta op `é5` (use +K, -K or =K)", "{out}");
+        assert!(lines[5].starts_with("err malformed invalid node id `abc`"), "{out}");
+        assert!(lines[6].starts_with("err unknown-node"), "{out}");
+        assert!(lines[7].starts_with("err not-a-client"), "{out}");
+        assert!(lines[8].starts_with("err underflow"), "{out}");
+        assert!(lines[9].starts_with("err capacity"), "{out}");
         // Batch: first pair lands, second fails, third is not attempted.
-        assert!(lines[9].starts_with("err underflow after 1 applied"), "{out}");
+        assert!(lines[10].starts_with("err underflow after 1 applied"), "{out}");
         // The engine still solves, on exactly the state the errors left:
         // node 2 got +1 (the batch's first pair), nothing else moved.
-        assert!(lines[10].starts_with("solved replicas="), "{out}");
-        assert!(lines[11].starts_with("err malformed solution needs a path"), "{out}");
+        assert!(lines[11].starts_with("solved replicas="), "{out}");
+        assert!(lines[12].starts_with("err malformed solution needs a path"), "{out}");
         assert_eq!(*lines.last().unwrap(), "bye");
         let summary = summary.unwrap();
         assert!(summary.contains("rejected=5"), "{summary}");

@@ -72,7 +72,7 @@ pub fn multiple_greedy(instance: &Instance) -> Result<Solution, SolveError> {
     let mut solution = Solution::new();
     let mut pending: Vec<Vec<Pending>> = vec![Vec::new(); tree.len()];
 
-    for &j in tree.postorder() {
+    for j in tree.postorder() {
         if tree.is_client(j) {
             let r = tree.requests(j);
             if r == 0 {
@@ -91,7 +91,7 @@ pub fn multiple_greedy(instance: &Instance) -> Result<Solution, SolveError> {
         }
         // Merge children, shifting travelled distances by the edges.
         let mut merged: Vec<Pending> = Vec::new();
-        for &c in tree.children(j) {
+        for c in tree.children(j) {
             let edge = tree.edge(c);
             merged.extend(pending[c.index()].drain(..).map(|p| Pending {
                 client: p.client,

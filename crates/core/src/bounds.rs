@@ -75,7 +75,7 @@ pub fn subtree_volume_lower_bound(instance: &Instance) -> u64 {
     type Entry = (u128, Option<u64>);
     let mut pending: Vec<Vec<Entry>> = vec![Vec::new(); tree.len()];
 
-    for &v in tree.postorder() {
+    for v in tree.postorder() {
         if tree.is_client(v) {
             let r = tree.requests(v);
             if r > 0 {
@@ -84,7 +84,7 @@ pub fn subtree_volume_lower_bound(instance: &Instance) -> u64 {
             continue;
         }
         let mut merged: Vec<Entry> = Vec::new();
-        for &c in tree.children(v) {
+        for c in tree.children(v) {
             let edge = tree.edge(c);
             merged.extend(
                 pending[c.index()]

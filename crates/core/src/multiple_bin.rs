@@ -524,13 +524,13 @@ pub mod testing {
     /// [`SolveError::RootDistanceTooLarge`], exactly when the solvers
     /// refuse the tree.
     pub fn stage_inputs(tree: &Tree, dmax: Option<Dist>) -> Result<Vec<StageInput>, SolveError> {
-        let arena = TreeArena::new(tree);
-        crate::scratch::check_distances_fit(&arena)?;
+        let arena = tree.arena();
+        crate::scratch::check_distances_fit(arena)?;
         let mut flow = PendingFlow::default();
         flow.prepare(arena.len());
         let mut stages = Vec::new();
         for &j in arena.postorder() {
-            if flow.step(&arena, dmax, None, j) == Step::Stage {
+            if flow.step(arena, dmax, None, j) == Step::Stage {
                 stages.push(StageInput {
                     j,
                     stuck: flow.stuck.clone(),

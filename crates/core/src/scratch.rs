@@ -287,19 +287,21 @@ impl SolverScratch {
         &self.arena
     }
 
-    /// Rebuilds the arena for `tree` in place. Solver state is *not* reset
-    /// here — each solver entry point calls its own `prepare_*` method, so
-    /// a solve only sizes the slabs it actually sweeps.
+    /// Copies `tree`'s arena into the scratch, reusing its allocations. The
+    /// copy is the scratch's own because `rp serve` mutates demand in it.
+    /// Solver state is *not* reset here — each solver entry point calls its
+    /// own `prepare_*` method, so a solve only sizes the slabs it actually
+    /// sweeps.
     pub fn load_arena(&mut self, tree: &Tree) {
-        self.arena.rebuild(tree);
+        self.arena.clone_from(tree.arena());
     }
 
     /// Streams an instance tree straight into the arena
     /// ([`TreeArena::rebuild_from_stream`]) — the memory-lean path of the
     /// million-client scaling tier: generator streams feed the flat arrays
-    /// node-by-node and no [`Tree`] (with its per-node `Vec` adjacency) is
-    /// ever materialised. Combine with the `*_arena` solver entry points
-    /// of `crate::par`.
+    /// node-by-node, so the arena exists once, here, rather than also inside
+    /// a [`Tree`]. Combine with the `*_arena` solver entry points of
+    /// `crate::par`.
     ///
     /// # Errors
     ///

@@ -57,7 +57,7 @@ fn reference_route(
     }
     let mut order = Vec::new();
     fn post(tree: &Tree, v: u32, out: &mut Vec<u32>) {
-        for &c in tree.children(NodeId(v)) {
+        for c in tree.children(NodeId(v)) {
             post(tree, c.index() as u32, out);
         }
         out.push(v);
@@ -73,7 +73,7 @@ fn reference_route(
     for &u in &order {
         let ui = u as usize;
         let mut here: Vec<u32> = Vec::new();
-        for &c in tree.children(NodeId(u)) {
+        for c in tree.children(NodeId(u)) {
             here.append(&mut carried[c.index()]);
         }
         if rows[ui] > 0 {

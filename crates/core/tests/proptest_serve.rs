@@ -34,7 +34,6 @@ use rp_core::serve::{DemandDelta, ServeEngine};
 use rp_core::{multiple_bin_with, SolverScratch};
 use rp_instances::random::{random_binary_tree, wrap_instance};
 use rp_instances::{EdgeDist, RequestDist};
-use rp_tree::arena::TreeArena;
 use rp_tree::{validate, Instance, Policy, Tree, TreeBuilder};
 
 /// A generated serving scenario: the structural picks of one binary tree
@@ -144,7 +143,7 @@ fn delta_of(op: u8, amount: u64) -> DemandDelta {
 /// Positions (in `client_ids`) of the clients on each side of the tree's
 /// top split: the first node from the root down with two children.
 fn split_sides(tree: &Tree, client_ids: &[u32]) -> [Vec<usize>; 2] {
-    let arena = TreeArena::new(tree);
+    let arena = tree.arena();
     let mut top = arena.preorder()[0];
     while arena.children(top).len() == 1 {
         top = arena.children(top)[0];
@@ -504,7 +503,7 @@ fn a_one_client_delta_sweeps_only_its_root_path() {
             &mut rng,
         );
         let inst = wrap_instance(tree, 3.0, Some(0.3));
-        let arena = TreeArena::new(inst.tree());
+        let arena = inst.tree().arena();
         let ids: Vec<u32> = (0..arena.len() as u32).filter(|&v| arena.is_client(v)).collect();
         let mut engine = ServeEngine::new(&inst).unwrap();
         engine.solve().unwrap();

@@ -181,12 +181,8 @@ fn dense_dp(
     ) {
         let (in_r, spare, own, cap) = ctx;
         *visited += 1;
-        let kids: Vec<u32> = tree
-            .children(NodeId(v))
-            .iter()
-            .map(|c| c.index() as u32)
-            .filter(|&c| in_forest(c))
-            .collect();
+        let kids: Vec<u32> =
+            tree.children(NodeId(v)).map(|c| c.index() as u32).filter(|&c| in_forest(c)).collect();
         let mut base = vec![own[v as usize]];
         let mut splits = Vec::new();
         for &c in &kids {

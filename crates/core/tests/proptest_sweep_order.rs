@@ -27,7 +27,7 @@ fn reference_inputs(tree: &Tree, dmax: Option<u64>) -> Vec<StageInput> {
     };
     let mut req: Vec<Vec<PendingRequest>> = vec![Vec::new(); tree.len()];
     let mut stages = Vec::new();
-    for &v in tree.postorder() {
+    for v in tree.postorder() {
         if tree.is_client(v) {
             let r = tree.requests(v);
             if r > 0 && can_go_above(v, 0) {
@@ -36,7 +36,7 @@ fn reference_inputs(tree: &Tree, dmax: Option<u64>) -> Vec<StageInput> {
             continue;
         }
         let mut temp: Vec<PendingRequest> = Vec::new();
-        for &c in tree.children(v) {
+        for c in tree.children(v) {
             let edge = tree.edge(c);
             temp.extend(
                 req[c.index()]
@@ -62,7 +62,7 @@ fn reference_inputs(tree: &Tree, dmax: Option<u64>) -> Vec<StageInput> {
 /// The first node (by index) whose exact root distance exceeds `u64::MAX`.
 fn first_overflow(tree: &Tree) -> Option<NodeId> {
     let mut exact = vec![0u128; tree.len()];
-    for &v in tree.preorder() {
+    for v in tree.preorder() {
         if let Some(p) = tree.parent(v) {
             exact[v.index()] = exact[p.index()] + u128::from(tree.edge(v));
         }

@@ -263,7 +263,7 @@ mod tests {
         assert_eq!(g.threshold, 2);
         assert!(g.instance.tree().is_binary());
         let tree = g.instance.tree();
-        let n1 = tree.children(tree.root())[0];
+        let n1 = tree.children(tree.root()).next().unwrap();
         assert!(!tree.is_client(n1));
         // Partition: {3, 4, 2, 2} no… use {5, 6} = 11 and {3, 4, 2, 2} = 11.
         let mut sol = Solution::new();

@@ -8,10 +8,10 @@
 //!   balanced k-ary);
 //! * [`random`] — random binary / k-ary / bounded-arity trees with sampled
 //!   requests and edge lengths;
-//! * [`stream`] — streaming (iterator-style) counterparts of the random
-//!   generators that feed [`rp_tree::TreeArena::rebuild_from_stream`]
-//!   node-by-node, so million-client instances never materialise a
-//!   [`rp_tree::Tree`];
+//! * [`stream`] — the parents-first node streams behind the random binary
+//!   and k-ary generators: [`random`] freezes them into a [`rp_tree::Tree`],
+//!   and million-client instances feed them node by node to
+//!   [`rp_tree::TreeArena::rebuild_from_stream`] without building a tree;
 //! * [`worst_case`] — the tight instances of the paper: the family `Im`
 //!   of Fig. 3 on which `single-gen` reaches its Δ+1 approximation ratio, and
 //!   the Fig. 4 family on which `single-nod` reaches ratio 2;

@@ -1,6 +1,9 @@
 //! Random tree generators with sampled requests and edge lengths.
 
 use crate::dist::{EdgeDist, RequestDist};
+use crate::stream::{
+    binary_tree_len, instance_params_from_arena, stream_binary_tree, stream_kary_tree,
+};
 use rand::Rng;
 use rp_tree::{Instance, NodeId, Tree, TreeBuilder};
 
@@ -97,7 +100,8 @@ pub fn random_tree<R: Rng + ?Sized>(cfg: &RandomTreeConfig, rng: &mut R) -> Tree
 
 /// Generates a random *full binary* tree with exactly `clients` client
 /// leaves and `clients - 1` internal nodes (plus the root when
-/// `clients == 1`), by recursive random splitting of the leaf set.
+/// `clients == 1`), by recursive random splitting of the leaf set: the
+/// stream of [`stream_binary_tree`], frozen into a [`Tree`].
 ///
 /// Every internal node has exactly two children, so the result is a valid
 /// input for the `multiple-bin` algorithm (Multiple-Bin requires Δ ≤ 2).
@@ -107,45 +111,15 @@ pub fn random_binary_tree<R: Rng + ?Sized>(
     requests: &RequestDist,
     rng: &mut R,
 ) -> Tree {
-    assert!(clients >= 1, "need at least one client");
-    let mut b = TreeBuilder::new();
-    let root = b.root();
-    if clients == 1 {
-        let e = edge.sample(rng);
-        let r = requests.sample(rng);
-        b.add_client(root, e, r);
-    } else {
-        split_binary(&mut b, root, clients, edge, requests, rng);
-    }
-    b.freeze().expect("binary construction is always a valid tree")
-}
-
-fn split_binary<R: Rng + ?Sized>(
-    b: &mut TreeBuilder,
-    parent: NodeId,
-    leaves: usize,
-    edge: &EdgeDist,
-    requests: &RequestDist,
-    rng: &mut R,
-) {
-    debug_assert!(leaves >= 2);
-    let left = rng.gen_range(1..leaves);
-    let right = leaves - left;
-    for part in [left, right] {
-        let e = edge.sample(rng);
-        if part == 1 {
-            let r = requests.sample(rng);
-            b.add_client(parent, e, r);
-        } else {
-            let child = b.add_internal(parent, e);
-            split_binary(b, child, part, edge, requests, rng);
-        }
-    }
+    let stream = stream_binary_tree(clients, edge, requests, rng);
+    Tree::from_stream(binary_tree_len(clients), stream)
+        .expect("binary construction is always a valid tree")
 }
 
 /// Generates a random tree where every internal node has between 2 and
 /// `arity` children, with `clients` client leaves, by recursive random
-/// splitting. With `arity = 2` this is [`random_binary_tree`].
+/// splitting: the stream of [`stream_kary_tree`], frozen into a [`Tree`].
+/// With `arity = 2` this is [`random_binary_tree`].
 pub fn random_kary_tree<R: Rng + ?Sized>(
     clients: usize,
     arity: usize,
@@ -153,66 +127,20 @@ pub fn random_kary_tree<R: Rng + ?Sized>(
     requests: &RequestDist,
     rng: &mut R,
 ) -> Tree {
-    assert!(arity >= 2, "arity must be at least 2");
-    assert!(clients >= 1, "need at least one client");
-    let mut b = TreeBuilder::new();
-    let root = b.root();
-    if clients == 1 {
-        let e = edge.sample(rng);
-        let r = requests.sample(rng);
-        b.add_client(root, e, r);
-    } else {
-        split_kary(&mut b, root, clients, arity, edge, requests, rng);
-    }
-    b.freeze().expect("k-ary construction is always a valid tree")
-}
-
-fn split_kary<R: Rng + ?Sized>(
-    b: &mut TreeBuilder,
-    parent: NodeId,
-    leaves: usize,
-    arity: usize,
-    edge: &EdgeDist,
-    requests: &RequestDist,
-    rng: &mut R,
-) {
-    debug_assert!(leaves >= 2);
-    let parts = rng.gen_range(2..=arity.min(leaves));
-    // Split `leaves` into `parts` positive parts.
-    let mut sizes = vec![1usize; parts];
-    for _ in 0..(leaves - parts) {
-        let i = rng.gen_range(0..parts);
-        sizes[i] += 1;
-    }
-    for part in sizes {
-        let e = edge.sample(rng);
-        if part == 1 {
-            let r = requests.sample(rng);
-            b.add_client(parent, e, r);
-        } else {
-            let child = b.add_internal(parent, e);
-            split_kary(b, child, part, arity, edge, requests, rng);
-        }
-    }
+    let stream = stream_kary_tree(clients, arity, edge, requests, rng);
+    Tree::from_stream(0, stream).expect("k-ary construction is always a valid tree")
 }
 
 /// Wraps a tree into an [`Instance`], choosing the capacity so that roughly
 /// `clients_per_server` average clients fit in one server, and `dmax` as the
 /// given fraction of the maximum client→root distance (`None` keeps the
-/// instance unconstrained).
+/// instance unconstrained); see [`instance_params_from_arena`].
 ///
 /// The capacity is clamped to at least the largest single client so that the
 /// instance always admits a solution under both policies.
 pub fn wrap_instance(tree: Tree, clients_per_server: f64, dmax_fraction: Option<f64>) -> Instance {
-    let clients = tree.client_count().max(1) as f64;
-    let total = tree.total_requests() as f64;
-    let avg = if clients > 0.0 { total / clients } else { 0.0 };
-    let max_client = tree.clients().iter().map(|c| tree.requests(*c)).max().unwrap_or(1).max(1);
-    let capacity = ((avg * clients_per_server).ceil() as u64).max(max_client).max(1);
-    let dmax = dmax_fraction.map(|f| {
-        let span = tree.max_client_root_distance() as f64;
-        (span * f).ceil() as u64
-    });
+    let (capacity, dmax) =
+        instance_params_from_arena(tree.arena(), clients_per_server, dmax_fraction);
     Instance::new(tree, capacity, dmax).expect("capacity is always positive")
 }
 

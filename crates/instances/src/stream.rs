@@ -1,27 +1,18 @@
-//! Streaming (iterator-style) counterparts of the [`crate::random`] tree
-//! generators, for the million-client scaling tier.
+//! The parents-first node streams behind the random tree generators.
 //!
+//! [`stream_binary_tree`] and [`stream_kary_tree`] emit a random tree node
+//! by node as [`rp_tree::StreamNode`] records. The materialised generators
 //! [`crate::random::random_binary_tree`] and
-//! [`crate::random::random_kary_tree`] materialise a full
-//! [`rp_tree::Tree`] — per-node structs with their own `Vec<NodeId>` child
-//! lists — before the solver arena snapshots it into dense arrays. At 1M+
-//! clients that transient `Tree` costs several times the arena's own
-//! footprint. The streams here emit the **same trees node-by-node** as
-//! [`rp_tree::StreamNode`] records that
-//! [`rp_tree::TreeArena::rebuild_from_stream`] consumes directly, so the only
-//! materialised representation is the arena itself.
+//! [`crate::random::random_kary_tree`] freeze these streams into a
+//! [`rp_tree::Tree`] with [`rp_tree::Tree::from_stream`]; the
+//! million-client scaling tier instead feeds them straight to
+//! [`rp_tree::TreeArena::rebuild_from_stream`] on a solver arena, so no
+//! [`rp_tree::Tree`] is built at all. Both paths run the same arena build
+//! on the same records, so a given seed yields the same tree either way.
 //!
-//! Sameness is literal, not just distributional: each stream replays its
-//! recursive counterpart's RNG call sequence exactly (split sizes, edge
-//! lengths and request counts are drawn in the same order from the same
-//! generator), and nodes are emitted in the recursive builder's id order. A
-//! given seed therefore produces bit-identical arenas through either path —
-//! pinned by this module's tests — which keeps the scaling bench's streamed
-//! cells comparable with the materialised grid cells.
-//!
-//! [`instance_params_from_arena`] completes the streamed path by deriving the
-//! capacity / `dmax` that [`crate::random::wrap_instance`] would have chosen,
-//! reading the client statistics from the finished arena instead of a `Tree`.
+//! [`instance_params_from_arena`] derives the capacity and `dmax` of an
+//! instance from an arena's client statistics; it serves both paths
+//! ([`crate::random::wrap_instance`] calls it on the tree's arena).
 
 use crate::dist::{EdgeDist, RequestDist};
 use rand::Rng;
@@ -38,10 +29,10 @@ pub fn binary_tree_len(clients: usize) -> usize {
     }
 }
 
-/// Streaming equivalent of [`crate::random::random_binary_tree`]: emits the
-/// identical tree (same RNG consumption, same node ids) as a parents-first
-/// [`StreamNode`] sequence ready for
-/// [`rp_tree::TreeArena::rebuild_from_stream`].
+/// Random *full binary* tree with `clients` client leaves as a parents-first
+/// [`StreamNode`] sequence (see [`crate::random::random_binary_tree`], which
+/// freezes it into a [`rp_tree::Tree`]); [`binary_tree_len`] is its exact
+/// length.
 pub fn stream_binary_tree<'a, R: Rng + ?Sized>(
     clients: usize,
     edge: &'a EdgeDist,
@@ -52,8 +43,9 @@ pub fn stream_binary_tree<'a, R: Rng + ?Sized>(
     SplitTreeStream::new(clients, None, edge, requests, rng)
 }
 
-/// Streaming equivalent of [`crate::random::random_kary_tree`]; see
-/// [`stream_binary_tree`].
+/// Random tree with `clients` client leaves whose internal nodes have 2 to
+/// `arity` children, as a parents-first [`StreamNode`] sequence (see
+/// [`crate::random::random_kary_tree`] and [`stream_binary_tree`]).
 pub fn stream_kary_tree<'a, R: Rng + ?Sized>(
     clients: usize,
     arity: usize,
@@ -68,12 +60,12 @@ pub fn stream_kary_tree<'a, R: Rng + ?Sized>(
 
 /// Iterator behind [`stream_binary_tree`] / [`stream_kary_tree`].
 ///
-/// The recursive generators interleave RNG draws with node creation (a
-/// subtree's split is drawn after its root's edge, and an entire left subtree
-/// is built before the right sibling's edge is drawn). The stream reproduces
-/// that order with an explicit DFS stack of *(parent, leaves)* jobs pushed in
-/// reverse sibling order, drawing each job's edge on pop and its split on
-/// node creation — exactly where the recursion draws them.
+/// The leaf set is split recursively, with an explicit DFS stack of
+/// *(parent, leaves)* jobs pushed in reverse sibling order. Each job's edge
+/// is drawn on pop and an internal node's split right after its edge, so an
+/// entire left subtree is emitted, and drawn, before its right sibling's
+/// edge. Node ids are emission order, a pre-order of the tree. The draw
+/// order fixes the trees a seed produces; the golden instance files pin it.
 pub struct SplitTreeStream<'a, R: Rng + ?Sized> {
     /// `None` for the binary splitter (always two parts), `Some(Δ)` for the
     /// k-ary splitter (2..=Δ parts).
@@ -145,10 +137,9 @@ impl<R: Rng + ?Sized> Iterator for SplitTreeStream<'_, R> {
 
     fn next(&mut self) -> Option<StreamNode> {
         if self.next_id == 0 {
-            // Emit the root and seed the stack. The recursive generators draw
-            // no RNG for the root itself; with a single client they skip the
-            // split entirely, otherwise the top-level split is drawn before
-            // the first child's edge.
+            // Emit the root and seed the stack. The root draws no edge; with
+            // a single client there is no split, otherwise the top-level
+            // split is drawn before the first child's edge.
             self.next_id = 1;
             if self.clients == 1 {
                 self.stack.push((0, 1));
@@ -159,9 +150,7 @@ impl<R: Rng + ?Sized> Iterator for SplitTreeStream<'_, R> {
         }
         let (parent, leaves) = self.stack.pop()?;
         let e: Dist = self.edge.sample(self.rng);
-        // Every emitted node consumes one id, exactly like the builder calls
-        // `add_client` / `add_internal` in the recursive generators; `v` is
-        // this record's implicit id (its position in the stream).
+        // `v` is this record's implicit id (its position in the stream).
         let v = self.next_id;
         self.next_id += 1;
         if leaves == 1 {
@@ -174,11 +163,11 @@ impl<R: Rng + ?Sized> Iterator for SplitTreeStream<'_, R> {
     }
 }
 
-/// Derives the `(capacity, dmax)` pair that
-/// [`crate::random::wrap_instance`] would choose for this tree, reading the
-/// client statistics from an already-built arena — the streamed path's
-/// replacement for wrapping a materialised [`rp_tree::Tree`]. Uses the exact
-/// same arithmetic, so streamed and materialised instances agree bit-for-bit.
+/// Derives an instance's `(capacity, dmax)` from the client statistics of
+/// an arena: capacity fits `clients_per_server` average clients (and at
+/// least the largest client), and `dmax` is `dmax_fraction` of the largest
+/// client→root distance. [`crate::random::wrap_instance`] calls it on a
+/// tree's arena; the streamed tier calls it on a solver arena.
 pub fn instance_params_from_arena(
     arena: &TreeArena,
     clients_per_server: f64,
@@ -202,117 +191,4 @@ pub fn instance_params_from_arena(
     let capacity = ((avg * clients_per_server).ceil() as u64).max(max_client).max(1);
     let dmax = dmax_fraction.map(|f| (span as f64 * f).ceil() as u64);
     (capacity, dmax)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::random::{random_binary_tree, random_kary_tree, wrap_instance};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn arena_from_stream(
-        clients: usize,
-        arity: Option<usize>,
-        edge: &EdgeDist,
-        requests: &RequestDist,
-        seed: u64,
-    ) -> TreeArena {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut arena = TreeArena::default();
-        match arity {
-            None => arena
-                .rebuild_from_stream(
-                    binary_tree_len(clients),
-                    stream_binary_tree(clients, edge, requests, &mut rng),
-                )
-                .unwrap(),
-            Some(a) => arena
-                .rebuild_from_stream(
-                    clients + 1,
-                    stream_kary_tree(clients, a, edge, requests, &mut rng),
-                )
-                .unwrap(),
-        }
-        arena
-    }
-
-    fn assert_same_arena(a: &TreeArena, b: &TreeArena) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.postorder(), b.postorder());
-        assert_eq!(a.preorder(), b.preorder());
-        for v in 0..a.len() as u32 {
-            assert_eq!(a.parent(v), b.parent(v), "parent({v})");
-            assert_eq!(a.edge(v), b.edge(v), "edge({v})");
-            assert_eq!(a.depth(v), b.depth(v), "depth({v})");
-            assert_eq!(a.root_dist(v), b.root_dist(v), "root_dist({v})");
-            assert_eq!(a.requests(v), b.requests(v), "requests({v})");
-            assert_eq!(a.is_client(v), b.is_client(v), "is_client({v})");
-            assert_eq!(a.children(v), b.children(v), "children({v})");
-        }
-    }
-
-    #[test]
-    fn binary_stream_replays_the_recursive_generator() {
-        let edge = EdgeDist::Uniform { lo: 1, hi: 3 };
-        let requests = RequestDist::Uniform { lo: 1, hi: 9 };
-        for clients in [1usize, 2, 3, 5, 17, 64, 257, 2048] {
-            for seed in [0u64, 7, 0xE6] {
-                let tree =
-                    random_binary_tree(clients, &edge, &requests, &mut StdRng::seed_from_u64(seed));
-                assert_eq!(tree.len(), binary_tree_len(clients));
-                let reference = TreeArena::new(&tree);
-                let streamed = arena_from_stream(clients, None, &edge, &requests, seed);
-                assert_same_arena(&reference, &streamed);
-            }
-        }
-    }
-
-    #[test]
-    fn kary_stream_replays_the_recursive_generator() {
-        let edge = EdgeDist::Uniform { lo: 1, hi: 5 };
-        let requests = RequestDist::Uniform { lo: 1, hi: 7 };
-        for arity in [2usize, 3, 4, 6] {
-            for clients in [1usize, 2, 9, 40, 513] {
-                let seed = 31 * arity as u64 + clients as u64;
-                let tree = random_kary_tree(
-                    clients,
-                    arity,
-                    &edge,
-                    &requests,
-                    &mut StdRng::seed_from_u64(seed),
-                );
-                let reference = TreeArena::new(&tree);
-                let streamed = arena_from_stream(clients, Some(arity), &edge, &requests, seed);
-                assert_same_arena(&reference, &streamed);
-            }
-        }
-    }
-
-    #[test]
-    fn stream_leaves_rng_in_the_same_state() {
-        // Downstream draws (e.g. a second instance from the same generator)
-        // must not diverge between the two paths.
-        let edge = EdgeDist::Uniform { lo: 1, hi: 3 };
-        let requests = RequestDist::Uniform { lo: 1, hi: 9 };
-        let mut rng_a = StdRng::seed_from_u64(99);
-        let mut rng_b = StdRng::seed_from_u64(99);
-        let _ = random_binary_tree(33, &edge, &requests, &mut rng_a);
-        stream_binary_tree(33, &edge, &requests, &mut rng_b).for_each(drop);
-        assert_eq!(rng_a.gen_range(0..u64::MAX), rng_b.gen_range(0..u64::MAX));
-    }
-
-    #[test]
-    fn instance_params_match_wrap_instance() {
-        let edge = EdgeDist::Uniform { lo: 1, hi: 3 };
-        let requests = RequestDist::Uniform { lo: 1, hi: 9 };
-        for (clients, dmax_fraction) in [(1usize, None), (16, Some(0.7)), (100, Some(0.3))] {
-            let tree = random_binary_tree(clients, &edge, &requests, &mut StdRng::seed_from_u64(5));
-            let arena = TreeArena::new(&tree);
-            let inst = wrap_instance(tree, 3.0, dmax_fraction);
-            let (capacity, dmax) = instance_params_from_arena(&arena, 3.0, dmax_fraction);
-            assert_eq!(capacity, inst.capacity());
-            assert_eq!(dmax, inst.dmax());
-        }
-    }
 }

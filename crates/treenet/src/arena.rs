@@ -1,11 +1,11 @@
-//! Flat, index-addressed view of a [`Tree`] for the solver hot paths.
+//! Flat, index-addressed tree storage: the representation of every [`Tree`]
+//! and of every solver arena.
 //!
-//! [`Tree`] stores its adjacency behind per-node `Vec`s and answers subtree
-//! queries by allocating fresh vectors; that is convenient for construction
-//! and I/O but too slow for the bottom-up solvers, which visit overlapping
-//! subtrees thousands of times per solve. [`TreeArena`] precomputes, once per
-//! instance, everything those sweeps need as dense arrays indexed by raw node
-//! index:
+//! A [`Tree`] is a frozen [`TreeArena`] plus its client list, and the solver
+//! hot paths index the same dense arrays directly, addressed by raw node
+//! index. The arena precomputes, once per instance, everything the bottom-up
+//! sweeps need (they visit overlapping subtrees thousands of times per
+//! solve):
 //!
 //! * the **post-order** sequence and each node's position in it — because a
 //!   subtree is contiguous in post-order, `subtree(j)` becomes a slice (in
@@ -13,22 +13,21 @@
 //! * the **pre-order** sequence and positions — the same slice trick in
 //!   parents-before-children order, and an O(1) ancestor test via interval
 //!   containment;
-//! * **parent / edge / depth / root-distance** arrays, replacing pointer
-//!   chasing through `Tree`'s node structs;
+//! * **parent / edge / depth / root-distance** arrays;
 //! * the children of every node flattened into one array addressed by a
 //!   per-node **child range** (CSR layout);
 //! * per-node **request counts** and client flags.
 //!
 //! The arena is plain data: building it is a handful of O(|T|) passes and it
 //! can be rebuilt in place so a solver scratch that is reused across solves
-//! does not reallocate. Three construction paths share the same finishing
+//! does not reallocate. Two construction paths share the same finishing
 //! passes:
 //!
-//! * [`TreeArena::rebuild`] — snapshot of an existing [`Tree`];
 //! * [`TreeArena::rebuild_from_stream`] — consumes a parents-first stream of
-//!   [`StreamNode`] records, so million-node instances can be generated and
-//!   loaded edge-by-edge without ever materialising `Tree`'s per-node
-//!   `Vec<NodeId>` adjacency (the memory-lean path of the scaling bench);
+//!   [`StreamNode`] records. [`Tree::from_stream`] (and so
+//!   [`crate::TreeBuilder::freeze`]) builds every tree this way, and the
+//!   million-client tier streams generator output straight into a solver
+//!   arena without materialising a [`Tree`] at all;
 //! * [`TreeArena::rebuild_subtree`] — restriction of another arena to one
 //!   subtree, used by the frontier-parallel solver sweeps. Local node ids are
 //!   assigned by **global-id rank** inside the subtree (the mapping is kept in
@@ -49,9 +48,9 @@
 //! (`u32::MAX`) nodes — node ids and positions then top out at
 //! `u32::MAX - 1`, which never collides with the sentinel. The boundary is
 //! enforced with checked conversions where untrusted sizes enter
-//! ([`Tree`] freezing and [`TreeArena::rebuild_from_stream`] return
-//! [`TreeError::TooManyNodes`]); paths fed from an already-validated source
-//! (`rebuild`, `rebuild_subtree`) only `debug_assert` it.
+//! ([`TreeArena::rebuild_from_stream`], and so [`Tree`] freezing, returns
+//! [`TreeError::TooManyNodes`]); `rebuild_subtree`, fed from an
+//! already-validated arena, cannot exceed it.
 //!
 //! Distance budgets (the per-client *deadline* of the Multiple sweep — the
 //! highest ancestor allowed to serve a client under `dmax`) depend on the
@@ -72,6 +71,7 @@
 use crate::error::TreeError;
 use crate::tree::{NodeId, Tree};
 use crate::{Dist, Requests};
+use serde::{Deserialize, Serialize};
 
 /// Sentinel parent index of the root.
 pub const NO_PARENT: u32 = u32::MAX;
@@ -97,11 +97,11 @@ pub struct StreamNode {
     pub is_client: bool,
 }
 
-/// Dense, `Vec`-indexed snapshot of a [`Tree`] (see the module docs).
+/// Dense, `Vec`-indexed tree storage (see the module docs).
 ///
 /// All arrays are indexed by `NodeId::index()`; sequences hold raw `u32`
 /// node indices to keep them copy-cheap in the solver inner loops.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TreeArena {
     /// Post-order sequence (children before parents).
     post: Vec<u32>,
@@ -135,64 +135,19 @@ pub struct TreeArena {
     /// For a sub-arena built by [`TreeArena::rebuild_subtree`]: the *global*
     /// id (in the source arena) of every local node, indexed by local id.
     /// Since local ids are global-id ranks, this is simply the subtree's
-    /// global ids in ascending order. Empty for the other construction paths.
+    /// global ids in ascending order. Empty for a stream-built arena.
     origin: Vec<u32>,
 }
 
 impl TreeArena {
-    /// Builds the arena for `tree`.
-    pub fn new(tree: &Tree) -> Self {
-        let mut arena = TreeArena::default();
-        arena.rebuild(tree);
-        arena
-    }
-
-    /// Rebuilds the arena in place for a (possibly different) tree, reusing
-    /// the existing allocations where capacities allow.
-    pub fn rebuild(&mut self, tree: &Tree) {
-        let n = tree.len();
-        debug_assert!(n <= Tree::MAX_NODES, "Tree::from_nodes enforces the index budget");
-        self.post.clear();
-        self.post.extend(tree.postorder().iter().map(|id| id.0));
-        self.pre.clear();
-        self.pre.extend(tree.preorder().iter().map(|id| id.0));
-        self.origin.clear();
-
-        resize_with(&mut self.parent, n, NO_PARENT);
-        resize_with(&mut self.edge, n, 0);
-        resize_with(&mut self.depth, n, 0);
-        resize_with(&mut self.root_dist, n, 0);
-        resize_with(&mut self.requests, n, 0);
-        resize_with(&mut self.is_client, n, false);
-        self.child_start.clear();
-        self.child_start.reserve(n + 1);
-        self.child_list.clear();
-        self.child_list.reserve(n.saturating_sub(1));
-        for id in tree.node_ids() {
-            let i = id.index();
-            self.parent[i] = tree.parent(id).map_or(NO_PARENT, |p| p.0);
-            self.edge[i] = tree.edge(id);
-            self.depth[i] = tree.depth(id);
-            self.root_dist[i] = tree.dist_to_root(id);
-            self.requests[i] = tree.requests(id);
-            self.is_client[i] = tree.is_client(id);
-            self.child_start.push(self.child_list.len() as u32);
-            self.child_list.extend(tree.children(id).iter().map(|c| c.0));
-        }
-        self.child_start.push(self.child_list.len() as u32);
-
-        self.index_orders();
-        self.build_subtree_sizes();
-    }
-
     /// Rebuilds the arena from a parents-first stream of [`StreamNode`]
-    /// records (see that type for the stream contract), without an
-    /// intermediate [`Tree`]. `size_hint` pre-sizes the arrays (pass the
-    /// exact node count when known — generator streams know theirs — or 0).
+    /// records (see that type for the stream contract). `size_hint`
+    /// pre-sizes the arrays (pass the exact node count when known —
+    /// generator streams know theirs — or 0).
     ///
     /// # Errors
     ///
-    /// Mirrors [`Tree`] freezing: [`TreeError::Empty`],
+    /// These are the errors of [`Tree`] freezing: [`TreeError::Empty`],
     /// [`TreeError::RootNotInternal`], [`TreeError::UnknownParent`] (forward
     /// or self reference, or a non-sentinel root parent),
     /// [`TreeError::ClientHasChildren`], [`TreeError::RequestsTooLarge`] and
@@ -450,7 +405,7 @@ impl TreeArena {
     /// [`TreeArena::rebuild_subtree`]: `origin()[local]` is the id of the
     /// node in the source arena. Local ids are global-id ranks, so this is
     /// the subtree's global ids in ascending order and the inverse mapping
-    /// is a binary search. Empty for every other construction path.
+    /// is a binary search. Empty for a stream-built arena.
     #[inline]
     pub fn origin(&self) -> &[u32] {
         &self.origin
@@ -637,78 +592,54 @@ mod tests {
         ]
     }
 
-    fn assert_same_arena(a: &TreeArena, b: &TreeArena) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.postorder(), b.postorder());
-        assert_eq!(a.preorder(), b.preorder());
-        for v in 0..a.len() as u32 {
-            assert_eq!(a.parent(v), b.parent(v), "parent({v})");
-            assert_eq!(a.edge(v), b.edge(v), "edge({v})");
-            assert_eq!(a.depth(v), b.depth(v), "depth({v})");
-            assert_eq!(a.root_dist(v), b.root_dist(v), "root_dist({v})");
-            assert_eq!(a.requests(v), b.requests(v), "requests({v})");
-            assert_eq!(a.is_client(v), b.is_client(v), "is_client({v})");
-            assert_eq!(a.children(v), b.children(v), "children({v})");
-            assert_eq!(a.subtree_size(v), b.subtree_size(v), "subtree_size({v})");
-        }
-        for dmax in [None, Some(2), Some(4)] {
-            assert_eq!(deadlines(a, dmax), deadlines(b, dmax), "deadlines({dmax:?})");
-        }
-    }
-
     fn deadlines(arena: &TreeArena, dmax: Option<Dist>) -> Vec<u32> {
         let mut out = Vec::new();
         arena.compute_deadlines(dmax, &mut out);
         out
     }
 
-    #[test]
-    fn mirrors_tree_adjacency() {
-        let tree = sample();
-        let arena = TreeArena::new(&tree);
-        assert_eq!(arena.len(), tree.len());
-        for id in tree.node_ids() {
-            let v = id.0;
-            assert_eq!(arena.parent(v), tree.parent(id).map_or(NO_PARENT, |p| p.0));
-            assert_eq!(arena.edge(v), tree.edge(id));
-            assert_eq!(arena.depth(v), tree.depth(id));
-            assert_eq!(arena.root_dist(v), tree.dist_to_root(id));
-            assert_eq!(arena.requests(v), tree.requests(id));
-            assert_eq!(arena.is_client(v), tree.is_client(id));
-            let children: Vec<u32> = tree.children(id).iter().map(|c| c.0).collect();
-            assert_eq!(arena.children(v), &children[..]);
+    /// Whether `a`'s parent walk from `v` reaches `a` (inclusive).
+    fn walk_reaches(arena: &TreeArena, mut v: u32, a: u32) -> bool {
+        loop {
+            if v == a {
+                return true;
+            }
+            if arena.parent(v) == NO_PARENT {
+                return false;
+            }
+            v = arena.parent(v);
         }
     }
 
     #[test]
     fn subtree_slices_match_tree_subtrees() {
         let tree = sample();
-        let arena = TreeArena::new(&tree);
-        for id in tree.node_ids() {
-            let mut expected: Vec<u32> = tree.subtree(id).iter().map(|n| n.0).collect();
-            expected.sort_unstable();
-            let mut post: Vec<u32> = arena.subtree_post(id.0).to_vec();
+        let arena = tree.arena();
+        let n = arena.len() as u32;
+        for j in 0..n {
+            let expected: Vec<u32> = (0..n).filter(|&v| walk_reaches(arena, v, j)).collect();
+            let mut post: Vec<u32> = arena.subtree_post(j).to_vec();
             post.sort_unstable();
-            assert_eq!(post, expected, "post slice of {id}");
-            let mut pre: Vec<u32> = arena.subtree_pre(id.0).to_vec();
+            assert_eq!(post, expected, "post slice of {j}");
+            let mut pre: Vec<u32> = arena.subtree_pre(j).to_vec();
             pre.sort_unstable();
-            assert_eq!(pre, expected, "pre slice of {id}");
-            assert_eq!(arena.subtree_size(id.0), expected.len());
+            assert_eq!(pre, expected, "pre slice of {j}");
+            assert_eq!(arena.subtree_size(j), expected.len());
             // Slice orders respect the child/parent discipline.
-            assert_eq!(*arena.subtree_post(id.0).last().unwrap(), id.0);
-            assert_eq!(arena.subtree_pre(id.0)[0], id.0);
+            assert_eq!(*arena.subtree_post(j).last().unwrap(), j);
+            assert_eq!(arena.subtree_pre(j)[0], j);
         }
     }
 
     #[test]
     fn ancestor_test_matches_tree_walk() {
         let tree = sample();
-        let arena = TreeArena::new(&tree);
-        for a in tree.node_ids() {
-            for d in tree.node_ids() {
+        let arena = tree.arena();
+        for a in 0..arena.len() as u32 {
+            for d in 0..arena.len() as u32 {
                 assert_eq!(
-                    arena.is_ancestor_or_self(a.0, d.0),
-                    tree.is_ancestor_or_self(a, d),
+                    arena.is_ancestor_or_self(a, d),
+                    walk_reaches(arena, d, a),
                     "ancestor({a}, {d})"
                 );
             }
@@ -718,7 +649,7 @@ mod tests {
     #[test]
     fn deadlines_match_the_walking_definition() {
         let tree = sample();
-        let arena = TreeArena::new(&tree);
+        let arena = tree.arena();
         let mut out = Vec::new();
         arena.compute_deadlines(None, &mut out);
         assert!(out.iter().all(|&d| d == 0), "unconstrained deadline is the root");
@@ -739,9 +670,9 @@ mod tests {
     #[test]
     fn compute_deadlines_matches_parent_walks() {
         let tree = sample();
-        let arena = TreeArena::new(&tree);
+        let arena = tree.arena();
         for dmax in [0, 2, 3, 4, 5, 100] {
-            let out = deadlines(&arena, Some(dmax));
+            let out = deadlines(arena, Some(dmax));
             for v in 0..arena.len() as u32 {
                 let mut at = v;
                 while arena.parent(at) != NO_PARENT
@@ -755,45 +686,46 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_reuses_allocations_and_matches_fresh_build() {
-        let tree = sample();
-        let mut arena = TreeArena::new(&tree);
-        let mut b = TreeBuilder::new();
-        let root = b.root();
-        let chain = b.add_internal(root, 1);
-        b.add_client(chain, 2, 9);
-        let other = b.freeze().unwrap();
-        arena.rebuild(&other);
-        let fresh = TreeArena::new(&other);
-        assert_eq!(arena.postorder(), fresh.postorder());
-        assert_eq!(arena.preorder(), fresh.preorder());
-        assert_eq!(arena.len(), other.len());
-        assert_eq!(arena.subtree_size(0), 3);
-        assert_eq!(deadlines(&arena, Some(2)), deadlines(&fresh, Some(2)));
-    }
-
-    #[test]
     fn root_only_tree() {
         let tree = TreeBuilder::new().freeze().unwrap();
-        let arena = TreeArena::new(&tree);
+        let arena = tree.arena();
         assert!(arena.is_empty());
         assert_eq!(arena.subtree_post(0), &[0]);
         assert_eq!(arena.subtree_pre(0), &[0]);
         assert_eq!(arena.children(0), &[] as &[u32]);
-        assert_eq!(deadlines(&arena, None), [0]);
-        assert_eq!(deadlines(&arena, Some(3)), [0]);
+        assert_eq!(deadlines(arena, None), [0]);
+        assert_eq!(deadlines(arena, Some(3)), [0]);
+    }
+
+    /// The sample tree's arrays, written out by hand.
+    fn assert_is_sample(arena: &TreeArena) {
+        assert_eq!(arena.len(), 5);
+        assert_eq!(arena.preorder(), &[0, 1, 2, 3, 4]);
+        assert_eq!(arena.postorder(), &[2, 3, 1, 4, 0]);
+        assert_eq!(arena.children(0), &[1, 4]);
+        assert_eq!(arena.children(1), &[2, 3]);
+        for v in 0..5u32 {
+            let expected = [NO_PARENT, 0, 1, 1, 0][v as usize];
+            assert_eq!(arena.parent(v), expected, "parent({v})");
+            assert_eq!(arena.edge(v), [0, 2, 1, 3, 4][v as usize], "edge({v})");
+            assert_eq!(arena.depth(v), [0, 1, 2, 2, 1][v as usize], "depth({v})");
+            assert_eq!(arena.root_dist(v), [0, 2, 3, 5, 4][v as usize], "root_dist({v})");
+            assert_eq!(arena.requests(v), [0, 0, 5, 7, 2][v as usize], "requests({v})");
+            assert_eq!(arena.is_client(v), v >= 2, "is_client({v})");
+            assert_eq!(arena.subtree_size(v), [5, 3, 1, 1, 1][v as usize], "subtree_size({v})");
+        }
+        assert_eq!(deadlines(arena, Some(4)), [0, 0, 0, 1, 0]);
     }
 
     #[test]
     fn stream_build_matches_tree_build() {
-        let tree = sample();
-        let reference = TreeArena::new(&tree);
+        assert_is_sample(sample().arena());
         let mut streamed = TreeArena::default();
-        streamed.rebuild_from_stream(tree.len(), sample_stream()).unwrap();
-        assert_same_arena(&reference, &streamed);
+        streamed.rebuild_from_stream(5, sample_stream()).unwrap();
+        assert_is_sample(&streamed);
         // size_hint is advisory: 0 works too.
         streamed.rebuild_from_stream(0, sample_stream()).unwrap();
-        assert_same_arena(&reference, &streamed);
+        assert_is_sample(&streamed);
     }
 
     #[test]
@@ -889,10 +821,10 @@ mod tests {
     #[test]
     fn subtree_rebuild_restricts_and_relabels() {
         let tree = sample();
-        let src = TreeArena::new(&tree);
+        let src = tree.arena();
         let mut sub = TreeArena::default();
         // subtree(n1) = {n1, c2, c3} with local ids 0, 1, 2 (pre-order).
-        sub.rebuild_subtree(&src, 1);
+        sub.rebuild_subtree(src, 1);
         assert_eq!(sub.len(), 3);
         assert_eq!(sub.preorder(), &[0, 1, 2]);
         assert_eq!(sub.postorder(), &[1, 2, 0]);
@@ -911,7 +843,7 @@ mod tests {
         // distances, so they match the full tree wherever the full tree's
         // deadline lies inside the subtree.
         assert_eq!(deadlines(&sub, Some(4))[2], 0, "c3's global deadline is n1");
-        assert_eq!(deadlines(&src, Some(4))[3], 1);
+        assert_eq!(deadlines(src, Some(4))[3], 1);
         assert_eq!(deadlines(&sub, Some(2))[2], 2, "c3 cannot even reach n1 under dmax=2");
         assert_eq!(deadlines(&sub, Some(2))[1], 0, "c2 reaches n1 under dmax=2");
         assert_eq!(deadlines(&sub, Some(100)), [0, 0, 0], "nothing climbs past the local root");
@@ -938,11 +870,11 @@ mod tests {
         let r = b.add_internal(a, 3);
         let c = b.add_client(l, 4, 9);
         let tree = b.freeze().unwrap();
-        let src = TreeArena::new(&tree);
+        let src = tree.arena();
         assert_eq!(src.subtree_pre(a.0), &[1, 2, 4, 3], "pre-order differs from id order");
 
         let mut sub = TreeArena::default();
-        sub.rebuild_subtree(&src, a.0);
+        sub.rebuild_subtree(src, a.0);
         // Local ids are ranks of the global ids, not pre-positions.
         assert_eq!(sub.origin(), &[1, 2, 3, 4]);
         assert_eq!(sub.preorder(), &[0, 1, 3, 2]);
@@ -964,9 +896,9 @@ mod tests {
     #[test]
     fn subtree_rebuild_of_a_leaf_child() {
         let tree = sample();
-        let src = TreeArena::new(&tree);
+        let src = tree.arena();
         let mut sub = TreeArena::default();
-        sub.rebuild_subtree(&src, 4);
+        sub.rebuild_subtree(src, 4);
         assert_eq!(sub.len(), 1);
         assert!(sub.is_client(0));
         assert_eq!(sub.requests(0), 2);

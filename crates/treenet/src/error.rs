@@ -9,7 +9,8 @@ use std::fmt;
 pub enum TreeError {
     /// A client node was given children; clients must be leaves of the tree.
     ClientHasChildren(NodeId),
-    /// A node references a parent that does not exist.
+    /// A node references a parent that was not added before it (so a tree
+    /// can hold neither a cycle nor a node unreachable from the root).
     UnknownParent(NodeId),
     /// The tree has no nodes at all.
     Empty,
@@ -21,15 +22,10 @@ pub enum TreeError {
     /// A client issues more requests than fit in `u64` arithmetic used by the
     /// solvers (guards against overflow when summing subtree requests).
     RequestsTooLarge(NodeId),
-    /// The parent links contain a cycle or a node unreachable from the root
-    /// (should be impossible through [`crate::TreeBuilder`], but the text
-    /// parser can produce it).
-    NotATree(NodeId),
     /// The tree holds more nodes than the u32 index width of the solver
     /// arenas can address (see [`crate::Tree::MAX_NODES`]); carries the
-    /// offending node count. Raised by the checked construction boundaries
-    /// ([`crate::Tree`] freezing, `TreeArena::rebuild_from_stream`) instead
-    /// of silently truncating indices.
+    /// offending node count. Raised by `TreeArena::rebuild_from_stream`, and
+    /// so by [`crate::Tree`] freezing, instead of silently truncating indices.
     TooManyNodes(usize),
 }
 
@@ -45,9 +41,6 @@ impl fmt::Display for TreeError {
             TreeError::ZeroCapacity => write!(f, "server capacity W must be strictly positive"),
             TreeError::RequestsTooLarge(n) => {
                 write!(f, "client {n:?} issues too many requests for u64 arithmetic")
-            }
-            TreeError::NotATree(n) => {
-                write!(f, "node {n:?} is not reachable from the root (cycle or orphan)")
             }
             TreeError::TooManyNodes(n) => {
                 write!(f, "tree has {n} nodes, more than the u32 node index width can address")

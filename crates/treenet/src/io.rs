@@ -18,10 +18,11 @@
 //! Node ids must be dense, the root must be node 0 with parent `-`, and a
 //! node's parent must appear on an earlier line.
 
+use crate::arena::{StreamNode, NO_PARENT};
 use crate::error::TreeError;
 use crate::instance::Instance;
 use crate::solution::Solution;
-use crate::tree::{NodeId, NodeKind, Tree, TreeBuilder};
+use crate::tree::{NodeId, NodeKind, Tree};
 use std::fmt;
 
 /// Errors produced while parsing the text format.
@@ -99,7 +100,7 @@ pub fn parse_instance(text: &str) -> Result<Instance, ParseError> {
     let mut capacity: Option<u64> = None;
     let mut dmax: Option<Option<u64>> = None;
     let mut node_count: Option<usize> = None;
-    let mut nodes: Vec<(Option<u32>, u64, bool, u64)> = Vec::new(); // (parent, edge, is_client, req)
+    let mut nodes: Vec<StreamNode> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -171,7 +172,12 @@ pub fn parse_instance(text: &str) -> Result<Instance, ParseError> {
                         return Err(malformed("parents must appear before their children"));
                     }
                 }
-                nodes.push((parent, edge, is_client, req));
+                nodes.push(StreamNode {
+                    parent: parent.unwrap_or(NO_PARENT),
+                    edge,
+                    requests: req,
+                    is_client,
+                });
             }
         }
     }
@@ -182,24 +188,7 @@ pub fn parse_instance(text: &str) -> Result<Instance, ParseError> {
     if declared != nodes.len() {
         return Err(ParseError::NodeCountMismatch { declared, found: nodes.len() });
     }
-    if nodes.is_empty() {
-        return Err(ParseError::Tree(TreeError::Empty));
-    }
-    if nodes[0].2 {
-        return Err(ParseError::Tree(TreeError::RootNotInternal));
-    }
-
-    let mut builder = TreeBuilder::new();
-    for (idx, &(parent, edge, is_client, req)) in nodes.iter().enumerate().skip(1) {
-        let parent = NodeId(parent.expect("non-root nodes have parents"));
-        let id = if is_client {
-            builder.add_client(parent, edge, req)
-        } else {
-            builder.add_internal(parent, edge)
-        };
-        debug_assert_eq!(id.index(), idx);
-    }
-    let tree = builder.freeze()?;
+    let tree = Tree::from_stream(nodes.len(), nodes)?;
     Ok(Instance::new(tree, capacity, dmax)?)
 }
 
@@ -317,6 +306,7 @@ fn _assert_tree_alias(t: &Tree) -> &TreeAlias {
 mod tests {
     use super::*;
     use crate::instance::Policy;
+    use crate::tree::TreeBuilder;
     use crate::validate::validate;
 
     fn sample_instance() -> Instance {

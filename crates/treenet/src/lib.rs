@@ -16,9 +16,9 @@
 //!   from the raw tree ([`fn@validate`], [`ValidationError`]),
 //! * solution **metrics** ([`SolutionStats`]) and a plain-text **I/O format**
 //!   ([`io`]),
-//! * a **flat arena view** of a tree — contiguous subtree slices, CSR child
-//!   ranges, O(1) ancestor tests — that the solvers index instead of walking
-//!   node structs ([`TreeArena`]).
+//! * the **flat arena** every tree is stored in — contiguous subtree slices,
+//!   CSR child ranges, O(1) ancestor tests — built from one parents-first
+//!   node stream and indexed directly by the solvers ([`TreeArena`]).
 //!
 //! All quantities (requests, edge lengths, capacities) are integers (`u64`),
 //! matching the integral instances and reductions used throughout the paper.

@@ -1,15 +1,18 @@
-//! Arena-based distribution tree.
+//! Distribution tree.
 //!
 //! The tree follows the framework of Section 2 of the paper: the set of leaf
 //! nodes `C` are *clients*, each issuing `r_i` requests; internal nodes `N`
 //! are candidate replica locations; every non-root node `j` is connected to
 //! `parent(j)` by an edge of length `δ_j`.
 //!
-//! [`TreeBuilder`] constructs a tree incrementally (root first, then children)
-//! and [`TreeBuilder::freeze`] validates it and precomputes traversal orders,
-//! depths and root distances, producing an immutable [`Tree`] that can be
-//! shared across threads.
+//! A [`Tree`] is a frozen [`TreeArena`] plus its client list. Every tree is
+//! built through one path, a parents-first [`StreamNode`] stream:
+//! [`TreeBuilder`] records the stream node by node (root first, then
+//! children) and [`TreeBuilder::freeze`] hands it to [`Tree::from_stream`],
+//! which validates it and precomputes traversal orders, depths and root
+//! distances. The result is immutable and can be shared across threads.
 
+use crate::arena::{StreamNode, TreeArena, NO_PARENT};
 use crate::error::TreeError;
 use crate::{Dist, Requests};
 use serde::{Deserialize, Serialize};
@@ -62,35 +65,22 @@ impl NodeKind {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Node {
-    kind: NodeKind,
-    parent: Option<NodeId>,
-    /// Length of the edge towards the parent (`δ_j`); 0 for the root.
-    edge: Dist,
-    children: Vec<NodeId>,
-}
-
 /// Incremental builder for a [`Tree`].
 ///
 /// The builder starts with a single internal root node (id 0). Children are
 /// appended with [`TreeBuilder::add_internal`] and [`TreeBuilder::add_client`]
-/// by naming their parent and the length of the connecting edge.
+/// by naming their parent and the length of the connecting edge; each call
+/// records one [`StreamNode`] of the tree's parents-first stream.
 #[derive(Debug, Clone, Default)]
 pub struct TreeBuilder {
-    nodes: Vec<Node>,
+    nodes: Vec<StreamNode>,
 }
 
 impl TreeBuilder {
     /// Creates a builder containing only the root (an internal node).
     pub fn new() -> Self {
         TreeBuilder {
-            nodes: vec![Node {
-                kind: NodeKind::Internal,
-                parent: None,
-                edge: 0,
-                children: Vec::new(),
-            }],
+            nodes: vec![StreamNode { parent: NO_PARENT, edge: 0, requests: 0, is_client: false }],
         }
     }
 
@@ -112,7 +102,7 @@ impl TreeBuilder {
         self.nodes.len() <= 1
     }
 
-    fn push(&mut self, parent: NodeId, edge: Dist, kind: NodeKind) -> NodeId {
+    fn push(&mut self, parent: NodeId, edge: Dist, requests: Requests, is_client: bool) -> NodeId {
         // Checked conversion: ids and traversal positions are stored as u32
         // throughout the solver arenas (see `Tree::MAX_NODES`), so refusing
         // the node here beats silently truncating its id.
@@ -122,55 +112,49 @@ impl TreeBuilder {
                 .filter(|_| self.nodes.len() < Tree::MAX_NODES)
                 .expect("TreeBuilder holds at most Tree::MAX_NODES nodes"),
         );
-        self.nodes.push(Node { kind, parent: Some(parent), edge, children: Vec::new() });
-        if let Some(p) = self.nodes.get_mut(parent.index()) {
-            p.children.push(id);
-        }
+        self.nodes.push(StreamNode { parent: parent.0, edge, requests, is_client });
         id
     }
 
     /// Adds an internal node below `parent`, connected by an edge of length
     /// `edge`, and returns its id.
     pub fn add_internal(&mut self, parent: NodeId, edge: Dist) -> NodeId {
-        self.push(parent, edge, NodeKind::Internal)
+        self.push(parent, edge, 0, false)
     }
 
     /// Adds a client (leaf) below `parent`, connected by an edge of length
     /// `edge` and issuing `requests` requests, and returns its id.
     pub fn add_client(&mut self, parent: NodeId, edge: Dist, requests: Requests) -> NodeId {
-        self.push(parent, edge, NodeKind::Client(requests))
+        self.push(parent, edge, requests, true)
     }
 
-    /// Validates the structure and produces an immutable [`Tree`].
+    /// Validates the structure and produces an immutable [`Tree`] (see
+    /// [`Tree::from_stream`]).
     ///
     /// # Errors
     ///
+    /// * [`TreeError::Empty`] for a [`TreeBuilder::default`] builder,
     /// * [`TreeError::ClientHasChildren`] if a client node was used as a
     ///   parent,
-    /// * [`TreeError::UnknownParent`] if a parent id is out of range,
+    /// * [`TreeError::UnknownParent`] if a parent id was not added before
+    ///   its child,
     /// * [`TreeError::RequestsTooLarge`] if a client issues more than
     ///   `u64::MAX / 4` requests (guards the solvers against overflow).
     pub fn freeze(self) -> Result<Tree, TreeError> {
-        Tree::from_nodes(self.nodes)
+        Tree::from_stream(self.nodes.len(), self.nodes)
     }
 }
 
-/// An immutable distribution tree.
+/// An immutable distribution tree: a frozen [`TreeArena`] plus its client
+/// list.
 ///
-/// Nodes are stored in an arena indexed by [`NodeId`]; the root is always
-/// `NodeId(0)`. Besides the adjacency, the tree precomputes:
-///
-/// * a post-order and a pre-order traversal (children visited in insertion
-///   order),
-/// * the depth (number of edges) and the distance to the root of every node,
-/// * the list of clients and the arity Δ.
+/// Node ids index the arena; the root is always `NodeId(0)`. The arena
+/// holds the adjacency, a post-order and a pre-order traversal (children
+/// visited in insertion order), and the depth and distance to the root of
+/// every node; the tree adds the list of clients and the arity Δ.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Tree {
-    nodes: Vec<Node>,
-    postorder: Vec<NodeId>,
-    preorder: Vec<NodeId>,
-    depth: Vec<u32>,
-    root_dist: Vec<Dist>,
+    arena: TreeArena,
     clients: Vec<NodeId>,
     arity: usize,
 }
@@ -181,85 +165,47 @@ impl Tree {
     pub const MAX_REQUESTS: Requests = u64::MAX / 4;
 
     /// Maximum number of nodes a tree may hold: node ids and traversal
-    /// positions are stored as `u32` in [`crate::TreeArena`]'s dense arrays,
+    /// positions are stored as `u32` in [`TreeArena`]'s dense arrays,
     /// with `u32::MAX` reserved as the `NO_PARENT` sentinel. Construction
     /// boundaries return [`TreeError::TooManyNodes`] beyond this.
     pub const MAX_NODES: usize = u32::MAX as usize;
 
-    fn from_nodes(nodes: Vec<Node>) -> Result<Tree, TreeError> {
-        if nodes.is_empty() {
-            return Err(TreeError::Empty);
-        }
-        if nodes.len() > Self::MAX_NODES {
-            return Err(TreeError::TooManyNodes(nodes.len()));
-        }
-        if nodes[0].kind.is_client() {
-            return Err(TreeError::RootNotInternal);
-        }
-        // Structural checks.
-        for (idx, n) in nodes.iter().enumerate() {
-            if let Some(p) = n.parent {
-                if p.index() >= nodes.len() {
-                    return Err(TreeError::UnknownParent(NodeId(idx as u32)));
-                }
-                if nodes[p.index()].kind.is_client() {
-                    return Err(TreeError::ClientHasChildren(p));
-                }
-            }
-            if let NodeKind::Client(r) = n.kind {
-                if r > Self::MAX_REQUESTS {
-                    return Err(TreeError::RequestsTooLarge(NodeId(idx as u32)));
-                }
-            }
-        }
-        // Traversals from the root; also detects unreachable nodes / cycles.
-        let mut preorder = Vec::with_capacity(nodes.len());
-        let mut postorder = Vec::with_capacity(nodes.len());
-        let mut depth = vec![0u32; nodes.len()];
-        let mut root_dist = vec![0 as Dist; nodes.len()];
-        let mut seen = vec![false; nodes.len()];
-        // Iterative DFS with an explicit state to emit post-order.
-        let mut stack: Vec<(NodeId, usize)> = vec![(NodeId(0), 0)];
-        seen[0] = true;
-        preorder.push(NodeId(0));
-        while let Some((id, child_idx)) = stack.pop() {
-            let node = &nodes[id.index()];
-            if child_idx < node.children.len() {
-                stack.push((id, child_idx + 1));
-                let c = node.children[child_idx];
-                if seen[c.index()] {
-                    return Err(TreeError::NotATree(c));
-                }
-                seen[c.index()] = true;
-                depth[c.index()] = depth[id.index()] + 1;
-                root_dist[c.index()] = root_dist[id.index()].saturating_add(nodes[c.index()].edge);
-                preorder.push(c);
-                stack.push((c, 0));
-            } else {
-                postorder.push(id);
-            }
-        }
-        if let Some(idx) = seen.iter().position(|s| !s) {
-            return Err(TreeError::NotATree(NodeId(idx as u32)));
-        }
-        let clients: Vec<NodeId> = (0..nodes.len())
-            .map(|i| NodeId(i as u32))
-            .filter(|id| nodes[id.index()].kind.is_client())
-            .collect();
-        let arity = nodes.iter().map(|n| n.children.len()).max().unwrap_or(0);
-        Ok(Tree { nodes, postorder, preorder, depth, root_dist, clients, arity })
+    /// Freezes a parents-first stream of [`StreamNode`] records (see that
+    /// type for the stream contract) into a tree; record `i` becomes
+    /// `NodeId(i)`. `size_hint` pre-sizes the arena (the exact node count
+    /// when known, or 0).
+    ///
+    /// # Errors
+    ///
+    /// The validation errors of [`TreeArena::rebuild_from_stream`].
+    pub fn from_stream<I>(size_hint: usize, nodes: I) -> Result<Tree, TreeError>
+    where
+        I: IntoIterator<Item = StreamNode>,
+    {
+        let mut arena = TreeArena::default();
+        arena.rebuild_from_stream(size_hint, nodes)?;
+        let n = arena.len() as u32;
+        let clients = (0..n).filter(|&v| arena.is_client(v)).map(NodeId).collect();
+        let arity = (0..n).map(|v| arena.children(v).len()).max().unwrap_or(0);
+        Ok(Tree { arena, clients, arity })
+    }
+
+    /// The flat arena the tree is stored in; the solvers index it directly.
+    #[inline]
+    pub fn arena(&self) -> &TreeArena {
+        &self.arena
     }
 
     /// Total number of nodes `|C ∪ N|`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.arena.len()
     }
 
     /// Whether the tree contains only the root.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
+        self.arena.is_empty()
     }
 
     /// The root node id (always `NodeId(0)`).
@@ -270,31 +216,36 @@ impl Tree {
 
     /// Iterator over all node ids, in id order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.len() as u32).map(NodeId)
     }
 
     /// Role of node `id`.
     #[inline]
     pub fn kind(&self, id: NodeId) -> NodeKind {
-        self.nodes[id.index()].kind
+        if self.is_client(id) {
+            NodeKind::Client(self.requests(id))
+        } else {
+            NodeKind::Internal
+        }
     }
 
     /// Whether `id` is a client (leaf issuing requests).
     #[inline]
     pub fn is_client(&self, id: NodeId) -> bool {
-        self.nodes[id.index()].kind.is_client()
+        self.arena.is_client(id.0)
     }
 
     /// Requests issued by node `id` (`r_i` for clients, 0 for internal nodes).
     #[inline]
     pub fn requests(&self, id: NodeId) -> Requests {
-        self.nodes[id.index()].kind.requests()
+        self.arena.requests(id.0)
     }
 
     /// Parent of `id`, or `None` for the root.
     #[inline]
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.index()].parent
+        let p = self.arena.parent(id.0);
+        (p != NO_PARENT).then_some(NodeId(p))
     }
 
     /// Length `δ_j` of the edge between `id` and its parent (0 for the root;
@@ -302,25 +253,28 @@ impl Tree {
     /// requests traverse above the root).
     #[inline]
     pub fn edge(&self, id: NodeId) -> Dist {
-        self.nodes[id.index()].edge
+        self.arena.edge(id.0)
     }
 
     /// Children of `id`, in insertion order.
     #[inline]
-    pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.nodes[id.index()].children
+    pub fn children(
+        &self,
+        id: NodeId,
+    ) -> impl ExactSizeIterator<Item = NodeId> + DoubleEndedIterator + '_ {
+        ids(self.arena.children(id.0))
     }
 
     /// Depth of `id` in edges (0 for the root).
     #[inline]
     pub fn depth(&self, id: NodeId) -> u32 {
-        self.depth[id.index()]
+        self.arena.depth(id.0)
     }
 
     /// Distance from `id` to the root along tree edges.
     #[inline]
     pub fn dist_to_root(&self, id: NodeId) -> Dist {
-        self.root_dist[id.index()]
+        self.arena.root_dist(id.0)
     }
 
     /// Arity Δ of the tree (maximum number of children of any node).
@@ -350,14 +304,14 @@ impl Tree {
     /// Post-order traversal (children before parents); the natural order for
     /// the bottom-up algorithms of the paper.
     #[inline]
-    pub fn postorder(&self) -> &[NodeId] {
-        &self.postorder
+    pub fn postorder(&self) -> impl ExactSizeIterator<Item = NodeId> + DoubleEndedIterator + '_ {
+        ids(self.arena.postorder())
     }
 
     /// Pre-order traversal (parents before children).
     #[inline]
-    pub fn preorder(&self) -> &[NodeId] {
-        &self.preorder
+    pub fn preorder(&self) -> impl ExactSizeIterator<Item = NodeId> + DoubleEndedIterator + '_ {
+        ids(self.arena.preorder())
     }
 
     /// Sum of all client requests (`W_tot` in the paper), computed in `u128`
@@ -393,31 +347,24 @@ impl Tree {
     }
 
     /// Whether `ancestor` lies on the path from `node` to the root
-    /// (inclusive of `node` itself).
+    /// (inclusive of `node` itself). O(1) via pre-order intervals.
+    #[inline]
     pub fn is_ancestor_or_self(&self, ancestor: NodeId, node: NodeId) -> bool {
-        self.distance_to_ancestor(node, ancestor).is_some()
+        self.arena.is_ancestor_or_self(ancestor.0, node.0)
     }
 
-    /// Nodes of `subtree(j)`, including `j`, in pre-order.
-    pub fn subtree(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            for &c in self.children(n) {
-                stack.push(c);
-            }
-        }
-        out
+    /// Nodes of `subtree(j)`, `j` first, in pre-order.
+    #[inline]
+    pub fn subtree(
+        &self,
+        id: NodeId,
+    ) -> impl ExactSizeIterator<Item = NodeId> + DoubleEndedIterator + '_ {
+        ids(self.arena.subtree_pre(id.0))
     }
 
     /// Sum of requests issued by clients of `subtree(j)`.
     pub fn subtree_requests(&self, id: NodeId) -> u128 {
-        self.subtree(id)
-            .into_iter()
-            .filter(|n| self.is_client(*n))
-            .map(|n| self.requests(n) as u128)
-            .sum()
+        self.subtree(id).map(|n| self.requests(n) as u128).sum()
     }
 
     /// Number of clients in the tree.
@@ -431,6 +378,11 @@ impl Tree {
     pub fn max_client_root_distance(&self) -> Dist {
         self.clients.iter().map(|c| self.dist_to_root(*c)).max().unwrap_or(0)
     }
+}
+
+/// Raw arena indices as [`NodeId`]s.
+fn ids(raw: &[u32]) -> impl ExactSizeIterator<Item = NodeId> + DoubleEndedIterator + '_ {
+    raw.iter().map(|&v| NodeId(v))
 }
 
 /// Iterator over a node and its ancestors; see
@@ -476,7 +428,7 @@ mod tests {
         assert_eq!(t.client_count(), 3);
         assert_eq!(t.arity(), 2);
         assert!(t.is_binary());
-        assert_eq!(t.children(NodeId(0)), &[NodeId(1), NodeId(4)]);
+        assert!(t.children(NodeId(0)).eq([NodeId(1), NodeId(4)]));
         assert_eq!(t.parent(NodeId(2)), Some(NodeId(1)));
         assert_eq!(t.parent(NodeId(0)), None);
         assert_eq!(t.edge(NodeId(3)), 3);
@@ -514,26 +466,25 @@ mod tests {
         // post-order: every node appears after all of its children
         let pos: Vec<usize> = {
             let mut v = vec![0; t.len()];
-            for (i, id) in t.postorder().iter().enumerate() {
+            for (i, id) in t.postorder().enumerate() {
                 v[id.index()] = i;
             }
             v
         };
         for id in t.node_ids() {
-            for &c in t.children(id) {
+            for c in t.children(id) {
                 assert!(pos[c.index()] < pos[id.index()]);
             }
         }
         // pre-order starts at the root
-        assert_eq!(t.preorder()[0], t.root());
+        assert_eq!(t.preorder().next(), Some(t.root()));
     }
 
     #[test]
     fn subtree_and_requests() {
         let t = sample_tree();
-        let mut sub = t.subtree(NodeId(1));
-        sub.sort();
-        assert_eq!(sub, vec![NodeId(1), NodeId(2), NodeId(3)]);
+        assert!(t.subtree(NodeId(1)).eq([NodeId(1), NodeId(2), NodeId(3)]));
+        assert!(t.subtree(NodeId(0)).eq(t.preorder()), "pre-order, root first");
         assert_eq!(t.subtree_requests(NodeId(1)), 12);
         assert_eq!(t.subtree_requests(NodeId(0)), 14);
         assert_eq!(t.total_requests(), 14);
@@ -571,6 +522,8 @@ mod tests {
         assert_eq!(t.client_count(), 0);
         assert_eq!(t.total_requests(), 0);
         assert_eq!(t.arity(), 0);
+        // Without even the root there is no tree.
+        assert_eq!(TreeBuilder::default().freeze().unwrap_err(), TreeError::Empty);
     }
 
     #[test]

@@ -55,11 +55,11 @@ proptest! {
 
     #[test]
     fn deadlines_match_naive_walks(tree in deep_tree(), dmax in 0u64..400) {
-        let arena = TreeArena::new(&tree);
+        let arena = tree.arena();
         let mut out = Vec::new();
         arena.compute_deadlines(Some(dmax), &mut out);
         for v in 0..arena.len() as u32 {
-            let expect = naive_deadline(&arena, v, dmax);
+            let expect = naive_deadline(arena, v, dmax);
             prop_assert_eq!(out[v as usize], expect, "compute_deadlines[{}]", v);
         }
         arena.compute_deadlines(None, &mut out);

@@ -3,7 +3,7 @@
 //! behaviour on randomly perturbed solutions.
 
 use proptest::prelude::*;
-use rp_tree::{validate, Instance, NodeId, Policy, Solution, Tree, TreeBuilder};
+use rp_tree::{validate, Instance, NodeId, Policy, Solution, Tree, TreeBuilder, TreeError};
 
 /// Builds an arbitrary tree from a compact description: for every node after
 /// the root, a `(parent_choice, edge, kind)` triple where `parent_choice`
@@ -25,6 +25,28 @@ fn arbitrary_tree() -> impl Strategy<Value = Tree> {
             builder.freeze().expect("builder-constructed trees are always valid")
         },
     )
+}
+
+/// `positions(order)[v]` is the index of node `v` in `order`.
+fn positions(order: impl Iterator<Item = NodeId>, n: usize) -> Vec<usize> {
+    let mut pos = vec![usize::MAX; n];
+    for (i, id) in order.enumerate() {
+        pos[id.index()] = i;
+    }
+    pos
+}
+
+/// `reach[d][a]`: whether the parent walk from `d` reaches `a` (inclusive).
+fn walk_ancestors(tree: &Tree) -> Vec<Vec<bool>> {
+    let mut reach = vec![vec![false; tree.len()]; tree.len()];
+    for d in tree.node_ids() {
+        let mut at = Some(d);
+        while let Some(a) = at {
+            reach[d.index()][a.index()] = true;
+            at = tree.parent(a);
+        }
+    }
+    reach
 }
 
 proptest! {
@@ -51,14 +73,45 @@ proptest! {
                 Some(p) => {
                     prop_assert_eq!(tree.depth(id), tree.depth(p) + 1);
                     prop_assert_eq!(tree.dist_to_root(id), tree.dist_to_root(p) + tree.edge(id));
-                    prop_assert!(tree.children(p).contains(&id));
                 }
+            }
+        }
+        // Children are exactly the nodes naming `v` as parent, in id order.
+        for v in tree.node_ids() {
+            let expected: Vec<NodeId> =
+                tree.node_ids().filter(|&c| tree.parent(c) == Some(v)).collect();
+            prop_assert_eq!(tree.children(v).collect::<Vec<_>>(), expected);
+        }
+        // Each order puts a node on the right side of its parent.
+        let post_pos = positions(tree.postorder(), tree.len());
+        let pre_pos = positions(tree.preorder(), tree.len());
+        for id in tree.node_ids() {
+            if let Some(p) = tree.parent(id) {
+                prop_assert!(post_pos[id.index()] < post_pos[p.index()]);
+                prop_assert!(pre_pos[p.index()] < pre_pos[id.index()]);
+            }
+        }
+        // Subtrees and the ancestor test agree with parent walks; a subtree
+        // is the contiguous pre-order run starting at its root.
+        let reach = walk_ancestors(&tree);
+        let pre: Vec<NodeId> = tree.preorder().collect();
+        for a in tree.node_ids() {
+            let sub: Vec<NodeId> = tree.subtree(a).collect();
+            let start = pre_pos[a.index()];
+            prop_assert_eq!(&sub[..], &pre[start..start + sub.len()]);
+            let mut sorted = sub.clone();
+            sorted.sort_unstable();
+            let walked: Vec<NodeId> =
+                tree.node_ids().filter(|d| reach[d.index()][a.index()]).collect();
+            prop_assert_eq!(sorted, walked);
+            for d in tree.node_ids() {
+                prop_assert_eq!(tree.is_ancestor_or_self(a, d), reach[d.index()][a.index()]);
             }
         }
         // Clients are exactly the nodes with `is_client`, and they are leaves.
         for &c in tree.clients() {
             prop_assert!(tree.is_client(c));
-            prop_assert!(tree.children(c).is_empty());
+            prop_assert_eq!(tree.children(c).len(), 0);
         }
         // Subtree of the root is the whole tree; total requests add up.
         prop_assert_eq!(tree.subtree(tree.root()).len(), tree.len());
@@ -67,6 +120,25 @@ proptest! {
         // Arity is the true maximum number of children.
         let max_children = tree.node_ids().map(|n| tree.children(n).len()).max().unwrap_or(0);
         prop_assert_eq!(tree.arity(), max_children);
+    }
+
+    #[test]
+    fn builder_rejects_a_parent_added_later(tree in arbitrary_tree(), ahead in 0u32..5) {
+        // Replay the tree into a builder, then name a parent that does not
+        // exist yet (`ahead = 0` names the new node itself).
+        let mut b = TreeBuilder::new();
+        for id in tree.node_ids().skip(1) {
+            let parent = tree.parent(id).unwrap();
+            if tree.is_client(id) {
+                b.add_client(parent, tree.edge(id), tree.requests(id));
+            } else {
+                b.add_internal(parent, tree.edge(id));
+            }
+        }
+        let orphan = NodeId(tree.len() as u32);
+        prop_assert_eq!(b.add_internal(NodeId(orphan.0 + ahead), 1), orphan);
+        b.add_client(orphan, 1, 1);
+        prop_assert_eq!(b.freeze().unwrap_err(), TreeError::UnknownParent(orphan));
     }
 
     #[test]

@@ -24,10 +24,68 @@
 //! rp solve --instance tests/golden/fallback-768.instance.txt --stage-stats \
 //!     --algorithm multiple-bin --out tests/golden/fallback-768.multiple-bin.solution.txt
 //! ```
+//!
+//! The generator tests regenerate both instance files in process with the
+//! parameters above (`rp gen`'s defaults: edges uniform in `1..=3`, requests
+//! uniform in `1..=9`, capacity factor 3) and compare the bytes, so the
+//! random generators' draw order and the instance writer are pinned too.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use replica_placement::algorithms::{multiple_bin_with, SolverScratch, StageStats};
+use replica_placement::instances::random::{random_binary_tree, random_kary_tree, wrap_instance};
+use replica_placement::instances::{EdgeDist, RequestDist};
 use replica_placement::prelude::*;
 use replica_placement::tree::io;
+
+const EDGE: EdgeDist = EdgeDist::Uniform { lo: 1, hi: 3 };
+const REQUESTS: RequestDist = RequestDist::Uniform { lo: 1, hi: 9 };
+
+/// `rp gen --kind binary --clients <clients> --seed <seed> --dmax-fraction
+/// <fraction>`, written as instance text.
+fn gen_binary(clients: usize, seed: u64, fraction: f64) -> String {
+    let tree = random_binary_tree(clients, &EDGE, &REQUESTS, &mut StdRng::seed_from_u64(seed));
+    io::write_instance(&wrap_instance(tree, 3.0, Some(fraction)))
+}
+
+#[test]
+fn binary_generator_reproduces_the_golden_instances() {
+    assert_eq!(gen_binary(512, 1, 0.1), include_str!("golden/shallow-512.instance.txt"));
+    assert_eq!(gen_binary(768, 5, 0.5), include_str!("golden/fallback-768.instance.txt"));
+}
+
+#[test]
+fn kary_generator_output_is_pinned() {
+    // rp gen --kind kary --clients 12 --arity 3 --seed 4 --dmax-fraction 0.5
+    let expected = "\
+# replica-placement instance v1
+capacity 17
+dmax 4
+nodes 20
+0 - 0 internal 0
+1 0 3 internal 0
+2 1 3 client 8
+3 1 2 internal 0
+4 3 1 client 9
+5 3 2 client 7
+6 1 1 internal 0
+7 6 3 client 4
+8 6 1 client 4
+9 0 2 internal 0
+10 9 3 client 8
+11 9 2 internal 0
+12 11 3 client 9
+13 11 1 client 1
+14 0 2 internal 0
+15 14 1 client 2
+16 14 2 internal 0
+17 16 1 client 1
+18 16 2 client 7
+19 14 3 client 6
+";
+    let tree = random_kary_tree(12, 3, &EDGE, &REQUESTS, &mut StdRng::seed_from_u64(4));
+    assert_eq!(io::write_instance(&wrap_instance(tree, 3.0, Some(0.5))), expected);
+}
 
 /// Solves `instance` and compares the written solution with `golden`;
 /// returns the solve's stage counters.

@@ -115,13 +115,8 @@ pub fn deep_fallback_instance(clients: usize, dmax_active: bool, seed: u64) -> I
 /// made chain merges linear; the grid now carries both variants.
 pub fn long_spine_instance(clients: usize, dmax_active: bool, seed: u64) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = rp_tree::TreeBuilder::new();
-    let mut spine = b.root();
-    for _ in 0..clients.max(1) {
-        spine = b.add_internal(spine, 1);
-        b.add_client(spine, 1, rng.gen_range(1..=9u64));
-    }
-    let tree = b.freeze().expect("spine construction is always valid");
+    let reqs: Vec<u64> = (0..clients.max(1)).map(|_| rng.gen_range(1..=9u64)).collect();
+    let tree = rp_instances::families::caterpillar(&reqs, 1, 1);
     Instance::new(tree, 12, if dmax_active { Some(24) } else { None })
         .expect("capacity is positive")
 }
@@ -167,6 +162,12 @@ mod tests {
         assert!(s.tree().is_binary(), "multiple-bin must accept the spine family");
         assert_eq!(s.dmax(), Some(24), "the spine distance budget is constant, not span-scaled");
         assert!(long_spine_instance(48, false, 9).dmax().is_none());
+    }
+
+    #[test]
+    fn long_spine_text_is_pinned() {
+        let text = rp_tree::io::write_instance(&long_spine_instance(48, true, 9));
+        assert_eq!(text, include_str!("../tests/golden/long-spine-48.instance.txt"));
     }
 
     #[test]

@@ -221,15 +221,15 @@ fn serve_loop<R: BufRead, W: Write>(
                 }
                 None => Err("err malformed solution needs a path".to_string()),
             },
-            "pause" => match tokens.next().map(str::parse::<u64>) {
-                Some(Ok(ms)) => {
+            "pause" => match tokens.next().and_then(parse_digits::<u64>) {
+                Some(ms) => {
                     std::thread::sleep(Duration::from_millis(ms));
                     Ok(format!("ok paused={ms}"))
                 }
                 _ => Err("err malformed pause needs a millisecond count".to_string()),
             },
-            "crash-after" => match tokens.next().map(str::parse::<u64>) {
-                Some(Ok(n)) => {
+            "crash-after" => match tokens.next().and_then(parse_digits::<u64>) {
+                Some(n) => {
                     crash_fuse = Some(n + 1);
                     Ok(format!("ok crash-after={n}"))
                 }
@@ -314,21 +314,29 @@ fn apply_deltas<'a, I: Iterator<Item = &'a str>>(
     }
 }
 
-fn parse_node(raw: Option<&str>) -> Result<u32, String> {
-    let raw = raw.ok_or_else(|| "err malformed missing node id".to_string())?;
-    raw.parse().map_err(|_| format!("err malformed invalid node id `{raw}`"))
+/// Parses an unsigned decimal made of ASCII digits only. `from_str` alone
+/// would also take a leading `+`, so `delta 2 ++2` would apply `+2`.
+fn parse_digits<T: std::str::FromStr>(raw: &str) -> Option<T> {
+    if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    raw.parse().ok()
 }
 
-/// `+K` / `-K` / `=K`. The amount must parse as `u64`; range violations
-/// beyond that (`Tree::MAX_REQUESTS`, capacity) are the engine's
-/// structured errors, not parse errors.
+fn parse_node(raw: Option<&str>) -> Result<u32, String> {
+    let raw = raw.ok_or_else(|| "err malformed missing node id".to_string())?;
+    parse_digits(raw).ok_or_else(|| format!("err malformed invalid node id `{raw}`"))
+}
+
+/// `+K` / `-K` / `=K`. The amount must be ASCII digits that fit a `u64`;
+/// range violations beyond that (`Tree::MAX_REQUESTS`, capacity) are the
+/// engine's structured errors, not parse errors.
 fn parse_op(raw: &str) -> Result<DemandDelta, String> {
     // Split after the first char, not byte: a multi-byte op is malformed,
     // not a panic.
     let (kind, amount) = raw.split_at(raw.chars().next().map_or(0, char::len_utf8));
-    let k: u64 = match amount.parse() {
-        Ok(k) => k,
-        Err(_) => return Err(format!("err malformed invalid delta op `{raw}`")),
+    let Some(k) = parse_digits::<u64>(amount) else {
+        return Err(format!("err malformed invalid delta op `{raw}`"));
     };
     match kind {
         "+" => Ok(DemandDelta::Add(k)),
@@ -566,6 +574,11 @@ delta 2
 delta 2 *3
 delta 3 é5
 delta abc +1
+delta 2 ++2
+delta 2 -+1
+delta +2 +1
+leave +3
+pause +1
 delta 99 +1
 delta 1 +1
 delta 3 -9
@@ -584,16 +597,23 @@ quit
         // A multi-byte op is malformed, not a panic that ends the session.
         assert_eq!(lines[4], "err malformed invalid delta op `é5` (use +K, -K or =K)", "{out}");
         assert!(lines[5].starts_with("err malformed invalid node id `abc`"), "{out}");
-        assert!(lines[6].starts_with("err unknown-node"), "{out}");
-        assert!(lines[7].starts_with("err not-a-client"), "{out}");
-        assert!(lines[8].starts_with("err underflow"), "{out}");
-        assert!(lines[9].starts_with("err capacity"), "{out}");
+        // Node ids and amounts are unsigned: a sign is malformed, never
+        // an extra `+`.
+        assert!(lines[6].starts_with("err malformed invalid delta op `++2`"), "{out}");
+        assert!(lines[7].starts_with("err malformed invalid delta op `-+1`"), "{out}");
+        assert!(lines[8].starts_with("err malformed invalid node id `+2`"), "{out}");
+        assert!(lines[9].starts_with("err malformed invalid node id `+3`"), "{out}");
+        assert!(lines[10].starts_with("err malformed pause needs"), "{out}");
+        assert!(lines[11].starts_with("err unknown-node"), "{out}");
+        assert!(lines[12].starts_with("err not-a-client"), "{out}");
+        assert!(lines[13].starts_with("err underflow"), "{out}");
+        assert!(lines[14].starts_with("err capacity"), "{out}");
         // Batch: first pair lands, second fails, third is not attempted.
-        assert!(lines[10].starts_with("err underflow after 1 applied"), "{out}");
+        assert!(lines[15].starts_with("err underflow after 1 applied"), "{out}");
         // The engine still solves, on exactly the state the errors left:
         // node 2 got +1 (the batch's first pair), nothing else moved.
-        assert!(lines[11].starts_with("solved replicas="), "{out}");
-        assert!(lines[12].starts_with("err malformed solution needs a path"), "{out}");
+        assert!(lines[16].starts_with("solved replicas="), "{out}");
+        assert!(lines[17].starts_with("err malformed solution needs a path"), "{out}");
         assert_eq!(*lines.last().unwrap(), "bye");
         let summary = summary.unwrap();
         assert!(summary.contains("rejected=5"), "{summary}");

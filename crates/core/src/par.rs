@@ -26,10 +26,16 @@
 //! [`rebuild_subtree`](rp_tree::TreeArena::rebuild_subtree) sub-arena.
 //! Local ids are assigned by global-id *rank*, so every raw-id tie-break
 //! inside the stage engine orders exactly like the serial solve; deadlines
-//! above `f` become the [`NO_PARENT`] sentinel (such clients are never
-//! stuck inside the subtree — their stages run in the finish pass), while
-//! deadline *depths* keep their true global values, preserving the
-//! router's must-serve ordering. The worker's committed state (replica
+//! above `f` become the [`NO_PARENT`] sentinel, while deadline *depths*
+//! keep their true global values, preserving the router's must-serve
+//! ordering. The sentinel is written but never read. Such a client is
+//! never stuck inside the subtree (a stuck client's deadline is the stage
+//! root), and no worker stage collects it: a stage collects only clients
+//! that hold an assignment, and in a worker an assignment comes from an
+//! earlier worker stage (whose pool, by the same argument, has deadlines
+//! inside the subtree) or from a client serving itself (its deadline is
+//! the client). The stage engine's scope collection asserts this in debug
+//! builds. The worker's committed state (replica
 //! set, loads, assignments, pending requests at `f`, the requests issued
 //! in `subtree(f)`, stage counters) is merged back id-for-id before the
 //! finish pass.
@@ -184,9 +190,8 @@ fn seed_worker_deadlines(gs: &SolverScratch, ls: &mut SolverScratch, f: u32) {
     for (v, &g) in origin.iter().enumerate() {
         let gd = gs.deadline[g as usize];
         // A deadline inside subtree(f) maps to its local rank; one above
-        // `f` becomes the NO_PARENT sentinel — such a client is never
-        // stuck inside the subtree, so the sentinel only has to mean
-        // "service path exits the sub-arena" to the stage machinery.
+        // `f` becomes the NO_PARENT sentinel, which no worker stage reads
+        // (see the module docs).
         deadline[v] = if gs.arena().is_ancestor_or_self(f, gd) {
             origin.binary_search(&gd).expect("deadline below f is in subtree(f)") as u32
         } else {

@@ -144,11 +144,12 @@ pub struct SolverScratch {
     pub(crate) active_nodes: Vec<u32>,
     /// Stage stamp per node; `== stage_id` means active this stage.
     pub(crate) active_mark: Vec<u32>,
-    /// Position of each node in `active_nodes` (valid where active).
+    /// Position of each node in `active_nodes` (valid where active). Both
+    /// stage-DP modes index their per-node vectors by it.
     pub(crate) active_pos: Vec<u32>,
     /// Stage stamp per node; `== stage_id` means on a *stuck* client's
     /// path to the stage root — the sub-forest the scope collection walks
-    /// first, and the one the DP fallback runs over.
+    /// first, and the one the DP fallback keeps of the scope forest.
     pub(crate) stuck_mark: Vec<u32>,
     /// Monotone stamp distinguishing stages without clearing marks.
     pub(crate) stage_id: u32,
@@ -203,18 +204,15 @@ pub struct SolverScratch {
     /// `(deadline depth, absorbed)` pairs before aggregation.
     pub(crate) breakdown: Vec<(u32, u64)>,
 
-    // --- stage-DP fallback state ---
-    /// Stuck volume per client, the fallback's own demand map.
+    // --- stage-DP state ---
+    /// Stuck volume per client, the fallback's own demand map (the
+    /// relaxed lower bound reads `demand`).
     pub(crate) dp_demand: Vec<u64>,
     /// Clients with non-zero [`SolverScratch::dp_demand`].
     pub(crate) dp_clients: Vec<u32>,
-    /// The fallback's stuck forest: the `stuck_mark`ed nodes of
-    /// `active_nodes`, in the same post order.
-    pub(crate) dp_nodes: Vec<u32>,
-    /// Position of each node in `dp_nodes` (valid where stuck-marked).
-    pub(crate) dp_pos: Vec<u32>,
-    /// Pooled storage of the sparse stage-DP pass (see
-    /// [`crate::stage::chain_dp`]).
+    /// Pooled storage of the sparse stage-DP pass, both modes (see
+    /// [`crate::stage::chain_dp`]): one segment store holding the per-node
+    /// vectors and the backtrack's convolution layers.
     pub(crate) sdp: crate::stage::chain_dp::SparseDp,
 
     // --- single-gen state ---
@@ -350,7 +348,6 @@ impl SolverScratch {
         reset(&mut self.active_mark, n, 0);
         reset(&mut self.active_pos, n, 0);
         reset(&mut self.stuck_mark, n, 0);
-        reset(&mut self.dp_pos, n, 0);
         self.router.prepare(n);
         reset(&mut self.sub_demand, n, 0);
         self.commit_log.clear();
@@ -372,7 +369,6 @@ impl SolverScratch {
         self.spare_nodes.clear();
         self.breakdown.clear();
         self.dp_clients.clear();
-        self.dp_nodes.clear();
     }
 
     /// Finishes an active forest whose nodes have been marked and pushed

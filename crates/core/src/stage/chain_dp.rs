@@ -50,6 +50,14 @@
 //! share stops there without recomputing its convolution layers. The
 //! walk's cost follows the paths to the chosen nodes, not the forest.
 //!
+//! **Storage.** One segment store holds every vector of a pass: the
+//! per-node vectors at their scope-forest positions, then, during the
+//! backtrack, one frame's convolution layers, truncated away after the
+//! frame. One merge routine builds the forward convolutions and the
+//! backtrack's layers alike. A pass runs over the stage's scope forest
+//! and takes only the nodes that pass a mark test; a node it skips keeps an
+//! empty placeholder, so positions stay those of the scope forest.
+//!
 //! The pass is total: a node's segment count is bounded by its strict-step
 //! count, which never exceeds the dense vector's length, so the sparse
 //! form is never asymptotically worse than a dense table.
@@ -59,7 +67,7 @@ use rp_tree::Requests;
 /// One convex vector: `m(r) = v0 − Σ` of the first `min(r, strict)` steps,
 /// for `r` in `0..len`, where the steps are `cnt[i]` copies of `step[i]`
 /// (steps strictly decreasing, all positive) and `strict = Σ cnt[i]`.
-/// Borrowed views into the pooled slabs of [`SparseDp`].
+/// A borrowed view into the segment store of [`SparseDp`].
 #[derive(Clone, Copy)]
 struct Rep<'a> {
     v0: u64,
@@ -102,50 +110,49 @@ impl Rep<'_> {
     }
 }
 
-/// Pooled storage for the sparse pass: per-position reps plus the working
-/// buffers of one convolution and of the backtracking walk. All capacity
-/// survives across stages, so steady-state passes allocate nothing.
+/// The segment store: one convex vector per index, its `v0`, its length
+/// and its segment range `off[p]..off[p + 1]` into the flattened
+/// `cnt` / `step` rows. The per-node vectors of a pass take the first
+/// `order.len()` indices; the backtrack appends a node's convolution layers
+/// after them and truncates them away again.
 #[derive(Debug, Default)]
-pub(crate) struct SparseDp {
-    /// Per-position `v0` (value at `r = 0`).
+struct Reps {
     v0: Vec<u64>,
-    /// Per-position vector length (`min(free in part, …) + 1`).
     len: Vec<u32>,
-    /// Per-position segment range into `cnt`/`step` (`off[p]..off[p+1]`).
     off: Vec<u32>,
-    /// Flattened segment counts.
     cnt: Vec<u32>,
-    /// Flattened segment steps (strictly decreasing within a node).
     step: Vec<u64>,
-    /// Working rep of the node under construction.
-    wcnt: Vec<u32>,
-    wstep: Vec<u64>,
-    /// Merge target of one convolution (swapped with `wcnt`/`wstep`).
-    tcnt: Vec<u32>,
-    tstep: Vec<u64>,
-    /// Backtrack: per-layer reps of the node being unwound.
-    lv0: Vec<u64>,
-    llen: Vec<u32>,
-    loff: Vec<u32>,
-    lcnt: Vec<u32>,
-    lstep: Vec<u64>,
-    /// Backtrack: participating children of the node being unwound.
-    kids: Vec<u32>,
-    /// Backtrack stack of `(node, replicas)` frames.
-    stack: Vec<(u32, usize)>,
 }
 
-impl SparseDp {
-    fn reset(&mut self, nodes: usize) {
+impl Reps {
+    fn clear(&mut self, vectors: usize) {
         self.v0.clear();
         self.len.clear();
         self.off.clear();
         self.cnt.clear();
         self.step.clear();
-        self.v0.reserve(nodes);
-        self.len.reserve(nodes);
-        self.off.reserve(nodes + 1);
+        self.v0.reserve(vectors);
+        self.len.reserve(vectors);
+        self.off.reserve(vectors + 1);
         self.off.push(0);
+    }
+
+    fn push(&mut self, v0: u64, len: usize, cnt: &[u32], step: &[u64]) {
+        self.v0.push(v0);
+        self.len.push(len as u32);
+        self.cnt.extend_from_slice(cnt);
+        self.step.extend_from_slice(step);
+        self.off.push(self.cnt.len() as u32);
+    }
+
+    /// Keeps the first `vectors` vectors.
+    fn truncate(&mut self, vectors: usize) {
+        self.v0.truncate(vectors);
+        self.len.truncate(vectors);
+        self.off.truncate(vectors + 1);
+        let segs = self.off[vectors] as usize;
+        self.cnt.truncate(segs);
+        self.step.truncate(segs);
     }
 
     fn rep(&self, p: usize) -> Rep<'_> {
@@ -158,15 +165,90 @@ impl SparseDp {
         }
     }
 
-    /// Release slab capacity (see `SolverScratch::shrink_to_fit_slabs`).
-    pub(crate) fn shrink_to_fit(&mut self) {
+    fn shrink_to_fit(&mut self) {
         self.v0.shrink_to_fit();
         self.len.shrink_to_fit();
         self.off.shrink_to_fit();
         self.cnt.shrink_to_fit();
         self.step.shrink_to_fit();
-        self.lcnt.shrink_to_fit();
-        self.lstep.shrink_to_fit();
+    }
+}
+
+/// Pooled storage for the sparse pass: the segment store plus the working
+/// vector of one convolution and the backtracking walk's buffers. All
+/// capacity survives across stages, so steady-state passes allocate
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct SparseDp {
+    /// Per-node vectors, then the backtrack's convolution layers.
+    reps: Reps,
+    /// Working vector under construction: `v0`, length and segments.
+    wv0: u64,
+    wlen: usize,
+    wcnt: Vec<u32>,
+    wstep: Vec<u64>,
+    /// Merge target of one convolution (swapped with `wcnt`/`wstep`).
+    tcnt: Vec<u32>,
+    tstep: Vec<u64>,
+    /// Backtrack: participating children of the node being unwound.
+    kids: Vec<u32>,
+    /// Backtrack stack of `(node, replicas)` frames.
+    stack: Vec<(u32, usize)>,
+}
+
+impl SparseDp {
+    /// Release slab capacity (see `SolverScratch::shrink_to_fit_slabs`).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.reps.shrink_to_fit();
+    }
+
+    /// Free nodes under the vector at `p` (its length minus one).
+    pub(crate) fn free_nodes(&self, p: usize) -> usize {
+        self.reps.len[p] as usize - 1
+    }
+
+    /// Resets the working vector to the `[own]` singleton.
+    fn start(&mut self, own: u64) {
+        self.wv0 = own;
+        self.wlen = 1;
+        self.wcnt.clear();
+        self.wstep.clear();
+    }
+
+    /// Min-plus convolves the working vector with stored vector `p`: the
+    /// values at `r = 0` add, the free slots add, and the two step lists
+    /// meet in one sorted merge that coalesces equal steps.
+    fn merge_steps(&mut self, p: usize) {
+        let other = self.reps.rep(p);
+        self.wv0 += other.v0;
+        self.wlen += other.len - 1;
+        self.tcnt.clear();
+        self.tstep.clear();
+        let (mut i, mut k) = (0usize, 0usize);
+        while i < self.wcnt.len() || k < other.cnt.len() {
+            let (c, s) = if k >= other.cnt.len()
+                || (i < self.wcnt.len() && self.wstep[i] >= other.step[k])
+            {
+                i += 1;
+                (self.wcnt[i - 1], self.wstep[i - 1])
+            } else {
+                k += 1;
+                (other.cnt[k - 1], other.step[k - 1])
+            };
+            if self.tstep.last() == Some(&s) {
+                *self.tcnt.last_mut().expect("paired with tstep") += c;
+            } else {
+                self.tcnt.push(c);
+                self.tstep.push(s);
+            }
+        }
+        std::mem::swap(&mut self.wcnt, &mut self.tcnt);
+        std::mem::swap(&mut self.wstep, &mut self.tstep);
+    }
+
+    /// Appends the working vector to the store.
+    fn push_working(&mut self) {
+        self.reps.push(self.wv0, self.wlen, &self.wcnt, &self.wstep);
     }
 }
 
@@ -199,11 +281,13 @@ fn clamp_total(cnt: &mut Vec<u32>, step: &mut Vec<u64>, budget: u64) {
 }
 
 /// The sparse stage DP: identical outputs to one *uncapped* dense pass
-/// (`rmax` = free nodes of the forest). Returns `Ok(rmin)` with the
-/// placement in `best_set` (computed only when `rmin ≤ r_budget`, mirroring
-/// a dense pass capped at `r_budget` that leaves `best_set` untouched on
-/// failure), or `Err(leftover)` with `m_j(r_budget)` — the flat tail value
-/// when even a replica on every free node leaves volume unserved.
+/// (`rmax` = free nodes of the forest) over the nodes of `order` that pass
+/// the forest test `mark[u] == stamp || u == j`. `order` is a post-order
+/// forest rooted at its last node `j`, and `pos` maps each of its nodes to
+/// its index; a node that fails the test keeps an empty placeholder slot
+/// that no one reads, because children face the same test. Returns the
+/// minimum replica count with its placement in `best_set`, or `None` when
+/// even a replica on every free node leaves volume unserved.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sparse_dp(
     arena: &rp_tree::arena::TreeArena,
@@ -213,74 +297,45 @@ pub(crate) fn sparse_dp(
     best_set: &mut Vec<u32>,
     sp: &mut SparseDp,
     order: &[u32],
+    pos: &[u32],
+    mark: &[u32],
+    stamp: u32,
     j: u32,
     cap: u64,
     full_cap_existing: bool,
-    r_budget: usize,
     node_visits: &mut u64,
-    pos: &impl Fn(u32) -> usize,
-    child_ok: &impl Fn(u32) -> bool,
-) -> Result<usize, u64> {
-    sp.reset(order.len());
+) -> Option<usize> {
+    let in_pass = |u: u32| mark[u as usize] == stamp || u == j;
+    sp.reps.clear(order.len());
     for &v in order {
+        if !in_pass(v) {
+            sp.reps.push(0, 0, &[], &[]);
+            continue;
+        }
         *node_visits += 1;
         let vi = v as usize;
-        let own = demand[vi];
 
         // --- min-plus convolution over the participating children ---
         // The working rep starts as the `[own]` singleton; each child
         // merges its step segments in (sorted merge = convex min-plus).
-        let mut wv0 = own;
-        let mut wlen = 1usize;
-        sp.wcnt.clear();
-        sp.wstep.clear();
+        sp.start(demand[vi]);
         for &c in arena.children(v) {
-            if !child_ok(c) {
-                continue;
+            if in_pass(c) {
+                sp.merge_steps(pos[c as usize] as usize);
             }
-            let cp = pos(c);
-            let (a, b) = (sp.off[cp] as usize, sp.off[cp + 1] as usize);
-            wv0 += sp.v0[cp];
-            wlen += sp.len[cp] as usize - 1;
-            // Sorted merge of the two step lists, coalescing equal steps.
-            sp.tcnt.clear();
-            sp.tstep.clear();
-            let (mut i, mut k) = (0usize, a);
-            while i < sp.wcnt.len() || k < b {
-                let (c2, s2) = if k >= b || (i < sp.wcnt.len() && sp.wstep[i] >= sp.step[k]) {
-                    let pair = (sp.wcnt[i], sp.wstep[i]);
-                    i += 1;
-                    pair
-                } else {
-                    let pair = (sp.cnt[k], sp.step[k]);
-                    k += 1;
-                    pair
-                };
-                if let (Some(lc), Some(&ls)) = (sp.tcnt.last_mut(), sp.tstep.last()) {
-                    if ls == s2 {
-                        *lc += c2;
-                        continue;
-                    }
-                }
-                sp.tcnt.push(c2);
-                sp.tstep.push(s2);
-            }
-            std::mem::swap(&mut sp.wcnt, &mut sp.tcnt);
-            std::mem::swap(&mut sp.wstep, &mut sp.tstep);
         }
 
-        // --- apply the node itself ---
+        // --- apply the node itself, then re-clamp the tail at zero ---
         if in_r[vi] {
             // Existing replica: spare in strict mode, full capacity in the
             // re-routing relaxation; subtract with a clamp at zero.
             let spare = if full_cap_existing { cap } else { cap - load[vi] };
-            wv0 = wv0.saturating_sub(spare);
-            clamp_total(&mut sp.wcnt, &mut sp.wstep, wv0);
+            sp.wv0 = sp.wv0.saturating_sub(spare);
         } else {
             // Free node: one new slot whose step is the largest the vector
-            // can hold, then re-clamp the tail at zero.
-            let s = cap.min(wv0);
-            wlen += 1;
+            // can hold.
+            let s = cap.min(sp.wv0);
+            sp.wlen += 1;
             if s > 0 {
                 debug_assert!(sp.wstep.first().is_none_or(|&f| f <= s));
                 if sp.wstep.first() == Some(&s) {
@@ -290,27 +345,16 @@ pub(crate) fn sparse_dp(
                     sp.wstep.insert(0, s);
                 }
             }
-            clamp_total(&mut sp.wcnt, &mut sp.wstep, wv0);
         }
-
-        sp.v0.push(wv0);
-        sp.len.push(wlen as u32);
-        sp.cnt.extend_from_slice(&sp.wcnt);
-        sp.step.extend_from_slice(&sp.wstep);
-        sp.off.push(sp.cnt.len() as u32);
+        clamp_total(&mut sp.wcnt, &mut sp.wstep, sp.wv0);
+        sp.push_working();
     }
 
-    let root = sp.rep(order.len() - 1);
-    let strict = root.strict();
-    let floor = root.value_at(strict);
-    if floor != 0 {
-        return Err(floor);
-    }
-    let rmin = strict;
-    if rmin > r_budget {
-        // A dense pass capped at `r_budget` would report the leftover at
-        // its horizon and leave `best_set` untouched.
-        return Err(root.value_at(r_budget));
+    let nodes = order.len();
+    let root = sp.reps.rep(nodes - 1);
+    let rmin = root.strict();
+    if root.value_at(rmin) != 0 {
+        return None;
     }
 
     // --- backtrack: replay the dense tie-breaks in closed form, pushing
@@ -319,10 +363,8 @@ pub(crate) fn sparse_dp(
     sp.stack.clear();
     sp.stack.push((j, rmin));
     while let Some((v, r)) = sp.stack.pop() {
-        let p = pos(v);
-        let rep = sp.rep(p);
         // The dense monotonicity redirect: first cell of the flat run.
-        let r0 = r.min(rep.strict());
+        let r0 = r.min(sp.reps.rep(pos[v as usize] as usize).strict());
         let placed = !in_r[v as usize] && r0 >= 1;
         if placed {
             best_set.push(v);
@@ -334,59 +376,21 @@ pub(crate) fn sparse_dp(
             continue;
         }
         sp.kids.clear();
-        sp.kids.extend(arena.children(v).iter().copied().filter(|&c| child_ok(c)));
+        sp.kids.extend(arena.children(v).iter().copied().filter(|&c| in_pass(c)));
         debug_assert!(!sp.kids.is_empty(), "a leaf's replicas are its own");
-        // Recompute the convolution layers (L₀ = [own], Lₖ₊₁ = Lₖ ⊗ m_c),
-        // storing each rep so the reverse walk below can query them.
-        sp.lv0.clear();
-        sp.llen.clear();
-        sp.loff.clear();
-        sp.lcnt.clear();
-        sp.lstep.clear();
-        sp.loff.push(0);
-        sp.lv0.push(demand[v as usize]);
-        sp.llen.push(1);
-        sp.loff.push(0);
+        // Recompute the convolution layers (L₀ = [own], Lₖ₊₁ = Lₖ ⊗ m_c)
+        // into the store after the node vectors, so the reverse walk
+        // below can query them.
+        sp.start(demand[v as usize]);
+        sp.push_working();
         for ki in 0..sp.kids.len() - 1 {
-            let cp = pos(sp.kids[ki]);
-            let (a, b) = (sp.off[cp] as usize, sp.off[cp + 1] as usize);
-            let prev = sp.loff[sp.loff.len() - 2] as usize;
-            let prev_end = sp.loff[sp.loff.len() - 1] as usize;
-            sp.lv0.push(sp.lv0[ki] + sp.v0[cp]);
-            sp.llen.push(sp.llen[ki] + sp.len[cp] - 1);
-            let (mut i, mut k) = (prev, a);
-            let start = sp.lcnt.len();
-            while i < prev_end || k < b {
-                let (c2, s2) = if k >= b || (i < prev_end && sp.lstep[i] >= sp.step[k]) {
-                    let pair = (sp.lcnt[i], sp.lstep[i]);
-                    i += 1;
-                    pair
-                } else {
-                    let pair = (sp.cnt[k], sp.step[k]);
-                    k += 1;
-                    pair
-                };
-                if sp.lcnt.len() > start && sp.lstep[sp.lstep.len() - 1] == s2 {
-                    let at = sp.lcnt.len() - 1;
-                    sp.lcnt[at] += c2;
-                } else {
-                    sp.lcnt.push(c2);
-                    sp.lstep.push(s2);
-                }
-            }
-            sp.loff.push(sp.lcnt.len() as u32);
+            sp.merge_steps(pos[sp.kids[ki] as usize] as usize);
+            sp.push_working();
         }
         for ki in (0..sp.kids.len()).rev() {
             let c = sp.kids[ki];
-            let cp = pos(c);
-            let child = sp.rep(cp);
-            let (a, b) = (sp.loff[ki] as usize, sp.loff[ki + 1] as usize);
-            let layer = Rep {
-                v0: sp.lv0[ki],
-                len: sp.llen[ki] as usize,
-                cnt: &sp.lcnt[a..b],
-                step: &sp.lstep[a..b],
-            };
+            let layer = sp.reps.rep(nodes + ki);
+            let child = sp.reps.rep(pos[c as usize] as usize);
             let rp = argmin_min_rp(&layer, &child, rest);
             if rest > rp {
                 sp.stack.push((c, rest - rp));
@@ -394,8 +398,9 @@ pub(crate) fn sparse_dp(
             rest = rp;
         }
         debug_assert_eq!(rest, 0);
+        sp.reps.truncate(nodes);
     }
-    Ok(rmin)
+    Some(rmin)
 }
 
 /// Test-support: the dense table of the node at order position `p`,
@@ -403,7 +408,7 @@ pub(crate) fn sparse_dp(
 /// `proptest_stage_dp` compares against its dense reference DP).
 #[doc(hidden)]
 pub(crate) fn root_table(sp: &SparseDp, p: usize) -> Vec<u64> {
-    let rep = sp.rep(p);
+    let rep = sp.reps.rep(p);
     (0..rep.len).map(|r| rep.value_at(r)).collect()
 }
 

@@ -1,6 +1,6 @@
 //! The fungible stage dynamic program, used two ways by the stage engine:
 //!
-//! * **Lower bound** ([`lower_bound`], relaxed mode): over the full
+//! * **Lower bound** ([`sparse_pass`] in relaxed mode): over the full
 //!   *scoped* stage demand (the affected-scope pool of `crate::stage`)
 //!   with the scope's replicas contributing their whole capacity (the
 //!   stage may re-route them), dropping the deadline constraints. Any
@@ -16,20 +16,24 @@
 //!   stage can open more replicas than the optimum needs (see
 //!   `crate::multiple_bin`).
 //!
-//! Both modes run one sparse convex pass (`super::chain_dp`) over a forest
-//! the stage's scope collection in `stage/mod.rs` already built — never
-//! the whole subtree. The lower bound runs over the **scope forest** (the
-//! union of the pool clients' service paths); the fallback runs over the
-//! **stuck forest** (the stuck clients' paths to the stage root), which
-//! the collection marks as it walks and the fallback filters out of the
-//! scope forest. The restriction is exact: a free node whose subtree holds
-//! no demand of the pass can never reduce pass-up volume (its `m ≡ 0`
-//! already), and an off-forest existing replica is an ancestor of no
-//! demanding client, so its spare is unusable under the Multiple policy.
+//! Both modes run one sparse convex pass (`super::chain_dp`) over the
+//! **scope forest** the stage's scope collection in `stage/mod.rs` already
+//! built (the union of the pool clients' service paths) — never the whole
+//! subtree. The lower bound takes every node of it; the fallback takes only
+//! the **stuck forest** (the stuck clients' paths to the stage root), which
+//! the collection stamps into `stuck_mark` as it walks, and passes over the
+//! rest of the scope forest in place. The restriction is exact: a free node
+//! whose subtree holds no demand of the pass can never reduce pass-up
+//! volume (its `m ≡ 0` already), and an off-forest existing replica is an
+//! ancestor of no demanding client, so its spare is unusable under the
+//! Multiple policy. Neither can be part of a minimum placement: handing
+//! either a replica share would make the stage feasible with fewer,
+//! contradicting `rmin`'s first-zero minimality. So the fallback returns
+//! the same `rmin` and placement as a pass over the full scope forest.
 //!
 //! The pass is uncapped and total, so there is no replica budget to guess
 //! and no widening schedule: one pass per call decides the optimum and its
-//! tie-broken placement. Its state lives in the pooled segment slabs of
+//! tie-broken placement. Its state lives in the pooled segment store of
 //! [`SolverScratch`], so a steady-state pass allocates nothing.
 
 use crate::error::SolveError;
@@ -37,32 +41,16 @@ use crate::scratch::SolverScratch;
 use crate::stage::PendingRequest;
 use rp_tree::{NodeId, Requests};
 
-/// Runs the relaxed dynamic program as a lower bound on the enumeration:
-/// the smallest `r ≤ rmax` for which the full stage demand fits `r` new
-/// replicas plus the existing ones at full capacity, ignoring deadlines.
-/// Runs over the stage's active forest — the enumeration only ever places
-/// on active nodes, so the bound stays valid (and tighter). The minimising
-/// placement is left in `scratch.best_set` (a seed for the incumbent).
-/// `None` when every `r ≤ rmax` leaves volume unserved.
-pub(crate) fn lower_bound(
-    scratch: &mut SolverScratch,
-    cap: u64,
-    j: u32,
-    rmax: usize,
-) -> Option<usize> {
-    sparse_pass(scratch, cap, j, false, rmax).ok()
-}
-
 /// Reassignment-free fallback for oversized stages: dynamic program over the
 /// (then fungible) stuck volume, existing spare included, on the stuck
-/// forest filtered out of the stage's scope forest (see [`strict_pass`]).
-/// Writes the chosen placement into `scratch.best_set` and leaves the
-/// scope forest as the collection built it, ready for the commit route.
+/// forest inside the stage's scope forest. Writes the chosen placement into
+/// `scratch.best_set` and leaves the scope forest as the collection built
+/// it, ready for the commit route.
 ///
 /// # Errors
 ///
 /// [`SolveError::StageDpExhausted`] when even a replica on every free node
-/// of the active forest leaves stuck volume unserved — a modelling bug
+/// of the stuck forest leaves stuck volume unserved — a modelling bug
 /// (the sweep only creates feasible stages), surfaced as a structured
 /// error instead of aborting a long solve.
 pub(crate) fn fallback_placement(
@@ -81,7 +69,7 @@ pub(crate) fn fallback_placement(
             s.dp_demand[t.client as usize] += t.w;
         }
     }
-    let (rmin, free_active) = strict_pass(scratch, w, j);
+    let rmin = sparse_pass(scratch, w, j, true);
     let s = &mut *scratch;
     for &c in s.dp_clients.iter() {
         s.dp_demand[c as usize] = 0;
@@ -89,60 +77,26 @@ pub(crate) fn fallback_placement(
     s.dp_clients.clear();
     match rmin {
         Some(_) => Ok(()),
-        None => Err(SolveError::StageDpExhausted { node: NodeId(j), rmax: free_active as u64 }),
-    }
-}
-
-/// Filters the stuck forest out of the scope forest and runs the strict
-/// pass over it: demand is the `dp_demand` rows of `dp_clients`, existing
-/// replicas contribute only their spare. Returns the minimum replica count
-/// (placement in `best_set`), if any, and the forest's free-node count —
-/// the pass is uncapped, since no `r` beyond that count can help.
-///
-/// The forest is narrowed to the *stuck* clients' paths: a free node off
-/// every stuck path has `m ≡ 0` and an off-path existing replica's spare
-/// absorbs no stuck volume, so neither can be part of a minimum placement
-/// (handing either a replica share would make the stage feasible with
-/// fewer — contradicting `rmin`'s first-zero minimality). The pass
-/// therefore returns the same `rmin` and placement as over the stage's
-/// full scope forest.
-///
-/// The scope collection stamped the stuck paths into `stuck_mark` while
-/// walking them, and `active_nodes` is already in post order, so one
-/// in-order filter yields the stuck forest in post order — the node
-/// sequence a fresh walk-and-sort would build. It lands in the
-/// fallback's own `dp_nodes` / `dp_pos` rows, leaving the scope forest
-/// (`active_nodes`, `active_pos`, `active_mark`) in place for the commit
-/// route.
-fn strict_pass(scratch: &mut SolverScratch, cap: u64, j: u32) -> (Option<usize>, usize) {
-    let SolverScratch { in_r, active_nodes, stuck_mark, stage_id, dp_nodes, dp_pos, .. } =
-        &mut *scratch;
-    let stamp = *stage_id;
-    dp_nodes.clear();
-    let mut free_active = 0;
-    // `j` closes the scope forest and roots the stuck one.
-    debug_assert_eq!(active_nodes.last(), Some(&j));
-    for &u in active_nodes.iter() {
-        if stuck_mark[u as usize] == stamp || u == j {
-            dp_pos[u as usize] = dp_nodes.len() as u32;
-            dp_nodes.push(u);
-            free_active += usize::from(!in_r[u as usize]);
+        None => {
+            let free = s.sdp.free_nodes(s.active_nodes.len() - 1);
+            Err(SolveError::StageDpExhausted { node: NodeId(j), rmax: free as u64 })
         }
     }
-    (sparse_pass(scratch, cap, j, true, free_active).ok(), free_active)
 }
 
-/// One sparse pass. Relaxed mode runs over the scope forest and reads the
-/// stage `demand` rows with existing replicas at full capacity; strict
-/// mode runs over the stuck forest (`dp_nodes`) and reads the stuck
-/// `dp_demand` rows with existing replicas at their spare.
-fn sparse_pass(
+/// One sparse pass over the scope forest (`active_nodes`, whose last node
+/// is `j`), leaving the minimising placement in `best_set`. Relaxed mode
+/// takes every scope node and reads the stage `demand` rows with existing
+/// replicas at full capacity; strict mode takes the `stuck_mark`ed nodes
+/// and `j`, and reads the stuck `dp_demand` rows with existing replicas at
+/// their spare. Returns the minimum replica count, or `None` when even a
+/// replica on every free node of the pass leaves volume unserved.
+pub(crate) fn sparse_pass(
     scratch: &mut SolverScratch,
     cap: u64,
     j: u32,
     strict: bool,
-    r_budget: usize,
-) -> Result<usize, u64> {
+) -> Option<usize> {
     let SolverScratch {
         arena,
         in_r,
@@ -154,19 +108,14 @@ fn sparse_pass(
         active_pos,
         active_mark,
         stuck_mark,
-        dp_nodes,
-        dp_pos,
         stage_id,
         sdp,
         stats,
         ..
     } = scratch;
-    let stamp = *stage_id;
-    let (order, pos, mark, demand) = if strict {
-        (&dp_nodes[..], &dp_pos[..], &stuck_mark[..], &dp_demand[..])
-    } else {
-        (&active_nodes[..], &active_pos[..], &active_mark[..], &demand[..])
-    };
+    debug_assert_eq!(active_nodes.last(), Some(&j), "j closes the scope forest");
+    let (mark, demand) =
+        if strict { (&stuck_mark[..], &dp_demand[..]) } else { (&active_mark[..], &demand[..]) };
     super::chain_dp::sparse_dp(
         arena,
         in_r,
@@ -174,14 +123,14 @@ fn sparse_pass(
         demand,
         best_set,
         sdp,
-        order,
+        active_nodes,
+        active_pos,
+        mark,
+        *stage_id,
         j,
         cap,
         !strict,
-        r_budget,
         &mut stats.dp_node_visits,
-        &|v| pos[v as usize] as usize,
-        &|c| mark[c as usize] == stamp,
     )
 }
 
@@ -203,9 +152,9 @@ pub mod testing {
         pub rmin: Option<usize>,
         /// The chosen placement (raw node indices) when `rmin` exists.
         pub chosen: Vec<u32>,
-        /// Size of the stuck forest the pass ran over.
+        /// Size of the stuck forest the pass ran over (`j` included).
         pub active_len: usize,
-        /// Size of the scope forest it was filtered out of.
+        /// Size of the scope forest the stuck forest lies in.
         pub scope_len: usize,
     }
 
@@ -223,8 +172,8 @@ pub mod testing {
         filtered_strict_dp(tree, j, cap, replicas, demand, &[])
     }
 
-    /// Runs the strict stage DP on the stuck forest filtered out of a
-    /// larger scope forest. The stuck clients of `demand` head the pool
+    /// Runs the strict stage DP on the stuck forest inside a larger scope
+    /// forest. The stuck clients of `demand` head the pool
     /// and walk up to `j`; each `(client, deadline)` of `pool` (clients of
     /// `subtree(j)`) then walks up to its deadline or `j`, whichever comes
     /// first, as collected clients do in the scope collection. The stuck
@@ -269,14 +218,20 @@ pub mod testing {
         }
         scratch.stage_id = 1;
         super::super::build_scope_forest(&mut scratch, j, stuck_clients);
-        let (rmin, _) = strict_pass(&mut scratch, cap, j);
-        let active_len = scratch.dp_nodes.len();
+        let rmin = sparse_pass(&mut scratch, cap, j, true);
+        let s = &scratch;
+        let scope_len = s.active_nodes.len();
+        let active_len = s
+            .active_nodes
+            .iter()
+            .filter(|&&u| s.stuck_mark[u as usize] == s.stage_id || u == j)
+            .count();
         StrictDpRun {
-            m_root: super::super::chain_dp::root_table(&scratch.sdp, active_len - 1),
+            m_root: super::super::chain_dp::root_table(&s.sdp, scope_len - 1),
             rmin,
-            chosen: if rmin.is_some() { scratch.best_set.clone() } else { Vec::new() },
+            chosen: if rmin.is_some() { s.best_set.clone() } else { Vec::new() },
             active_len,
-            scope_len: scratch.active_nodes.len(),
+            scope_len,
         }
     }
 }

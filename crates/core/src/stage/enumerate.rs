@@ -7,7 +7,7 @@
 //! routed *every* candidate subset of every size under the stage budget.
 //! This version is branch-and-bound:
 //!
-//! 1. the relaxed stage-DP ([`super::dp::lower_bound`]) prunes every subset
+//! 1. the relaxed stage-DP ([`super::dp::sparse_pass`]) prunes every subset
 //!    size below the true minimum (or the whole enumeration, when even the
 //!    largest affordable size is provably infeasible) — without routing a
 //!    single set — and seeds the incumbent with its minimising placement
@@ -32,7 +32,7 @@
 use crate::scratch::SolverScratch;
 use crate::stage::router::{self, RouteEnv};
 use crate::stage::{dp, PendingRequest};
-use rp_tree::arena::{TreeArena, NO_PARENT};
+use rp_tree::arena::TreeArena;
 use rp_tree::Requests;
 
 /// Searches placements of increasing size for the best feasible one and
@@ -101,9 +101,12 @@ pub(crate) fn best_placement(
     // and skipped outright; when no size up to the horizon is feasible the
     // whole enumeration is skipped. The minimising placement doubles as the
     // incumbent seed below.
-    let Some(r_start) = dp::lower_bound(scratch, cap, j, r_end) else {
-        scratch.stats.dp_bound_skips += 1;
-        return false;
+    let r_start = match dp::sparse_pass(scratch, cap, j, false) {
+        Some(r) if r <= r_end => r,
+        _ => {
+            scratch.stats.dp_bound_skips += 1;
+            return false;
+        }
     };
     debug_assert!(r_start >= r0, "the relaxed DP respects the volume bound");
     scratch.stats.dp_sizes_skipped += (r_start - r0) as u64;
@@ -382,14 +385,10 @@ pub(crate) fn best_placement(
 }
 
 /// Whether `u` can serve requests issued at `c`: on the path from `c` up to
-/// `c`'s deadline (both inclusive). A deadline of [`NO_PARENT`] is the
-/// sub-arena sentinel of `crate::par` — the client's true deadline lies
-/// *above* the sub-arena root, so every local ancestor is on the service
-/// path.
+/// `c`'s deadline (both inclusive).
 #[inline]
 fn on_service_path(arena: &TreeArena, deadline: &[u32], u: u32, c: u32) -> bool {
-    arena.is_ancestor_or_self(u, c)
-        && (deadline[c as usize] == NO_PARENT || arena.is_ancestor_or_self(deadline[c as usize], u))
+    arena.is_ancestor_or_self(u, c) && arena.is_ancestor_or_self(deadline[c as usize], u)
 }
 
 /// `C(n, r)`, saturating.

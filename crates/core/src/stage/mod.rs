@@ -21,9 +21,10 @@
 //! * `dp` — the fungible stage dynamic program, serving both as the
 //!   enumeration's lower bound / incumbent seed and as the exact
 //!   reassignment-free fallback for oversized stages; both modes run one
-//!   uncapped sparse pass (`chain_dp`) on pooled segment slabs (no
-//!   steady-state allocation) — the lower bound over the stage's scope
-//!   forest, the fallback over the stuck paths filtered out of it.
+//!   uncapped sparse pass (`chain_dp`) over the stage's scope forest, with
+//!   one pooled segment store and one convex merge (no steady-state
+//!   allocation) — the lower bound takes every scope node, the fallback
+//!   only the stuck paths.
 //!
 //! # Incremental stage commits: the affected scope
 //!
@@ -90,9 +91,10 @@
 //! A stage walks its forest once. The stuck clients head the collection
 //! queue and walk all the way to `j`, so the nodes their walks mark are
 //! exactly the *stuck forest*; the collection stamps them into
-//! `stuck_mark` as it goes. A DP fallback filters that sub-forest, in
-//! order, out of the already-sorted scope forest into its own rows, and
-//! the scope forest stays in place for the commit route.
+//! `stuck_mark` as it goes. A DP fallback runs over the sorted scope
+//! forest itself and skips every node off the stuck forest, so no second
+//! forest is built, and the scope forest stays in place for the commit
+//! route.
 //!
 //! Every stage starts from the committed state alone: nothing is carried
 //! from one stage to the next. Everything runs on the dense slabs of
@@ -355,9 +357,8 @@ fn serve_stuck_search(
         // every affordable subset size is provably infeasible: fall
         // back to the reassignment-free dynamic program over the stuck
         // volume (stuck-forest restricted — see `dp`). The fallback
-        // filters the stuck paths the collection marked out of the scope
-        // forest into its own rows, so the scope forest stays in place
-        // for the commit route below.
+        // skips the scope nodes off the stuck paths the collection marked,
+        // so the scope forest stays in place for the commit route below.
         scratch.stats.dp_fallbacks += 1;
         dp::fallback_placement(scratch, w, j, stuck)?;
     }
@@ -445,6 +446,9 @@ fn collect_scope(s: &mut SolverScratch, j: u32, stuck: &[PendingRequest]) -> u64
         next += 1;
         debug_assert!(s.arena.is_ancestor_or_self(j, c), "pool clients live in subtree(j)");
         let dl = s.deadline[c as usize];
+        // A frontier worker's pool clients all have deadlines inside its
+        // sub-arena (see `crate::par`), so the sentinel never reaches here.
+        debug_assert_ne!(dl, NO_PARENT, "pool clients have a deadline in the arena");
         let mut at = c;
         loop {
             if s.active_mark[at as usize] == stamp {
@@ -522,12 +526,8 @@ fn collect_scope_naive(s: &mut SolverScratch, j: u32, stuck: &[PendingRequest]) 
             // client (the same rule the candidate masks use).
             let on_pool_path = (0..s.demand_clients.len()).any(|i| {
                 let c = s.demand_clients[i];
-                // `NO_PARENT` is the sub-arena deadline sentinel of
-                // `crate::par`: the true deadline lies above the local root,
-                // so every local ancestor of `c` is on the service path.
                 s.arena.is_ancestor_or_self(u, c)
-                    && (s.deadline[c as usize] == NO_PARENT
-                        || s.arena.is_ancestor_or_self(s.deadline[c as usize], u))
+                    && s.arena.is_ancestor_or_self(s.deadline[c as usize], u)
             });
             if !on_pool_path {
                 continue;

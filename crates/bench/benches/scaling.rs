@@ -155,15 +155,7 @@ fn main() {
                         median_ns: 0,
                         mean_ns: 0,
                         samples: 0,
-                        stage_subsets: stage.subsets_enumerated,
-                        stage_routed: stage.subsets_routed,
-                        stage_pruned: stage.subsets_pruned,
-                        dp_node_visits: stage.dp_node_visits,
-                        dp_fallbacks: stage.dp_fallbacks,
-                        commit_touched: stage.commit_touched,
-                        commit_skipped: stage.commit_skipped,
-                        router_carry_merges: stage.router_carry_merges,
-                        router_carried_peak: stage.router_carried_peak,
+                        stage,
                         peak_alloc_bytes,
                     },
                 ));
@@ -238,15 +230,7 @@ fn main() {
                     median_ns: 0,
                     mean_ns: 0,
                     samples: 0,
-                    stage_subsets: stage.subsets_enumerated,
-                    stage_routed: stage.subsets_routed,
-                    stage_pruned: stage.subsets_pruned,
-                    dp_node_visits: stage.dp_node_visits,
-                    dp_fallbacks: stage.dp_fallbacks,
-                    commit_touched: stage.commit_touched,
-                    commit_skipped: stage.commit_skipped,
-                    router_carry_merges: stage.router_carry_merges,
-                    router_carried_peak: stage.router_carried_peak,
+                    stage,
                     peak_alloc_bytes,
                 },
             ));

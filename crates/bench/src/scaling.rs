@@ -10,17 +10,15 @@
 //! while tolerating whitespace changes, so checked-in baselines survive
 //! reformatting.
 
+use rp_core::StageStats;
+
 /// One benchmarked grid cell: algorithm × distance-constraint flag ×
 /// instance size, with its timing summary and solve stats.
 ///
-/// The three `stage_*` counters mirror `rp_core`'s stage-engine stats for
-/// one solve (zero for the non-stage algorithms): candidate subsets
-/// generated by the placement enumeration, subsets actually routed, and
-/// subsets skipped by the engine's bounds — the observability handle on the
-/// enumeration-bound cells this report exists to watch. The two `dp_*`
-/// counters (PR 4) do the same for the stage-DP side: nodes processed by
-/// the DP passes and stages that fell into the reassignment-free fallback —
-/// the handle on the fallback-dominated cells.
+/// `stage` holds `rp_core`'s stage-engine counters of one solve (zero for
+/// the non-stage algorithms), written under their
+/// [`StageStats::counters`] names — the observability handle on the
+/// enumeration- and fallback-bound cells this report exists to watch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScalingCell {
     /// Algorithm name as in [`rp_core::Algorithm::name`].
@@ -39,33 +37,8 @@ pub struct ScalingCell {
     pub mean_ns: u128,
     /// Number of timed samples.
     pub samples: u64,
-    /// Candidate subsets enumerated by the stage engine in one solve.
-    pub stage_subsets: u64,
-    /// Subsets routed (full or incremental) by the stage engine.
-    pub stage_routed: u64,
-    /// Subsets pruned by the stage engine's bounds before routing.
-    pub stage_pruned: u64,
-    /// Nodes processed by the stage DP (lower-bound and fallback passes).
-    pub dp_node_visits: u64,
-    /// Stages solved by the reassignment-free DP fallback.
-    pub dp_fallbacks: u64,
-    /// Previously-assigned volume collected into stage scopes and
-    /// re-routed by the commits (PR 5's incremental stage commit).
-    pub commit_touched: u64,
-    /// Assigned volume inside stage subtrees that the scoped collection
-    /// left untouched — what the historical whole-subtree commit would
-    /// have re-routed. The handle on the stage-dense cells
-    /// (`multiple-bin-spine`, `multiple-bin-deep`).
-    pub commit_skipped: u64,
-    /// Carried-list entries physically moved by the EDF router's
-    /// small-to-large merges (PR 8's hierarchical carried aggregation;
-    /// O(1) list moves and aggregate fast paths are not counted). The
-    /// handle on the spine NoD rows this column's PR re-opened: linear in
-    /// the client count on chains, was Θ(clients²) before.
-    pub router_carry_merges: u64,
-    /// Largest carried list the router ever materialised in one stage —
-    /// the live-set bound behind the merge argument.
-    pub router_carried_peak: u64,
+    /// Stage-engine counters of the reference solve.
+    pub stage: StageStats,
     /// High-water mark of live heap bytes during the reference solve, as
     /// tracked by [`crate::alloc_track`] (zero in reports written before
     /// the million-client tier, and in processes that never registered the
@@ -144,12 +117,7 @@ impl ScalingReport {
             let comma = if i + 1 == self.cells.len() { "" } else { "," };
             out.push_str(&format!(
                 "    {{\"algorithm\": \"{}\", \"dmax\": {}, \"clients\": {}, \"nodes\": {}, \
-                 \"replicas\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"samples\": {}, \
-                 \"stage_subsets\": {}, \"stage_routed\": {}, \"stage_pruned\": {}, \
-                 \"dp_node_visits\": {}, \"dp_fallbacks\": {}, \
-                 \"commit_touched\": {}, \"commit_skipped\": {}, \
-                 \"router_carry_merges\": {}, \"router_carried_peak\": {}, \
-                 \"peak_alloc_bytes\": {}}}{comma}\n",
+                 \"replicas\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"samples\": {}, ",
                 c.algorithm,
                 c.dmax,
                 c.clients,
@@ -158,17 +126,11 @@ impl ScalingReport {
                 c.median_ns,
                 c.mean_ns,
                 c.samples,
-                c.stage_subsets,
-                c.stage_routed,
-                c.stage_pruned,
-                c.dp_node_visits,
-                c.dp_fallbacks,
-                c.commit_touched,
-                c.commit_skipped,
-                c.router_carry_merges,
-                c.router_carried_peak,
-                c.peak_alloc_bytes
             ));
+            for (name, v) in c.stage.counters() {
+                out.push_str(&format!("\"{name}\": {v}, "));
+            }
+            out.push_str(&format!("\"peak_alloc_bytes\": {}}}{comma}\n", c.peak_alloc_bytes));
         }
         out.push_str("  ]\n}\n");
         out
@@ -193,6 +155,16 @@ impl ScalingReport {
             if !line.starts_with('{') || !line.contains("\"algorithm\"") {
                 continue;
             }
+            // Stage counters joined the schema after the first baselines
+            // were recorded; missing means zero so old reports stay
+            // comparable. Keys the schema no longer has (the retired
+            // `scope_cache_hits` / `warm_seeds_used`, and the pre-table
+            // `stage_subsets` / `stage_routed` / `stage_pruned`) are
+            // ignored, since lookups are by key.
+            let mut stage = StageStats::default();
+            for (name, v) in stage.counters_mut() {
+                *v = num_field_or(line, name, 0)?;
+            }
             cells.push(ScalingCell {
                 algorithm: string_field(line, "algorithm")
                     .ok_or_else(|| format!("cell without algorithm: {line}"))?,
@@ -205,26 +177,8 @@ impl ScalingReport {
                 median_ns: num_field(line, "median_ns")? as u128,
                 mean_ns: num_field(line, "mean_ns")? as u128,
                 samples: num_field(line, "samples")?,
-                // Stage counters joined the schema after the first
-                // baselines were recorded; missing means zero so old
-                // reports stay comparable.
-                stage_subsets: num_field_or(line, "stage_subsets", 0)?,
-                stage_routed: num_field_or(line, "stage_routed", 0)?,
-                stage_pruned: num_field_or(line, "stage_pruned", 0)?,
-                // Same deal for the PR 4 DP counters…
-                dp_node_visits: num_field_or(line, "dp_node_visits", 0)?,
-                dp_fallbacks: num_field_or(line, "dp_fallbacks", 0)?,
-                // …and the PR 5 incremental-commit volume counters.
-                commit_touched: num_field_or(line, "commit_touched", 0)?,
-                commit_skipped: num_field_or(line, "commit_skipped", 0)?,
-                // …and the PR 8 router-aggregation counters.
-                router_carry_merges: num_field_or(line, "router_carry_merges", 0)?,
-                router_carried_peak: num_field_or(line, "router_carried_peak", 0)?,
-                // …and the million-client tier's memory column. (Reports
-                // written before the stage engine lost its scope cache and
-                // warm start also carry `scope_cache_hits` /
-                // `warm_seeds_used`; lookups are by key, so those are
-                // simply ignored.)
+                stage,
+                // Reports older than the memory column carry no peak.
                 peak_alloc_bytes: num_field_or(line, "peak_alloc_bytes", 0)?,
             });
         }
@@ -301,15 +255,19 @@ mod tests {
                     median_ns: 6_500_000,
                     mean_ns: 6_700_000,
                     samples: 10,
-                    stage_subsets: 12000,
-                    stage_routed: 4000,
-                    stage_pruned: 8000,
-                    dp_node_visits: 5200,
-                    dp_fallbacks: 3,
-                    commit_touched: 900,
-                    commit_skipped: 4100,
-                    router_carry_merges: 7000,
-                    router_carried_peak: 512,
+                    stage: StageStats {
+                        stages: 40,
+                        subsets_enumerated: 12000,
+                        subsets_routed: 4000,
+                        subsets_pruned: 8000,
+                        dp_node_visits: 5200,
+                        dp_fallbacks: 3,
+                        commit_touched: 900,
+                        commit_skipped: 4100,
+                        router_carry_merges: 7000,
+                        router_carried_peak: 512,
+                        ..StageStats::default()
+                    },
                     peak_alloc_bytes: 1_500_000,
                 },
                 ScalingCell {
@@ -321,15 +279,7 @@ mod tests {
                     median_ns: 40_000,
                     mean_ns: 41_000,
                     samples: 10,
-                    stage_subsets: 0,
-                    stage_routed: 0,
-                    stage_pruned: 0,
-                    dp_node_visits: 0,
-                    dp_fallbacks: 0,
-                    commit_touched: 0,
-                    commit_skipped: 0,
-                    router_carry_merges: 0,
-                    router_carried_peak: 0,
+                    stage: StageStats::default(),
                     peak_alloc_bytes: 0,
                 },
             ],
@@ -365,42 +315,31 @@ mod tests {
 
     #[test]
     fn parse_defaults_missing_stage_counters_to_zero() {
-        // Pre-refactor reports carry no stage counters (PR 3) and no DP
-        // counters (PR 4); they must still parse (the bench gate compares
-        // against checked-in baselines).
-        let old = sample()
-            .to_json()
-            .replace(
-                ", \"stage_subsets\": 12000, \"stage_routed\": 4000, \"stage_pruned\": 8000",
-                "",
-            )
-            .replace(", \"stage_subsets\": 0, \"stage_routed\": 0, \"stage_pruned\": 0", "")
-            .replace(", \"dp_node_visits\": 5200, \"dp_fallbacks\": 3", "")
-            .replace(", \"dp_node_visits\": 0, \"dp_fallbacks\": 0", "")
-            .replace(", \"commit_touched\": 900, \"commit_skipped\": 4100", "")
-            .replace(", \"commit_touched\": 0, \"commit_skipped\": 0", "")
-            .replace(", \"router_carry_merges\": 7000, \"router_carried_peak\": 512", "")
-            .replace(", \"router_carry_merges\": 0, \"router_carried_peak\": 0", "")
+        // Reports written before the stage counters (and before the memory
+        // column) must still parse: the bench gate compares against
+        // checked-in baselines.
+        let report = sample();
+        let mut old = report.to_json();
+        for cell in &report.cells {
+            for (name, v) in cell.stage.counters() {
+                old = old.replace(&format!("\"{name}\": {v}, "), "");
+            }
+        }
+        let old = old
             .replace(", \"peak_alloc_bytes\": 1500000", "")
             .replace(", \"peak_alloc_bytes\": 0", "");
         assert!(
-            !old.contains("stage_subsets")
+            !old.contains("subsets_enumerated")
                 && !old.contains("dp_node_visits")
                 && !old.contains("commit_touched")
                 && !old.contains("router_carry_merges")
                 && !old.contains("peak_alloc_bytes")
         );
         let parsed = ScalingReport::parse(&old).expect("old schema parses");
-        assert!(parsed.cells.iter().all(|c| {
-            c.stage_subsets == 0
-                && c.stage_pruned == 0
-                && c.dp_node_visits == 0
-                && c.commit_touched == 0
-                && c.commit_skipped == 0
-                && c.router_carry_merges == 0
-                && c.router_carried_peak == 0
-                && c.peak_alloc_bytes == 0
-        }));
+        assert!(parsed
+            .cells
+            .iter()
+            .all(|c| c.stage == StageStats::default() && c.peak_alloc_bytes == 0));
         assert_eq!(parsed.median_of("multiple-bin", true, 1024), Some(6_500_000));
     }
 
@@ -408,12 +347,14 @@ mod tests {
     fn parse_ignores_retired_stage_counters() {
         // Reports written while the stage engine still had its scope cache
         // and warm start (the checked-in baseline among them) carry two
-        // counters the schema no longer has; they must parse to the same
-        // cells, the retired keys ignored.
+        // counters the schema no longer has, and the enumeration counters
+        // under their pre-table names; they must parse to the same cells,
+        // the retired keys ignored.
         let report = sample();
         let old = report.to_json().replace(
             ", \"peak_alloc_bytes\": 1500000",
-            ", \"scope_cache_hits\": 34, \"warm_seeds_used\": 2, \"peak_alloc_bytes\": 1500000",
+            ", \"stage_subsets\": 1, \"stage_routed\": 2, \"stage_pruned\": 3, \
+             \"scope_cache_hits\": 34, \"warm_seeds_used\": 2, \"peak_alloc_bytes\": 1500000",
         );
         assert!(old.contains("\"scope_cache_hits\": 34"));
         let parsed = ScalingReport::parse(&old).expect("retired keys are ignored");

@@ -164,28 +164,10 @@ fn cmd_solve(args: &Args) -> Result<String, String> {
         stats.max_distance,
     ));
     if args.has_flag("stage-stats") {
-        let s = scratch.stage_stats();
-        out.push_str(&format!(
-            "stage stats:\n  stages: {}\n  subsets enumerated: {}\n  subsets routed: {}\n  \
-             subsets pruned: {}\n  shared-prefix routes: {}\n  dp sizes skipped: {}\n  \
-             dp bound skips: {}\n  dp fallbacks: {}\n  dp node visits: {}\n  \
-             commit volume touched: {}\n  commit volume skipped: {}\n  \
-             router carry merges: {}\n  router carried peak: {}\n  repairs: {}\n",
-            s.stages,
-            s.subsets_enumerated,
-            s.subsets_routed,
-            s.subsets_pruned,
-            s.prefix_routes,
-            s.dp_sizes_skipped,
-            s.dp_bound_skips,
-            s.dp_fallbacks,
-            s.dp_node_visits,
-            s.commit_touched,
-            s.commit_skipped,
-            s.router_carry_merges,
-            s.router_carried_peak,
-            s.repairs,
-        ));
+        out.push_str("stage stats:\n");
+        for (name, value) in scratch.stage_stats().counters() {
+            out.push_str(&format!("  {name}: {value}\n"));
+        }
     }
     match args.get("out") {
         Some(path) => {
@@ -605,15 +587,7 @@ mod tests {
             median_ns,
             mean_ns: median_ns,
             samples: 5,
-            stage_subsets: 0,
-            stage_routed: 0,
-            stage_pruned: 0,
-            dp_node_visits: 0,
-            dp_fallbacks: 0,
-            commit_touched: 0,
-            commit_skipped: 0,
-            router_carry_merges: 0,
-            router_carried_peak: 0,
+            stage: rp_core::StageStats::default(),
             peak_alloc_bytes: 0,
         };
         ScalingReport { quick: true, cells: vec![cell(true, median_dmax), cell(false, median_nod)] }
@@ -778,15 +752,7 @@ mod tests {
                 median_ns: 1_000,
                 mean_ns: 1_000,
                 samples: 1,
-                stage_subsets: 0,
-                stage_routed: 0,
-                stage_pruned: 0,
-                dp_node_visits: 0,
-                dp_fallbacks: 0,
-                commit_touched: 0,
-                commit_skipped: 0,
-                router_carry_merges: 0,
-                router_carried_peak: 0,
+                stage: rp_core::StageStats::default(),
                 peak_alloc_bytes,
             };
             ScalingReport { quick: true, cells: vec![cell(true, peak), cell(false, 0)] }.to_json()
@@ -920,10 +886,10 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("stage stats:"), "{out}");
-        assert!(out.contains("subsets routed:"));
-        assert!(out.contains("dp node visits:"));
-        assert!(out.contains("commit volume touched:"));
-        assert!(out.contains("commit volume skipped:"));
+        assert!(out.contains("subsets_routed:"));
+        assert!(out.contains("dp_node_visits:"));
+        assert!(out.contains("commit_touched:"));
+        assert!(out.contains("commit_skipped:"));
         assert!(out.contains("repairs: 0"));
 
         let out =

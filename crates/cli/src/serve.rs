@@ -229,10 +229,13 @@ fn serve_loop<R: BufRead, W: Write>(
                 _ => Err("err malformed pause needs a millisecond count".to_string()),
             },
             "crash-after" => match tokens.next().and_then(parse_digits::<u64>) {
-                Some(n) => {
-                    crash_fuse = Some(n + 1);
-                    Ok(format!("ok crash-after={n}"))
-                }
+                Some(n) => match n.checked_add(1) {
+                    Some(fuse) => {
+                        crash_fuse = Some(fuse);
+                        Ok(format!("ok crash-after={n}"))
+                    }
+                    None => Err(format!("err malformed crash-after count {n} is too large")),
+                },
                 _ => Err("err malformed crash-after needs a response count".to_string()),
             },
             "quit" => {
@@ -586,6 +589,7 @@ delta 3 +7
 delta 2 +1 3 -99 2 +1
 solve
 solution
+crash-after 18446744073709551615
 quit
 ";
         let (out, summary) = session(&mut engine, script);
@@ -614,6 +618,8 @@ quit
         // node 2 got +1 (the batch's first pair), nothing else moved.
         assert!(lines[16].starts_with("solved replicas="), "{out}");
         assert!(lines[17].starts_with("err malformed solution needs a path"), "{out}");
+        // A count whose fuse would overflow is malformed and arms nothing.
+        assert!(lines[18].starts_with("err malformed crash-after count"), "{out}");
         assert_eq!(*lines.last().unwrap(), "bye");
         let summary = summary.unwrap();
         assert!(summary.contains("rejected=5"), "{summary}");

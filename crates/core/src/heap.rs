@@ -7,7 +7,7 @@
 //!
 //! * the sweep (Algorithm 3's `req(j)`) hands out the most
 //!   distance-constrained requests first: the largest distance `d` to `j`
-//!   (see [`crate::multiple_bin`]);
+//!   (see [`mod@crate::multiple_bin`]);
 //! * the router serves the nearest deadline first: the deepest deadline
 //!   (see `crate::stage::router`).
 //!

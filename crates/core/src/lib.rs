@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`fn@single_gen`] | Algorithm 1 | (Δ+1)-approximation for **Single** (Δ-approximation without distance constraints), `O(Δ·|T|)` |
 //! | [`fn@single_nod`] | Algorithm 2 | 2-approximation for **Single-NoD**, `O((Δ log Δ + |C|)·|T|)` |
-//! | [`fn@multiple_bin`] | Algorithm 3 | the paper proves it optimal for **Multiple-Bin** when every `r_i ≤ W` on binary trees (Theorem 6); this reconstruction matches the exact optimum on the differential suite and is optimal on stages its enumeration solves, but its reassignment-free DP fallback can open extra replicas (runs on the [`TreeArena`](rp_tree::TreeArena)/[`SolverScratch`] flat layer), `O(|T|²)` |
+//! | [`fn@multiple_bin`] | Algorithm 3 | the paper proves it optimal for **Multiple-Bin** when every `r_i ≤ W` on binary trees (Theorem 6); this reconstruction matches the exact optimum on the differential suite and is optimal on stages its enumeration solves, but its reassignment-free DP fallback can open extra replicas (runs on the [`TreeArena`](rp_tree::TreeArena)/[`SolverScratch`] flat layer); per stage a branch-and-bound enumeration, exponential in the candidate count but capped by a cost-model budget, and beyond it the polynomial stage DP |
 //!
 //! Baselines live in [`baselines`] (trivial clients-only placement, a greedy
 //! Multiple heuristic for general trees) and lower bounds in [`bounds`].

@@ -41,8 +41,8 @@
 //! * a stage that falls back to the stage DP keeps existing assignments
 //!   fixed, so it can open replicas that a reassignment would avoid. The
 //!   128-client `rp gen --kind binary --seed 7 --dmax-fraction 0.7`
-//!   instance gets 45 replicas with the root idle; dropping the root
-//!   leaves a valid 44-replica placement.
+//!   instance (capacity 14, 595 requests) gets 45 replicas with the root
+//!   idle, while its volume bound `⌈595 / 14⌉` is 43.
 
 use crate::error::SolveError;
 use crate::heap::HeapForest;
@@ -97,8 +97,9 @@ pub fn multiple_bin_with(
 /// [`multiple_bin`] on the arena already loaded into `scratch` (via
 /// [`SolverScratch::load_arena`] or
 /// [`SolverScratch::load_arena_from_stream`]) — the entry point of the
-/// streaming scaling tier, where no [`rp_tree::Tree`] ever exists. The
-/// parallel driver is [`crate::par::multiple_bin_par`].
+/// streaming scaling tier, where no [`rp_tree::Tree`] ever exists. This
+/// is the parallel driver [`crate::par::multiple_bin_par`] at one thread,
+/// which runs the whole sweep serially.
 ///
 /// # Errors
 ///
@@ -108,12 +109,7 @@ pub fn multiple_bin_arena(
     w: Requests,
     dmax: Option<Dist>,
 ) -> Result<Solution, SolveError> {
-    crate::scratch::check_multiple_bin(scratch.arena(), w)?;
-    scratch.prepare_multiple_bin();
-    scratch.prepare_deadlines(dmax);
-    mb_sweep(scratch, w, dmax, None, None)?;
-    debug_assert!(scratch.arena.preorder().first().is_none_or(|&r| scratch.flow.is_empty_at(r)));
-    Ok(collect_solution(scratch))
+    crate::par::multiple_bin_par(scratch, w, dmax, 1)
 }
 
 /// The bottom-up sweep of Algorithm 3 (children before parents).

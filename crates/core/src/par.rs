@@ -121,11 +121,14 @@ fn build_frontier(arena: &TreeArena, threads: usize, min_chunk: usize) -> Option
     Some(Frontier { roots, upper_post })
 }
 
-/// [`crate::multiple_bin::multiple_bin_arena`] solved with up to `threads`
-/// worker threads over disjoint frontier subtrees (each on a private
-/// rank-mapped sub-arena), then a serial finish pass over the upper
-/// nodes. Bit-identical to the serial entry point — solution *and* stage
-/// counters — for every thread count.
+/// `multiple-bin` on the arena loaded into `scratch`, solved with up to
+/// `threads` worker threads over disjoint frontier subtrees (each on a
+/// private rank-mapped sub-arena), then a serial finish pass over the
+/// upper nodes. Without a frontier (one thread, or a tree too small or too
+/// narrow to split) the finish pass is the whole serial sweep, which is
+/// what [`crate::multiple_bin::multiple_bin_arena`] runs. Bit-identical
+/// to that serial solve — solution *and* stage counters — for every thread
+/// count.
 ///
 /// # Errors
 ///

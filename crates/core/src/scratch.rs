@@ -100,7 +100,7 @@ pub struct SolverScratch {
 
     // --- multiple-bin sweep state ---
     /// The `req(j)` pending heaps of the sweep (see
-    /// [`crate::multiple_bin`]'s `PendingFlow`).
+    /// [`mod@crate::multiple_bin`]'s `PendingFlow`).
     pub(crate) flow: PendingFlow,
     /// Assignment fragments of the replica at each node (empty when none).
     pub(crate) assigned: Vec<Vec<AssignPair>>,
@@ -131,7 +131,7 @@ pub struct SolverScratch {
     /// whole-subtree fixpoint scans and commit with the historical
     /// check-then-write double route. Semantics are identical to the
     /// incremental path (pinned by `tests/proptest_stage_commit.rs`);
-    /// never set in production. Survives [`SolverScratch::prepare`] so one
+    /// never set in production. Survives [`SolverScratch::prepare_multiple_bin`] so one
     /// flagged scratch can reference-solve many instances.
     pub(crate) naive_stage_commit: bool,
     /// Free nodes eligible to host a new replica this stage.
@@ -205,11 +205,6 @@ pub struct SolverScratch {
     pub(crate) breakdown: Vec<(u32, u64)>,
 
     // --- stage-DP state ---
-    /// Stuck volume per client, the fallback's own demand map (the
-    /// relaxed lower bound reads `demand`).
-    pub(crate) dp_demand: Vec<u64>,
-    /// Clients with non-zero [`SolverScratch::dp_demand`].
-    pub(crate) dp_clients: Vec<u32>,
     /// Pooled storage of the sparse stage-DP pass, both modes (see
     /// [`crate::stage::chain_dp`]): one segment store holding the per-node
     /// vectors and the backtrack's convolution layers.
@@ -343,7 +338,6 @@ impl SolverScratch {
         reset(&mut self.load, n, 0);
         reset(&mut self.demand, n, 0);
         reset(&mut self.remaining, n, 0);
-        reset(&mut self.dp_demand, n, 0);
         reset(&mut self.min_dd, n, u32::MAX);
         reset(&mut self.active_mark, n, 0);
         reset(&mut self.active_pos, n, 0);
@@ -368,7 +362,6 @@ impl SolverScratch {
         self.travel_clients.clear();
         self.spare_nodes.clear();
         self.breakdown.clear();
-        self.dp_clients.clear();
     }
 
     /// Finishes an active forest whose nodes have been marked and pushed
@@ -496,9 +489,9 @@ pub(crate) fn check_total_fits(arena: &TreeArena) -> Result<(), SolveError> {
 /// Checks that every root distance of the arena is exact: no path sum
 /// from the root exceeds `u64::MAX` (the arena saturates such sums). The
 /// `multiple-bin` sweep orders and splits its pending requests by
-/// root-distance differences (see [`crate::multiple_bin`]'s `PendingFlow`),
-/// and the deadline rows are root-distance differences too, so both need
-/// exact values. Only the `multiple-bin` entry points call this.
+/// root-distance differences (see [`mod@crate::multiple_bin`]'s
+/// `PendingFlow`), and the deadline rows are root-distance differences
+/// too, so both need exact values. Only the `multiple-bin` entry points call this.
 ///
 /// # Errors
 ///

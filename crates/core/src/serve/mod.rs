@@ -602,7 +602,7 @@ fn undo_stage(s: &mut SolverScratch, ctx: &mut ServeCtx, j: u32) {
         s.in_r[u as usize] = false;
     }
     flush(&mut s.assigned, &mut s.load, &rec.pre_log);
-    retract_stats(&mut s.stats, &rec.stats);
+    s.stats.retract(&rec.stats);
     remove_peak(peaks, rec.stats.router_carried_peak);
 }
 
@@ -659,51 +659,15 @@ pub(crate) fn note_no_stage(s: &mut SolverScratch, j: u32) {
     }
 }
 
-/// Field-wise `post - pre` over every count-like [`StageStats`] counter
-/// (all are monotone within a solve). `router_carried_peak` is a max, not
-/// a count — subtraction is meaningless for it, so the delta carries 0 and
-/// the callers fill in the stage's own peak.
+/// `post - pre` over every count-like [`StageStats`] counter (all are
+/// monotone within a solve). `router_carried_peak` is a max, not a count —
+/// subtraction is meaningless for it, so the delta carries 0 and the
+/// callers fill in the stage's own peak.
 fn stats_delta(post: &StageStats, pre: &StageStats) -> StageStats {
     let mut delta = *post;
-    retract_stats(&mut delta, pre);
+    delta.retract(pre);
     delta.router_carried_peak = 0;
     delta
-}
-
-/// Field-wise `total -= stage` over every count-like [`StageStats`]
-/// counter; `router_carried_peak` is left alone (the journal's peak
-/// multiset owns the max).
-fn retract_stats(total: &mut StageStats, stage: &StageStats) {
-    let StageStats {
-        stages,
-        subsets_enumerated,
-        subsets_routed,
-        subsets_pruned,
-        prefix_routes,
-        dp_sizes_skipped,
-        dp_bound_skips,
-        dp_fallbacks,
-        dp_node_visits,
-        repairs,
-        commit_touched,
-        commit_skipped,
-        router_carry_merges,
-        router_carried_peak: _,
-        scope_cache_hits: _,
-    } = stage;
-    total.stages -= stages;
-    total.subsets_enumerated -= subsets_enumerated;
-    total.subsets_routed -= subsets_routed;
-    total.subsets_pruned -= subsets_pruned;
-    total.prefix_routes -= prefix_routes;
-    total.dp_sizes_skipped -= dp_sizes_skipped;
-    total.dp_bound_skips -= dp_bound_skips;
-    total.dp_fallbacks -= dp_fallbacks;
-    total.dp_node_visits -= dp_node_visits;
-    total.repairs -= repairs;
-    total.commit_touched -= commit_touched;
-    total.commit_skipped -= commit_skipped;
-    total.router_carry_merges -= router_carry_merges;
 }
 
 /// A warm `multiple-bin` solver answering demand deltas — see the module

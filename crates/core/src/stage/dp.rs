@@ -59,26 +59,20 @@ pub(crate) fn fallback_placement(
     j: u32,
     stuck: &[PendingRequest],
 ) -> Result<(), SolveError> {
-    {
-        let s = &mut *scratch;
-        s.dp_clients.clear();
-        for t in stuck {
-            if s.dp_demand[t.client as usize] == 0 {
-                s.dp_clients.push(t.client);
-            }
-            s.dp_demand[t.client as usize] += t.w;
-        }
-    }
-    let rmin = sparse_pass(scratch, w, j, true);
-    let s = &mut *scratch;
-    for &c in s.dp_clients.iter() {
-        s.dp_demand[c as usize] = 0;
-    }
-    s.dp_clients.clear();
-    match rmin {
+    // The strict pass reads the stage `demand` row on the stuck forest,
+    // which holds exactly the stuck volume there: a stuck client has no
+    // assignment yet (its only fragment travelled to `j`), so its pool
+    // demand is its stuck volume, and a collected pool client is a leaf,
+    // so it lies on no stuck path.
+    debug_assert_eq!(
+        stuck.iter().map(|t| scratch.demand[t.client as usize]).sum::<u64>(),
+        stuck.iter().map(|t| t.w).sum::<u64>(),
+        "stuck clients carry only their stuck volume in the stage demand"
+    );
+    match sparse_pass(scratch, w, j, true) {
         Some(_) => Ok(()),
         None => {
-            let free = s.sdp.free_nodes(s.active_nodes.len() - 1);
+            let free = scratch.sdp.free_nodes(scratch.active_nodes.len() - 1);
             Err(SolveError::StageDpExhausted { node: NodeId(j), rmax: free as u64 })
         }
     }
@@ -88,9 +82,10 @@ pub(crate) fn fallback_placement(
 /// is `j`), leaving the minimising placement in `best_set`. Relaxed mode
 /// takes every scope node and reads the stage `demand` rows with existing
 /// replicas at full capacity; strict mode takes the `stuck_mark`ed nodes
-/// and `j`, and reads the stuck `dp_demand` rows with existing replicas at
-/// their spare. Returns the minimum replica count, or `None` when even a
-/// replica on every free node of the pass leaves volume unserved.
+/// and `j`, where the `demand` rows hold only stuck volume (see
+/// [`fallback_placement`]), with existing replicas at their spare. Returns
+/// the minimum replica count, or `None` when even a replica on every free
+/// node of the pass leaves volume unserved.
 pub(crate) fn sparse_pass(
     scratch: &mut SolverScratch,
     cap: u64,
@@ -102,7 +97,6 @@ pub(crate) fn sparse_pass(
         in_r,
         load,
         demand,
-        dp_demand,
         best_set,
         active_nodes,
         active_pos,
@@ -114,8 +108,7 @@ pub(crate) fn sparse_pass(
         ..
     } = scratch;
     debug_assert_eq!(active_nodes.last(), Some(&j), "j closes the scope forest");
-    let (mark, demand) =
-        if strict { (&stuck_mark[..], &dp_demand[..]) } else { (&active_mark[..], &demand[..]) };
+    let mark = if strict { &stuck_mark[..] } else { &active_mark[..] };
     super::chain_dp::sparse_dp(
         arena,
         in_r,
@@ -201,14 +194,13 @@ pub mod testing {
             scratch.load[u as usize] = l;
         }
         for &(c, w) in demand {
-            if scratch.dp_demand[c as usize] == 0 {
-                scratch.dp_clients.push(c);
+            if scratch.demand[c as usize] == 0 {
+                scratch.demand_clients.push(c);
             }
-            scratch.dp_demand[c as usize] += w;
+            scratch.demand[c as usize] += w;
             scratch.deadline[c as usize] = j;
         }
-        let stuck_clients = scratch.dp_clients.len();
-        scratch.demand_clients.clone_from(&scratch.dp_clients);
+        let stuck_clients = scratch.demand_clients.len();
         for &(c, dl) in pool {
             assert!(scratch.arena.is_ancestor_or_self(j, c), "pool clients live in subtree(j)");
             if !scratch.demand_clients.contains(&c) {

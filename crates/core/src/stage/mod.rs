@@ -19,12 +19,13 @@
 //! * `enumerate` — the pruned branch-and-bound search for the best
 //!   minimum-size placement;
 //! * `dp` — the fungible stage dynamic program, serving both as the
-//!   enumeration's lower bound / incumbent seed and as the exact
-//!   reassignment-free fallback for oversized stages; both modes run one
-//!   uncapped sparse pass (`chain_dp`) over the stage's scope forest, with
-//!   one pooled segment store and one convex merge (no steady-state
-//!   allocation) — the lower bound takes every scope node, the fallback
-//!   only the stuck paths.
+//!   enumeration's lower bound / incumbent seed and as the
+//!   reassignment-free fallback for oversized stages (it holds existing
+//!   assignments fixed, so it can open more replicas than the stage
+//!   needs); both modes run one uncapped sparse pass (`chain_dp`) over the
+//!   stage's scope forest, with one pooled segment store and one convex
+//!   merge (no steady-state allocation) — the lower bound takes every
+//!   scope node, the fallback only the stuck paths.
 //!
 //! # Incremental stage commits: the affected scope
 //!
@@ -128,8 +129,8 @@ pub struct PendingRequest {
 }
 
 /// Counters of one solve's stage work, exposed through
-/// [`SolverScratch::stage_stats`](crate::SolverScratch::stage_stats), the
-/// scaling bench report and `rp solve --stage-stats`.
+/// [`SolverScratch::stage_stats`](crate::SolverScratch::stage_stats) and
+/// listed once by [`StageStats::counters`], which every report iterates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageStats {
     /// Stages run (stuck events served).
@@ -186,15 +187,17 @@ pub struct StageStats {
     pub scope_cache_hits: u64,
 }
 
+/// Position of `router_carried_peak` in [`StageStats::counters`]: the one
+/// running maximum among the counters. It merges with `max` and is never
+/// retracted; every other counter is a plain event count.
+const PEAK: usize = 13;
+
 impl StageStats {
-    /// Adds every counter of `other` into `self` — the merge step of the
-    /// frontier-parallel `multiple-bin` driver (`crate::par`), which sums
-    /// the workers' per-subtree counters into the session scratch. The
-    /// counters are plain event counts, so summation is exact and
-    /// order-independent; `router_carried_peak` is a running maximum and
-    /// merges with `max`, which is just as order-independent, and
-    /// `scope_cache_hits` stays 0.
-    pub(crate) fn absorb(&mut self, other: &StageStats) {
+    /// Every counter as `(field name, value)`, in field order — the one
+    /// list that the parallel merge, the serve journal, `rp solve
+    /// --stage-stats`, `stage_probe --json` and the scaling report iterate.
+    /// The retired `scope_cache_hits` is not in it.
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 14] {
         let StageStats {
             stages,
             subsets_enumerated,
@@ -211,21 +214,57 @@ impl StageStats {
             router_carry_merges,
             router_carried_peak,
             scope_cache_hits: _,
-        } = other;
-        self.stages += stages;
-        self.subsets_enumerated += subsets_enumerated;
-        self.subsets_routed += subsets_routed;
-        self.subsets_pruned += subsets_pruned;
-        self.prefix_routes += prefix_routes;
-        self.dp_sizes_skipped += dp_sizes_skipped;
-        self.dp_bound_skips += dp_bound_skips;
-        self.dp_fallbacks += dp_fallbacks;
-        self.dp_node_visits += dp_node_visits;
-        self.repairs += repairs;
-        self.commit_touched += commit_touched;
-        self.commit_skipped += commit_skipped;
-        self.router_carry_merges += router_carry_merges;
-        self.router_carried_peak = self.router_carried_peak.max(*router_carried_peak);
+        } = self;
+        [
+            ("stages", stages),
+            ("subsets_enumerated", subsets_enumerated),
+            ("subsets_routed", subsets_routed),
+            ("subsets_pruned", subsets_pruned),
+            ("prefix_routes", prefix_routes),
+            ("dp_sizes_skipped", dp_sizes_skipped),
+            ("dp_bound_skips", dp_bound_skips),
+            ("dp_fallbacks", dp_fallbacks),
+            ("dp_node_visits", dp_node_visits),
+            ("repairs", repairs),
+            ("commit_touched", commit_touched),
+            ("commit_skipped", commit_skipped),
+            ("router_carry_merges", router_carry_merges),
+            ("router_carried_peak", router_carried_peak),
+        ]
+    }
+
+    /// [`StageStats::counters_mut`] by value.
+    pub fn counters(&self) -> [(&'static str, u64); 14] {
+        let mut copy = *self;
+        copy.counters_mut().map(|(name, v)| (name, *v))
+    }
+
+    /// Adds every counter of `other` into `self` — the merge step of the
+    /// frontier-parallel `multiple-bin` driver (`crate::par`), which sums
+    /// the workers' per-subtree counters into the session scratch. The
+    /// counters are plain event counts, so summation is exact and
+    /// order-independent; `router_carried_peak` is a running maximum and
+    /// merges with `max`, which is just as order-independent.
+    pub(crate) fn absorb(&mut self, other: &StageStats) {
+        for (i, ((_, total), (_, v))) in
+            self.counters_mut().into_iter().zip(other.counters()).enumerate()
+        {
+            *total = if i == PEAK { (*total).max(v) } else { *total + v };
+        }
+    }
+
+    /// Subtracts every count-like counter of `stage` from `self` — the
+    /// serve journal's undo of one stage. `router_carried_peak` is left
+    /// alone: a max cannot be retracted, so the journal's peak multiset
+    /// owns it.
+    pub(crate) fn retract(&mut self, stage: &StageStats) {
+        for (i, ((_, total), (_, v))) in
+            self.counters_mut().into_iter().zip(stage.counters()).enumerate()
+        {
+            if i != PEAK {
+                *total -= v;
+            }
+        }
     }
 }
 
@@ -613,4 +652,57 @@ fn route_on_committed(
         bufs,
         if commit { Some(commit_log) } else { None },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A [`StageStats`] whose listed counters hold `base + position`.
+    fn distinct(base: u64) -> StageStats {
+        let mut stats = StageStats::default();
+        for (i, (_, v)) in stats.counters_mut().into_iter().enumerate() {
+            *v = base + i as u64;
+        }
+        stats
+    }
+
+    #[test]
+    fn counter_table_matches_the_debug_text() {
+        let stats = distinct(1000);
+        let debug = format!("{stats:?}");
+        for (name, value) in stats.counters() {
+            // Every listed counter is followed by `scope_cache_hits`, so
+            // the pair always ends in a comma.
+            assert!(debug.contains(&format!(" {name}: {value},")), "{name} in {debug}");
+        }
+        let mut names: Vec<&str> = stats.counters().iter().map(|&(name, _)| name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), stats.counters().len(), "counter names are unique");
+        assert!(!names.contains(&"scope_cache_hits"), "the retired counter is not listed");
+        assert_eq!(stats.counters()[PEAK].0, "router_carried_peak");
+    }
+
+    #[test]
+    fn absorb_sums_counts_maxes_the_peak_and_retract_undoes_the_counts() {
+        let mut total = distinct(100);
+        let stage = distinct(10);
+        total.absorb(&stage);
+        for (i, ((name, after), (_, before))) in
+            total.counters().into_iter().zip(distinct(100).counters()).enumerate()
+        {
+            let expected =
+                if i == PEAK { before.max(10 + i as u64) } else { before + 10 + i as u64 };
+            assert_eq!(after, expected, "{name}");
+        }
+        let mut high = StageStats { router_carried_peak: 7, ..StageStats::default() };
+        high.absorb(&StageStats { router_carried_peak: 3, ..StageStats::default() });
+        assert_eq!(high.router_carried_peak, 7, "absorb keeps the larger peak");
+        high.absorb(&StageStats { router_carried_peak: 9, ..StageStats::default() });
+        assert_eq!(high.router_carried_peak, 9, "absorb takes the larger peak");
+
+        total.retract(&stage);
+        assert_eq!(total, distinct(100), "retract restores every count and leaves the peak");
+    }
 }

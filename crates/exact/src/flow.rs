@@ -24,7 +24,7 @@ struct Edge {
 #[derive(Debug, Clone)]
 pub struct FlowNetwork {
     graph: Vec<Vec<Edge>>,
-    /// (from, index in graph[from]) of every forward edge, in insertion order.
+    /// `(from, index in graph[from])` of every forward edge, in insertion order.
     edge_handles: Vec<(usize, usize)>,
 }
 

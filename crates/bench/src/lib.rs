@@ -8,8 +8,7 @@
 //!
 //! | bench target | experiments |
 //! |---|---|
-//! | `algorithms_scaling` | E6 (complexity claims) |
-//! | `scaling` | E6 at scale — writes the machine-readable `BENCH_scaling.json` |
+//! | `scaling` | E6 (running-time scaling) — writes the machine-readable `BENCH_scaling.json` |
 //! | `figures` | E1, E2 (Fig. 3 and Fig. 4 families) |
 //! | `exact_and_reductions` | E3, E5, E9 (exact solvers and gadgets) |
 //! | `policy_and_sensitivity` | E7, E8 |

@@ -23,7 +23,8 @@ commands:
               [--seed S] [--out FILE]
   solve       run an algorithm on an instance
               --instance FILE  --algorithm single-gen|single-nod|multiple-bin|clients-only|multiple-greedy
-              [--out FILE] [--stage-stats] [--threads N]  (multiple-bin only)
+              [--out FILE] [--stage-stats] [--threads N]
+              (--stage-stats and --threads above 1: multiple-bin only)
   exact       compute the exact optimum (small instances)
               --instance FILE  --policy single|multiple
   validate    check a solution file against an instance
@@ -145,6 +146,11 @@ fn cmd_solve(args: &Args) -> Result<String, String> {
     let threads: usize = args.get_or("threads", 1)?;
     if threads == 0 {
         return Err("--threads must be at least 1".to_string());
+    }
+    // Only `multiple-bin` runs the stage engine; elsewhere the counters
+    // would read as zero stages rather than as "not measured".
+    if args.has_flag("stage-stats") && algorithm != Algorithm::MultipleBin {
+        return Err(format!("--stage-stats is not supported for `{}`", algorithm.name()));
     }
     let mut scratch = rp_core::SolverScratch::new();
     let solution = if threads > 1 {
@@ -995,6 +1001,19 @@ mod tests {
             "4",
         ]);
         assert!(err.is_err(), "baselines have no parallel path");
+        for algorithm in ["single-gen", "single-nod", "multiple-greedy"] {
+            let err =
+                run(&["solve", "--instance", inst_s, "--algorithm", algorithm, "--stage-stats"])
+                    .unwrap_err();
+            assert!(
+                err.contains(&format!("--stage-stats is not supported for `{algorithm}`")),
+                "{algorithm} with --stage-stats: {err}"
+            );
+        }
+        let out =
+            run(&["solve", "--instance", inst_s, "--algorithm", "multiple-bin", "--stage-stats"])
+                .unwrap();
+        assert!(out.contains("stage stats:"), "{out}");
         let err =
             run(&["solve", "--instance", inst_s, "--algorithm", "single-gen", "--threads", "0"]);
         assert!(err.is_err(), "--threads 0 is rejected");

@@ -47,9 +47,11 @@
 use crate::error::SolveError;
 use crate::heap::HeapForest;
 use crate::scratch::SolverScratch;
+use crate::serve::ServeCtx;
 use crate::stage::{serve_stuck, PendingRequest};
 use rp_tree::arena::{TreeArena, NO_PARENT};
 use rp_tree::{Dist, Fragment, Instance, NodeId, Requests, Solution};
+use std::time::Instant;
 
 /// Runs Algorithm 3 (`multiple-bin`) and returns its placement and
 /// assignment. The paper proves the algorithm optimal for binary trees when
@@ -128,16 +130,25 @@ pub fn multiple_bin_arena(
 ///   for the caller to merge upwards. `None` means the local root is the
 ///   true root (`δ_r = +∞` in the paper: everything pending there is stuck
 ///   and must be served).
+/// * `journal` — the serve engine's stage journal ([`ServeCtx`]): every
+///   stage is journaled into it, and a node that fires no stage leaves it.
+///   `None` for batch solves and the parallel workers.
+/// * `deadline` — the serve engine's per-solve budget, `(must finish by,
+///   budget in ms)`, checked between nodes and before each stage. `None`
+///   lets the sweep run unbounded.
 ///
 /// # Errors
 ///
-/// Propagates the stage-engine errors of `crate::stage::serve_stuck`.
+/// Propagates the stage-engine errors of `crate::stage::serve_stuck`, and
+/// [`SolveError::DeadlineExceeded`] once `deadline` has passed.
 pub(crate) fn mb_sweep(
     scratch: &mut SolverScratch,
     w: Requests,
     dmax: Option<Dist>,
     root_exit: Option<Dist>,
     order: Option<&[u32]>,
+    mut journal: Option<&mut ServeCtx>,
+    deadline: Option<(Instant, u64)>,
 ) -> Result<(), SolveError> {
     let count = match order {
         None => scratch.arena.len(),
@@ -150,9 +161,9 @@ pub(crate) fn mb_sweep(
         // unbounded unit of work, so this bounds overrun to one in-flight
         // stage. `solve.sweep` is the delay-injection point the chaos
         // gauntlet uses to blow budgets on demand.
-        if pos & 63 == 0 && scratch.solve_deadline.is_some() {
+        if pos & 63 == 0 && deadline.is_some() {
             let _ = crate::fault::point("solve.sweep");
-            check_deadline(scratch)?;
+            check_deadline(deadline)?;
         }
         let j = match order {
             None => scratch.arena.postorder()[pos],
@@ -175,7 +186,7 @@ pub(crate) fn mb_sweep(
                 scratch.assigned[ji].push((j, r));
             }
             Step::Stage => {
-                check_deadline(scratch)?;
+                check_deadline(deadline)?;
                 // Serve the stuck requests at `j` or inside its subtree.
                 // Travelling requests are deliberately NOT absorbed here
                 // even when spare capacity remains: they stay pending, and
@@ -186,18 +197,18 @@ pub(crate) fn mb_sweep(
                 // heap.
                 let stuck = std::mem::take(&mut scratch.flow.stuck);
                 let travelling = std::mem::take(&mut scratch.flow.travelling);
-                let result = serve_stuck(scratch, w, j, &stuck, &travelling);
+                let result =
+                    serve_stuck(scratch, w, j, &stuck, &travelling, journal.as_deref_mut());
                 scratch.flow.stuck = stuck;
                 scratch.flow.travelling = travelling;
                 result?;
             }
             Step::Quiet => {
-                if scratch.serve.is_some() {
+                if let Some(ctx) = journal.as_deref_mut() {
                     // Serve-mode journal upkeep: a journaled stage whose
                     // stuck set emptied (a delta drained it) fires no stage
-                    // this solve and must leave the journal — see
-                    // `crate::serve::note_no_stage`.
-                    crate::serve::note_no_stage(scratch, j);
+                    // this solve and must leave the journal.
+                    ctx.note_no_stage(j);
                 }
             }
         }
@@ -455,13 +466,13 @@ pub(crate) fn collect_solution(scratch: &SolverScratch) -> Solution {
 }
 
 /// Fails the sweep with [`SolveError::DeadlineExceeded`] once the serve
-/// engine's per-solve deadline (if any) has passed. The slabs are left
+/// engine's per-solve `deadline` (if any) has passed. The slabs are left
 /// mid-sweep — callers must re-prepare before the next solve, which every
 /// entry point does.
 #[inline]
-fn check_deadline(scratch: &SolverScratch) -> Result<(), SolveError> {
-    match scratch.solve_deadline {
-        Some((deadline, budget_ms)) if std::time::Instant::now() >= deadline => {
+fn check_deadline(deadline: Option<(Instant, u64)>) -> Result<(), SolveError> {
+    match deadline {
+        Some((deadline, budget_ms)) if Instant::now() >= deadline => {
             Err(SolveError::DeadlineExceeded { budget_ms })
         }
         _ => Ok(()),

@@ -158,7 +158,8 @@ pub fn multiple_bin_par(
     // loads and assignments are exactly the serial mid-sweep state, and the
     // frontier roots' `sub_demand` is all the finish pass reads below them,
     // so those stages behave identically).
-    mb_sweep(scratch, w, dmax, None, frontier.as_ref().map(|fr| &fr.upper_post[..]))?;
+    let upper = frontier.as_ref().map(|fr| &fr.upper_post[..]);
+    mb_sweep(scratch, w, dmax, None, upper, None, None)?;
     debug_assert!(scratch.arena.preorder().first().is_none_or(|&r| scratch.flow.is_empty_at(r)));
     Ok(collect_solution(scratch))
 }
@@ -177,7 +178,7 @@ fn mb_worker(
     seed_worker_deadlines(gs, &mut ls, f);
     // The local root is the interior node `f` of the full sweep: its exit
     // edge decides what stays pending for the finish pass.
-    mb_sweep(&mut ls, w, dmax, Some(gs.arena().edge(f)), None)?;
+    mb_sweep(&mut ls, w, dmax, Some(gs.arena().edge(f)), None, None, None)?;
     Ok(ls)
 }
 

@@ -128,11 +128,11 @@ pub struct SolverScratch {
     /// `assigned` / `load` only once the route proves feasible).
     pub(crate) commit_log: Vec<CommitEntry>,
     /// Test-only switch: stages compute their affected scope by naive
-    /// whole-subtree fixpoint scans and commit with the historical
-    /// check-then-write double route. Semantics are identical to the
-    /// incremental path (pinned by `tests/proptest_stage_commit.rs`);
-    /// never set in production. Survives [`SolverScratch::prepare_multiple_bin`] so one
-    /// flagged scratch can reference-solve many instances.
+    /// whole-subtree fixpoint scans (the commit route is shared).
+    /// Semantics are identical to the incremental path (pinned by
+    /// `tests/proptest_stage_commit.rs`); never set in production.
+    /// Survives [`SolverScratch::prepare_multiple_bin`] so one flagged
+    /// scratch can reference-solve many instances.
     pub(crate) naive_stage_commit: bool,
     /// Free nodes eligible to host a new replica this stage.
     pub(crate) candidates: Vec<u32>,
@@ -164,21 +164,6 @@ pub struct SolverScratch {
     pub(crate) pick_buf: Vec<u32>,
     /// Stage counters of the current / last solve.
     pub(crate) stats: StageStats,
-    /// Serve-mode journal + spine marks (`crate::serve`), installed by
-    /// [`crate::serve::ServeEngine`] around its own sweeps and `None` for
-    /// every other entry point — batch solves and the parallel workers
-    /// never look at it. Boxed so the idle scratch stays lean; survives
-    /// [`SolverScratch::prepare_multiple_bin`] by construction (the engine
-    /// re-installs it per solve).
-    pub(crate) serve: Option<Box<crate::serve::ServeCtx>>,
-    /// Per-solve deadline: `(must finish by, budget in ms)`, checked by the
-    /// sweep between nodes and before each stage; blown budgets surface as
-    /// [`crate::SolveError::DeadlineExceeded`]. Installed by
-    /// [`crate::serve::ServeEngine`] around its own solves and `None` for
-    /// every other entry point. Like [`SolverScratch::serve`], survives
-    /// [`SolverScratch::prepare_multiple_bin`] by construction (the engine
-    /// sets and clears it around each solve).
-    pub(crate) solve_deadline: Option<(std::time::Instant, u64)>,
 
     // --- EDF router state (see `stage::router`) ---
     /// Live rows and checkpoints of the stage router.
@@ -238,11 +223,11 @@ impl SolverScratch {
     }
 
     /// Test-only window: makes stages compute their affected scope by the
-    /// naive whole-subtree fixpoint reference and commit with the
-    /// historical check-then-write double route, instead of the
-    /// incremental closure walk and the fused buffered commit. Results are
-    /// identical by construction — `tests/proptest_stage_commit.rs` pins
-    /// that equivalence. Hidden: not part of the crate's API surface.
+    /// naive whole-subtree fixpoint reference instead of the incremental
+    /// closure walk; both then commit through the same buffered route.
+    /// Results are identical by construction —
+    /// `tests/proptest_stage_commit.rs` pins that equivalence. Hidden: not
+    /// part of the crate's API surface.
     #[doc(hidden)]
     pub fn set_naive_stage_commit(&mut self, naive: bool) {
         self.naive_stage_commit = naive;

@@ -25,9 +25,12 @@
 //!
 //! The engine keeps a **stage journal**: one record per stage of the last
 //! solve, holding its scope's replicas and their assignment lists at
-//! collection time, its placement and its whole [`StageStats`] delta. An
-//! incremental solve touches only the spine and calls none of the
-//! whole-tree `prepare_*` steps:
+//! collection time, its placement and its whole [`StageStats`] delta. The
+//! engine passes the journal to the sweep as an argument, and the sweep
+//! hands it to each stage. The solve-wide `router_carried_peak` is a max,
+//! which an undo cannot retract, so a spine solve recomputes it as the
+//! largest peak among the records. An incremental solve touches only the
+//! spine and calls none of the whole-tree `prepare_*` steps:
 //!
 //! 1. undo the journaled stages rooted on the spine, in reverse post
 //!    order: free their placements and put back their scopes' assignment
@@ -97,7 +100,7 @@ use crate::stage::StageStats;
 use persist::{PersistConfig, PersistCounters, PersistState, Recovery};
 use rp_tree::arena::{TreeArena, NO_PARENT};
 use rp_tree::{Dist, Instance, NodeId, Requests, Solution, Tree};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -478,18 +481,15 @@ impl FirstTouch {
 }
 
 /// The serve-mode solve context: the stage journal, the spine marks and
-/// the spine-solve buffers. Installed into
-/// [`SolverScratch::serve`] around the engine's sweeps and `None`
-/// everywhere else, so batch solvers never pay for it.
+/// the spine-solve buffers. The engine passes it to the sweep
+/// ([`mb_sweep`]'s `journal`), which hands it to each stage; batch solves
+/// and the parallel workers pass `None` and never pay for it.
 #[derive(Debug, Default)]
 pub(crate) struct ServeCtx {
     /// One record per stage of the last successful solve. A spine solve
     /// undoes and rewrites the records rooted on the spine and carries
     /// every other one unchanged.
     journal: HashMap<u32, StageRecord>,
-    /// Multiset (peak → count) of the journaled stages'
-    /// `router_carried_peak`, so the solve-wide max survives undo.
-    peaks: BTreeMap<u64, u32>,
     /// Stamp per node; `== generation` means the node is on the spine.
     spine_mark: Vec<u32>,
     /// Current solve's stamp. Grows by one per solve; full solves reset
@@ -503,7 +503,8 @@ pub(crate) struct ServeCtx {
     track: bool,
     first: FirstTouch,
     /// The collected scope's pre-state of the stage being searched,
-    /// staged by [`capture_scope`] for [`record_stage`].
+    /// staged by [`ServeCtx::capture_scope`] for
+    /// [`ServeCtx::record_stage`].
     pre_log: Vec<CommitEntry>,
     /// The current spine in post order.
     spine: Vec<u32>,
@@ -555,31 +556,69 @@ impl ServeCtx {
     /// unspecified, so nothing recorded can be trusted).
     fn invalidate(&mut self) {
         self.journal.clear();
-        self.peaks.clear();
     }
 
     fn on_spine(&self, u: u32) -> bool {
         self.spine_mark[u as usize] == self.generation
     }
 
-    /// The largest journaled stage peak (0 with no stage).
+    /// The solve-wide `router_carried_peak`: the largest journaled stage
+    /// peak (0 with no stage). Exact after a spine solve, because every
+    /// record an undo retracted was then either recorded again or dropped
+    /// from the journal.
     fn peak(&self) -> u64 {
-        self.peaks.last_key_value().map_or(0, |(&p, _)| p)
+        self.journal.values().map(|rec| rec.stats.router_carried_peak).max().unwrap_or(0)
     }
-}
 
-/// Adds one stage peak to the journal's peak multiset.
-fn add_peak(peaks: &mut BTreeMap<u64, u32>, peak: u64) {
-    *peaks.entry(peak).or_insert(0) += 1;
-}
+    /// Stage hook (called by `crate::stage::serve_stuck` right after scope
+    /// collection, before the commit clears the scope): captures the first
+    /// touch of every scope replica and stages the scope's assignment
+    /// lists — what undoing the stage puts back — for
+    /// [`ServeCtx::record_stage`].
+    pub(crate) fn capture_scope(&mut self, s: &SolverScratch) {
+        self.pre_log.clear();
+        for &u in s.existing.iter() {
+            let assigned = &s.assigned[u as usize];
+            if self.track {
+                self.first.capture(self.generation, u, true, assigned);
+            }
+            self.pre_log.extend(assigned.iter().map(|&(c, amount)| (u, c, amount)));
+        }
+    }
 
-/// Removes one stage peak from the journal's peak multiset.
-fn remove_peak(peaks: &mut BTreeMap<u64, u32>, peak: u64) {
-    match peaks.get_mut(&peak) {
-        Some(count) if *count > 1 => *count -= 1,
-        _ => {
-            let removed = peaks.remove(&peak);
-            debug_assert!(removed.is_some(), "every journaled peak is in the multiset");
+    /// Stage hook (after a stage committed): journals the stage's outputs.
+    /// `pre` is the stats snapshot taken before scope collection, so the
+    /// recorded delta covers the whole stage. `stage_peak` is the stage's
+    /// own carried peak (a max, not a count — journaled verbatim so carried
+    /// stages reproduce the cold solve's peak exactly).
+    pub(crate) fn record_stage(
+        &mut self,
+        s: &SolverScratch,
+        j: u32,
+        pre: &StageStats,
+        stage_peak: u64,
+    ) {
+        if self.track {
+            // A node first written by this commit was free before it.
+            for &u in &s.best_set {
+                self.first.capture(self.generation, u, false, &[]);
+            }
+        }
+        let rec = self.journal.entry(j).or_default();
+        rec.existing.clone_from(&s.existing);
+        rec.best_set.clone_from(&s.best_set);
+        std::mem::swap(&mut rec.pre_log, &mut self.pre_log);
+        rec.stats = StageStats { router_carried_peak: stage_peak, ..stats_delta(&s.stats, pre) };
+        self.recomputed += 1;
+    }
+
+    /// Sweep hook for nodes that fire *no* stage this solve: in a spine
+    /// solve, a journaled stage whose stuck set a delta emptied leaves the
+    /// journal (its undo already ran). A full solve has just cleared the
+    /// journal, so it skips the lookup.
+    pub(crate) fn note_no_stage(&mut self, j: u32) {
+        if self.track {
+            self.journal.remove(&j);
         }
     }
 }
@@ -589,10 +628,10 @@ fn remove_peak(peaks: &mut BTreeMap<u64, u32>, peak: u64) {
 /// takes its counters out of the solve stats. Exact only when no later
 /// stage wrote the same nodes, which the spine solve guarantees by undoing
 /// in reverse post order (see the module docs). The record stays in the
-/// journal until the sweep reaches `j`: [`record_stage`] rewrites it in
-/// place, [`note_no_stage`] drops it.
+/// journal until the sweep reaches `j`: [`ServeCtx::record_stage`]
+/// rewrites it in place, [`ServeCtx::note_no_stage`] drops it.
 fn undo_stage(s: &mut SolverScratch, ctx: &mut ServeCtx, j: u32) {
-    let ServeCtx { journal, peaks, first, generation, .. } = ctx;
+    let ServeCtx { journal, first, generation, .. } = ctx;
     let Some(rec) = journal.get(&j) else { return };
     for u in rec.written() {
         first.capture(*generation, u, s.in_r[u as usize], &s.assigned[u as usize]);
@@ -603,60 +642,6 @@ fn undo_stage(s: &mut SolverScratch, ctx: &mut ServeCtx, j: u32) {
     }
     flush(&mut s.assigned, &mut s.load, &rec.pre_log);
     s.stats.retract(&rec.stats);
-    remove_peak(peaks, rec.stats.router_carried_peak);
-}
-
-/// Stage hook (called by `crate::stage::serve_stuck` right after scope
-/// collection, before the commit clears the scope): captures the first
-/// touch of every scope replica and stages the scope's assignment lists —
-/// what undoing the stage puts back — for [`record_stage`].
-pub(crate) fn capture_scope(s: &SolverScratch, ctx: &mut ServeCtx) {
-    ctx.pre_log.clear();
-    for &u in s.existing.iter() {
-        let assigned = &s.assigned[u as usize];
-        if ctx.track {
-            ctx.first.capture(ctx.generation, u, true, assigned);
-        }
-        ctx.pre_log.extend(assigned.iter().map(|&(c, amount)| (u, c, amount)));
-    }
-}
-
-/// Stage hook (after a stage committed): journals the stage's outputs.
-/// `pre` is the stats snapshot taken before scope collection, so the
-/// recorded delta covers the whole stage. `stage_peak` is the stage's own
-/// carried peak (a max, not a count — journaled verbatim so carried stages
-/// reproduce the cold solve's peak exactly).
-pub(crate) fn record_stage(
-    s: &SolverScratch,
-    ctx: &mut ServeCtx,
-    j: u32,
-    pre: &StageStats,
-    stage_peak: u64,
-) {
-    if ctx.track {
-        // A node first written by this commit was free before it.
-        for &u in &s.best_set {
-            ctx.first.capture(ctx.generation, u, false, &[]);
-        }
-    }
-    let rec = ctx.journal.entry(j).or_default();
-    rec.existing.clone_from(&s.existing);
-    rec.best_set.clone_from(&s.best_set);
-    std::mem::swap(&mut rec.pre_log, &mut ctx.pre_log);
-    rec.stats = StageStats { router_carried_peak: stage_peak, ..stats_delta(&s.stats, pre) };
-    add_peak(&mut ctx.peaks, stage_peak);
-    ctx.recomputed += 1;
-}
-
-/// Sweep hook for nodes that fire *no* stage this solve: in a spine solve,
-/// a journaled stage whose stuck set a delta emptied leaves the journal
-/// (its undo already ran). A full solve has just cleared the journal, so
-/// it skips the lookup.
-pub(crate) fn note_no_stage(s: &mut SolverScratch, j: u32) {
-    let Some(ctx) = s.serve.as_deref_mut() else { return };
-    if ctx.track {
-        ctx.journal.remove(&j);
-    }
 }
 
 /// `post - pre` over every count-like [`StageStats`] counter (all are
@@ -679,8 +664,8 @@ pub struct ServeEngine {
     scratch: SolverScratch,
     w: Requests,
     dmax: Option<Dist>,
-    /// Journal + marks, installed into the scratch around each sweep.
-    ctx: Box<ServeCtx>,
+    /// Journal + marks, passed to each journaled sweep.
+    ctx: ServeCtx,
     /// Differential switch: plain cold solves, no journal (the reference
     /// behaviour the proptests compare against).
     naive: bool,
@@ -752,7 +737,7 @@ impl ServeEngine {
             scratch,
             w,
             dmax,
-            ctx: Box::default(),
+            ctx: ServeCtx::default(),
             naive: false,
             clients,
             total_requests,
@@ -802,14 +787,8 @@ impl ServeEngine {
             // path *without* stats or WAL traffic: recovery is not new
             // deltas.
             let new = self.validate_delta(node, DemandDelta::Set(requests))?;
-            let cur = self.scratch.arena().requests(node);
-            if new != cur {
-                self.total_requests = self.total_requests - cur as u128 + new as u128;
-                self.scratch.arena.set_requests(node, new);
-                if !self.changed_mark[node as usize] {
-                    self.changed_mark[node as usize] = true;
-                    self.changed.push(node);
-                }
+            if new != self.scratch.arena().requests(node) {
+                self.set_demand(node, new);
             }
         }
         self.persist = Some(state);
@@ -925,12 +904,7 @@ impl ServeEngine {
                         message: e.to_string(),
                     })?;
                 }
-                self.total_requests = self.total_requests - cur as u128 + new as u128;
-                self.scratch.arena.set_requests(node, new);
-                if !self.changed_mark[node as usize] {
-                    self.changed_mark[node as usize] = true;
-                    self.changed.push(node);
-                }
+                self.set_demand(node, new);
             }
             Ok(new)
         });
@@ -944,6 +918,19 @@ impl ServeEngine {
                 self.stats.deltas_rejected += 1;
                 Err(e)
             }
+        }
+    }
+
+    /// Writes a validated new demand for client `node`, which must differ
+    /// from its current one: the arena row, the running total and the
+    /// changed-client list.
+    fn set_demand(&mut self, node: u32, new: Requests) {
+        let cur = self.scratch.arena().requests(node);
+        self.total_requests = self.total_requests - cur as u128 + new as u128;
+        self.scratch.arena.set_requests(node, new);
+        if !self.changed_mark[node as usize] {
+            self.changed_mark[node as usize] = true;
+            self.changed.push(node);
         }
     }
 
@@ -1028,10 +1015,12 @@ impl ServeEngine {
         let journal = !self.naive;
         let incremental = journal && self.journal_valid && !self.stamps_past_half();
 
-        self.scratch.solve_deadline =
-            self.budget.map(|b| (Instant::now() + b, b.as_millis() as u64));
-        let result = if incremental { self.solve_spine() } else { self.solve_full(journal) };
-        self.scratch.solve_deadline = None;
+        let deadline = self.budget.map(|b| (Instant::now() + b, b.as_millis() as u64));
+        let result = if incremental {
+            self.solve_spine(deadline)
+        } else {
+            self.solve_full(journal, deadline)
+        };
 
         for &c in &self.changed {
             self.changed_mark[c as usize] = false;
@@ -1044,8 +1033,7 @@ impl ServeEngine {
         if result.is_err() {
             self.ctx.invalidate();
         }
-        self.stats.solves += 1;
-        match result {
+        let (outcome, swept) = match result {
             Ok(swept) => {
                 let (reused, recomputed) = if journal {
                     let recomputed = self.ctx.recomputed;
@@ -1053,50 +1041,59 @@ impl ServeEngine {
                 } else {
                     (0, 0)
                 };
-                if incremental {
-                    self.stats.incremental_solves += 1;
-                } else {
-                    self.stats.full_solves += 1;
-                }
-                self.stats.stages_reused += reused;
-                self.stats.stages_recomputed += recomputed;
-                self.stats.last_dirty_clients = dirty;
-                self.stats.last_reused = reused;
-                self.stats.last_recomputed = recomputed;
-                self.stats.last_swept = swept;
-                Ok(ServeOutcome {
+                let outcome = ServeOutcome {
                     replicas: self.replicas,
                     incremental,
                     stale: false,
                     dirty_clients: dirty,
                     stages_reused: reused,
                     stages_recomputed: recomputed,
-                })
+                };
+                (outcome, swept)
             }
             Err(SolveError::DeadlineExceeded { .. }) if self.last_good.is_some() => {
                 // Graceful degradation: the demand state and the cached
                 // solution are intact — answer stale rather than stall the
                 // protocol loop.
-                self.stats.full_solves += 1;
-                self.stats.stale_served += 1;
-                self.stats.last_dirty_clients = dirty;
-                self.stats.last_reused = 0;
-                self.stats.last_recomputed = 0;
-                self.stats.last_swept = 0;
-                Ok(ServeOutcome {
+                let outcome = ServeOutcome {
                     replicas: self.replicas,
                     incremental: false,
                     stale: true,
                     dirty_clients: dirty,
                     stages_reused: 0,
                     stages_recomputed: 0,
-                })
+                };
+                (outcome, 0)
             }
             Err(e) => {
+                self.stats.solves += 1;
                 self.stats.full_solves += 1;
-                Err(ServeError::Solve(e))
+                return Err(ServeError::Solve(e));
             }
+        };
+        self.count_solve(&outcome, swept);
+        Ok(outcome)
+    }
+
+    /// Updates the lifetime counters from one answered solve that swept
+    /// `swept` nodes.
+    fn count_solve(&mut self, outcome: &ServeOutcome, swept: u64) {
+        let stats = &mut self.stats;
+        stats.solves += 1;
+        if outcome.incremental {
+            stats.incremental_solves += 1;
+        } else {
+            stats.full_solves += 1;
         }
+        if outcome.stale {
+            stats.stale_served += 1;
+        }
+        stats.stages_reused += outcome.stages_reused;
+        stats.stages_recomputed += outcome.stages_recomputed;
+        stats.last_dirty_clients = outcome.dirty_clients;
+        stats.last_reused = outcome.stages_reused;
+        stats.last_recomputed = outcome.stages_recomputed;
+        stats.last_swept = swept;
     }
 
     /// Whether some stamp a spine solve never resets — the stage id, the
@@ -1122,22 +1119,24 @@ impl ServeEngine {
         self.ctx.generation = self.ctx.generation.max(to);
     }
 
-    /// The whole-tree sweep, with the stage journal rebuilt from scratch
-    /// when `journal`. Publishes a freshly collected solution; returns the
-    /// number of nodes swept.
-    fn solve_full(&mut self, journal: bool) -> Result<u64, SolveError> {
+    /// The whole-tree sweep under `deadline`, with the stage journal
+    /// rebuilt from scratch when `journal`. Publishes a freshly collected
+    /// solution; returns the number of nodes swept.
+    fn solve_full(
+        &mut self,
+        journal: bool,
+        deadline: Option<(Instant, u64)>,
+    ) -> Result<u64, SolveError> {
         let s = &mut self.scratch;
         s.prepare_multiple_bin();
         s.prepare_deadlines(self.dmax);
-        if journal {
+        let ctx = if journal {
             self.ctx.begin_full(s);
-            s.serve = Some(std::mem::take(&mut self.ctx));
-        }
-        let result = mb_sweep(s, self.w, self.dmax, None, None);
-        if journal {
-            self.ctx = s.serve.take().unwrap_or_default();
-        }
-        result?;
+            Some(&mut self.ctx)
+        } else {
+            None
+        };
+        mb_sweep(s, self.w, self.dmax, None, None, ctx, deadline)?;
         self.replicas = s.in_r.iter().filter(|&&r| r).count() as u64;
         self.last_good = Some(collect_solution(s));
         Ok(s.arena.len() as u64)
@@ -1147,9 +1146,9 @@ impl ServeEngine {
     /// dirty spine — see the module docs for the steps and why the result
     /// is exact. Patches the published solution in place; returns the
     /// number of nodes swept.
-    fn solve_spine(&mut self) -> Result<u64, SolveError> {
+    fn solve_spine(&mut self, deadline: Option<(Instant, u64)>) -> Result<u64, SolveError> {
         let s = &mut self.scratch;
-        let ctx = &mut *self.ctx;
+        let ctx = &mut self.ctx;
         ctx.begin_spine();
         let mut spine = std::mem::take(&mut ctx.spine);
         spine.clear();
@@ -1187,9 +1186,7 @@ impl ServeEngine {
             }
         }
         // 4. Sweep the spine.
-        s.serve = Some(std::mem::take(&mut self.ctx));
-        let result = mb_sweep(s, self.w, self.dmax, None, Some(&spine));
-        self.ctx = s.serve.take().unwrap_or_default();
+        let result = mb_sweep(s, self.w, self.dmax, None, Some(&spine), Some(ctx), deadline);
         let swept = spine.len() as u64;
         self.ctx.spine = spine;
         result?;

@@ -71,7 +71,8 @@
 //! sweep over the committed replica set appends `(node, client, amount)`
 //! entries to a log, and the log is flushed into the persistent
 //! `assigned` / `load` slabs only on a feasible verdict — replacing the
-//! historical check-then-commit double route.
+//! historical check-then-commit double route. The naive reference commits
+//! the same way; it differs only in how it collects the scope.
 //!
 //! # Pricing the skipped volume: request conservation
 //!
@@ -112,6 +113,7 @@ pub use router::testing as router_testing;
 
 use crate::error::SolveError;
 use crate::scratch::{flush, SolverScratch};
+use crate::serve::ServeCtx;
 use router::RouteEnv;
 use rp_tree::arena::NO_PARENT;
 use rp_tree::{Dist, NodeId, Requests};
@@ -255,8 +257,8 @@ impl StageStats {
 
     /// Subtracts every count-like counter of `stage` from `self` — the
     /// serve journal's undo of one stage. `router_carried_peak` is left
-    /// alone: a max cannot be retracted, so the journal's peak multiset
-    /// owns it.
+    /// alone: a max cannot be retracted, so the journal recomputes it as
+    /// the largest peak among its records.
     pub(crate) fn retract(&mut self, stage: &StageStats) {
         for (i, ((_, total), (_, v))) in
             self.counters_mut().into_iter().zip(stage.counters()).enumerate()
@@ -274,7 +276,10 @@ impl StageStats {
 /// the assignments of the stage's *affected scope* (replica positions are
 /// fixed; loads are not) and leaving the rest of the subtree untouched —
 /// see the module docs for the scope closure and its exactness argument.
-/// `stuck` and `travelling` are the whole of `req(j)`.
+/// `stuck` and `travelling` are the whole of `req(j)`. With a `journal`
+/// (the serve engine's, see [`crate::serve`]), the stage's scope
+/// pre-state, placement and counters are journaled so a later spine solve
+/// can undo it.
 ///
 /// # Errors
 ///
@@ -289,6 +294,7 @@ pub(crate) fn serve_stuck(
     j: u32,
     stuck: &[PendingRequest],
     travelling: &[PendingRequest],
+    mut journal: Option<&mut ServeCtx>,
 ) -> Result<(), SolveError> {
     debug_assert!(!stuck.is_empty());
     let pre_stats = scratch.stats;
@@ -315,14 +321,10 @@ pub(crate) fn serve_stuck(
     scratch.stats.commit_touched += collected;
     scratch.stats.commit_skipped += subtree_vol - collected;
 
-    // Serve-mode journal (`crate::serve`): with a journal installed, the
-    // scope just collected is captured before the commit clears it, so a
-    // later spine solve can undo this stage. Taken out of the scratch
-    // around the search so the hooks can borrow both halves; restored on
-    // every path, including errors.
-    let mut serve_ctx = scratch.serve.take();
-    if let Some(ctx) = serve_ctx.as_deref_mut() {
-        crate::serve::capture_scope(scratch, ctx);
+    // Serve-mode journal: the scope just collected is captured before the
+    // commit clears it, so a later spine solve can undo this stage.
+    if let Some(ctx) = journal.as_deref_mut() {
+        ctx.capture_scope(scratch);
     }
     let result = serve_stuck_search(scratch, w, j, stuck, travelling);
     if result.is_ok() {
@@ -337,11 +339,10 @@ pub(crate) fn serve_stuck(
         if stage_peak > scratch.stats.router_carried_peak {
             scratch.stats.router_carried_peak = stage_peak;
         }
-        if let Some(ctx) = serve_ctx.as_deref_mut() {
-            crate::serve::record_stage(scratch, ctx, j, &pre_stats, stage_peak);
+        if let Some(ctx) = journal {
+            ctx.record_stage(scratch, j, &pre_stats, stage_peak);
         }
     }
-    scratch.serve = serve_ctx;
     result
 }
 
@@ -422,13 +423,8 @@ fn serve_stuck_search(
     // DP fallback models old assignments as fixed while the commit
     // re-routes them — if the routings ever disagreed, surface a
     // structured error instead of silently degrading the solution in
-    // release builds. (The naive reference keeps the historical
-    // check-then-write double route.)
-    if scratch.naive_stage_commit && route_on_committed(scratch, w, j, false) != Some(0) {
-        scratch.stats.repairs += 1;
-        return Err(SolveError::StageRepair { node: NodeId(j) });
-    }
-    if route_on_committed(scratch, w, j, true) != Some(0) {
+    // release builds.
+    if route_on_committed(scratch, w, j) != Some(0) {
         scratch.stats.repairs += 1;
         return Err(SolveError::StageRepair { node: NodeId(j) });
     }
@@ -619,17 +615,11 @@ fn build_scope_forest(s: &mut SolverScratch, j: u32, stuck_clients: usize) {
     s.seal_active_forest(j);
 }
 
-/// Routes the stage demand over the committed replica set (`in_r`). With
-/// `commit` set, the assignment writes are buffered into the scratch's
-/// commit log (cleared first) for the caller to flush on a feasible
-/// verdict; the persistent `assigned` / `load` slabs are never touched
-/// here.
-fn route_on_committed(
-    scratch: &mut SolverScratch,
-    w: Requests,
-    j: u32,
-    commit: bool,
-) -> Option<u64> {
+/// Routes the stage demand over the committed replica set (`in_r`),
+/// buffering the assignment writes into the scratch's commit log (cleared
+/// first) for the caller to flush on a feasible verdict; the persistent
+/// `assigned` / `load` slabs are never touched here.
+fn route_on_committed(scratch: &mut SolverScratch, w: Requests, j: u32) -> Option<u64> {
     let SolverScratch {
         arena,
         deadline_depth,
@@ -644,14 +634,7 @@ fn route_on_committed(
     let total_demand: u64 = demand_clients.iter().map(|&c| demand[c as usize]).sum();
     let env = RouteEnv { arena, cap: w, deadline_depth, order: active_nodes, j, total_demand };
     commit_log.clear();
-    router::route_full(
-        &env,
-        in_r,
-        demand,
-        demand_clients,
-        bufs,
-        if commit { Some(commit_log) } else { None },
-    )
+    router::route_full(&env, in_r, demand, demand_clients, bufs, Some(commit_log))
 }
 
 #[cfg(test)]

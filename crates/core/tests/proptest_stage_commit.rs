@@ -6,8 +6,8 @@
 //! strict subsets of their subtrees — the
 //! production path (scoped closure walk + fused buffered-write commit)
 //! must produce *exactly* the same solutions as the naive reference
-//! (whole-subtree fixpoint scans for the same scope, historical
-//! check-then-write double route), placements and assignments and loads
+//! (whole-subtree fixpoint scans for the same scope, then the same
+//! buffered-write commit), placements and assignments and loads
 //! alike, with no leftover demand (every validated solution serves every
 //! client in full). The scope-volume counters must agree too: both paths
 //! price the same touched and skipped assignment volume.
